@@ -33,8 +33,8 @@ vet:
 # lint runs the repository's own determinism/concurrency/allocation
 # analyzers (see internal/analysis and DESIGN.md "Invariants"): the
 # per-file syntactic checks plus the interprocedural hotalloc,
-# clocktaint, guardedby and arenalife passes, ending with the
-# suppression audit — a stale or unknown //scip: comment fails the run.
+# clocktaint and guardedby passes, ending with the suppression audit — a
+# stale or unknown //scip: comment fails the run.
 lint:
 	$(GO) run ./cmd/scip-vet ./...
 

@@ -8,10 +8,9 @@
 // the interprocedural, call-graph-backed checks: hotalloc (functions
 // annotated //scip:hotpath and their transitive callees must be
 // allocation-free), clocktaint (no wall-clock-derived value may flow
-// into policy/admission/MAB/LRB decision state through any call chain),
-// guardedby (//scip:guardedby struct fields must be accessed with their
-// mutex provably held) and arenalife (unsafe arena strings must not
-// outlive the server's request scope). A final audit diagnoses every
+// into policy/admission/MAB/LRB decision state through any call chain)
+// and guardedby (//scip:guardedby struct fields must be accessed with
+// their mutex provably held). A final audit diagnoses every
 // //scip:*-ok suppression that no longer silences anything (stale) or
 // names a token no analyzer recognises (unknown).
 //

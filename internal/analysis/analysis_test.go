@@ -40,8 +40,7 @@ func TestFixtures(t *testing.T) {
 // TestModuleFixtures runs the interprocedural analyzers over multi-file
 // (and multi-package) fixture trees through the module-wide VetModule
 // entry point: cross-package transitive hot paths, taint flows into a
-// sink sub-package, arena lifetimes in an internal/server-suffixed
-// package, and the suppression audit itself.
+// sink sub-package, and the suppression audit itself.
 func TestModuleFixtures(t *testing.T) {
 	cases := []struct {
 		analyzers []*Analyzer
@@ -49,7 +48,6 @@ func TestModuleFixtures(t *testing.T) {
 	}{
 		{[]*Analyzer{Hotalloc}, "hotalloc"},
 		{[]*Analyzer{Clocktaint}, "clocktaint"},
-		{[]*Analyzer{Arenalife}, "arenalife"},
 		// The audit runs after any VetModule invocation; the full analyzer
 		// set makes every registered token count as "ran".
 		{Analyzers(), "supaudit"},

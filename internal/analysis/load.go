@@ -31,6 +31,10 @@ type Package struct {
 // Loader resolves and type-checks packages of one module. Analyzers see
 // only non-test files: the invariants guard production behaviour, and
 // tests legitimately use wall clocks and throwaway RNGs.
+//
+// A Loader is not safe for concurrent use — its memo maps and its source
+// importer are unguarded — and nothing shares one: every caller builds
+// its own and loads on one goroutine, and VetModule starts none.
 type Loader struct {
 	// Root is the module root (the directory holding go.mod).
 	Root string

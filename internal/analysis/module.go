@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the interprocedural layer under the flow-aware analyzers
-// (hotalloc, clocktaint, guardedby, arenalife): a Module indexes every
+// (hotalloc, clocktaint, guardedby): a Module indexes every
 // type-checked package of one load, builds a module-wide call graph over
 // the declared functions (callgraph.go) and parses the //scip:
 // annotations that name the invariants — hotpath roots, coldpath
@@ -39,7 +39,6 @@ type Module struct {
 	sups map[*Package]suppressionSet
 
 	clockOnce  bool // clock summaries computed (clocktaint.go)
-	arenaOnce  bool // arena summaries computed (arenalife.go)
 	hotPathSet map[*FuncNode]*hotTrace
 }
 
@@ -72,10 +71,8 @@ type FuncNode struct {
 	// mutex (guardedby.go checks both sides).
 	LockedField string
 
-	// Analyzer-computed summaries (memoised; see clocktaint.go and
-	// arenalife.go).
+	// clock is clocktaint's memoised per-function summary (clocktaint.go).
 	clock *clockSummary
-	arena *arenaSummary
 }
 
 // Name renders a short human name: pkg.Func or (*pkg.Recv).Method.

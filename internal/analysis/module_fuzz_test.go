@@ -13,8 +13,8 @@ import (
 // in the types.Info maps exactly the way a broken in-progress tree
 // does — must never panic the call-graph builder, the annotation
 // parser, the hot-set traversal, or the flow analyzers on top. The
-// fuzzed package path ends in internal/server so the path-scoped
-// arenalife analyzer is exercised too.
+// fuzzed package path ends in internal/core so the path-scoped
+// analyzers (detrand, pkgdoc, clocktaint's sinks) are exercised too.
 func FuzzCallGraph(f *testing.F) {
 	seeds := []string{
 		// Simple static calls and a hotpath root.
@@ -78,19 +78,13 @@ func use(s *S) {
 	s.mu.Unlock()
 }
 `,
-		// Clock reads and unsafe arena strings (imports unresolved under
-		// the nil importer: the analyzers must tolerate missing type info).
+		// Clock reads (imports unresolved under the nil importer: the
+		// analyzers must tolerate missing type info).
 		`package p
 
-import (
-	"time"
-	"unsafe"
-)
-
-var buf [8]byte
+import "time"
 
 func now() int64 { return time.Now().UnixNano() }
-func arena() string { return unsafe.String(&buf[0], 8) }
 `,
 		// Methods without bodies, blank names, odd-but-parseable shapes.
 		`package p
@@ -120,12 +114,12 @@ var x = func() {}
 			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		conf := types.Config{Error: func(error) {}} // keep whatever checks
-		tpkg, _ := conf.Check("fuzz/internal/server", fset, []*ast.File{file}, info)
+		tpkg, _ := conf.Check("fuzz/internal/core", fset, []*ast.File{file}, info)
 		if tpkg == nil {
 			t.Skip()
 		}
 		pkg := &Package{
-			Path:  "fuzz/internal/server",
+			Path:  "fuzz/internal/core",
 			Dir:   ".",
 			Fset:  fset,
 			Files: []*ast.File{file},

@@ -4,10 +4,10 @@ import "strings"
 
 // Analyzers returns every registered analyzer in a stable order. The
 // first five are the per-file syntactic checks from scip-vet v1; the
-// last four are the interprocedural, flow-aware checks built on the
+// last three are the interprocedural, flow-aware checks built on the
 // module call graph (module.go).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Nocopy, Atomicmix, Pkgdoc, Hotalloc, Clocktaint, Guardedby, Arenalife}
+	return []*Analyzer{Detrand, Maporder, Nocopy, Atomicmix, Pkgdoc, Hotalloc, Clocktaint, Guardedby}
 }
 
 // DetrandPaths lists the import-path suffixes of the packages whose
@@ -48,10 +48,9 @@ var ClockSinkPaths = append(append([]string{}, DetrandPaths...),
 // to the deterministic-replay packages (DetrandPaths), because drivers
 // and reporting code read wall clocks by design; Pkgdoc is scoped to
 // internal/ packages — commands document themselves in their main file
-// and are checked by convention, not the analyzer. Of the flow-aware
-// analyzers, Hotalloc/Clocktaint/Guardedby run everywhere (their
-// annotations decide what is checked), while Arenalife is scoped to the
-// server package that owns the request arena.
+// and are checked by convention, not the analyzer. The flow-aware
+// analyzers (Hotalloc, Clocktaint, Guardedby) run everywhere: their
+// annotations decide what is checked.
 func Applies(a *Analyzer, pkgPath string) bool {
 	switch a {
 	case Detrand:
@@ -63,8 +62,6 @@ func Applies(a *Analyzer, pkgPath string) bool {
 		return false
 	case Pkgdoc:
 		return strings.Contains(pkgPath, "/internal/")
-	case Arenalife:
-		return strings.HasSuffix(pkgPath, "internal/server")
 	}
 	return true
 }

@@ -85,8 +85,30 @@ func cutStringLit(s string) (lit, rest string, err error) {
 	return "", "", fmt.Errorf("want comment: unterminated string in %q", s)
 }
 
+// lockedImporter serialises a go/importer "source" importer. That
+// importer records in-progress packages in an unguarded map, so two
+// goroutines importing the same standard-library package take each
+// other's marker for an import cycle ("could not import sync ... import
+// cycle through package runtime"). It never calls back through this
+// wrapper, so a plain mutex cannot self-deadlock.
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.ImporterFrom
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+func (l *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.ImportFrom(path, dir, mode)
+}
+
 // fixtureImporterOnce shares one source importer across fixtures so the
-// standard library is type-checked once per test process.
+// standard library is type-checked once per test process; fixtures run
+// as parallel subtests, hence the lock.
 var (
 	fixtureImporterOnce sync.Once
 	fixtureFset         *token.FileSet
@@ -96,7 +118,9 @@ var (
 func fixtureEnv() (*token.FileSet, types.Importer) {
 	fixtureImporterOnce.Do(func() {
 		fixtureFset = token.NewFileSet()
-		fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+		fixtureImporter = &lockedImporter{
+			imp: importer.ForCompiler(fixtureFset, "source", nil).(types.ImporterFrom),
+		}
 	})
 	return fixtureFset, fixtureImporter
 }

@@ -312,12 +312,14 @@ var proxyHeaders = [...]string{
 	"Content-Type", "Content-Length", "X-Cache", "X-Cache-Shard", "X-Object-Size",
 }
 
-// tryNode proxies one attempt of method for key to node i, forwarding
-// the node's response on success. A transport failure (connect, timeout)
-// returns the error without touching the client connection, so the
-// caller can fail over; any HTTP response from the node — including the
-// node's own errors — counts as success and is forwarded verbatim.
-func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string, key uint64, body []byte) error {
+// tryNode sends one attempt of method for key to node i: the per-attempt
+// timeout, the URL assembled in sc.url (the client's query forwarded),
+// body as the payload. A transport failure (connect, timeout) is counted
+// against the node and returned without touching the client connection,
+// so the caller can fail over; any HTTP response — including the node's
+// own errors — counts as success, and is forwarded verbatim to the client
+// when forward is set, drained and dropped otherwise.
+func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string, key uint64, body []byte, forward bool) error {
 	rt.nodeRequests[i].Add(1)
 	ctx := r.Context()
 	if rt.cfg.NodeTimeout > 0 {
@@ -348,7 +350,10 @@ func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string,
 	}
 	defer resp.Body.Close()
 	rt.reg.Report(i, true)
-
+	if !forward {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
 	h := sc.Header()
 	for _, name := range proxyHeaders {
 		if v := resp.Header.Get(name); v != "" {
@@ -362,41 +367,14 @@ func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string,
 }
 
 // fireAndForget issues a replica write (PUT/DELETE fan-out) whose
-// response body is discarded; only transport failures count as errors.
+// response is discarded; only transport failures count as errors. Despite
+// the name it is synchronous — it returns once the node has answered —
+// and must stay so: body is the pooled sc.body, which the next request
+// overwrites as soon as this handler returns.
 func (rt *Router) fireAndForget(r *http.Request, sc *routeScope, i int, method string, key uint64, body []byte) {
-	rt.nodeRequests[i].Add(1)
-	ctx := r.Context()
-	if rt.cfg.NodeTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.NodeTimeout)
-		defer cancel()
-	}
-	sc.url = append(sc.url[:0], rt.cfg.Nodes[i]...)
-	sc.url = append(sc.url, "/obj/"...)
-	sc.url = strconv.AppendUint(sc.url, key, 10)
-	if rq := r.URL.RawQuery; rq != "" {
-		sc.url = append(sc.url, '?')
-		sc.url = append(sc.url, rq...)
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, string(sc.url), rd)
-	if err != nil {
+	if err := rt.tryNode(r, sc, i, method, key, body, false); err != nil {
 		rt.replicaWriteErrors.Add(1)
-		return
 	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		rt.nodeErrors[i].Add(1)
-		rt.reg.Report(i, false)
-		rt.replicaWriteErrors.Add(1)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	rt.reg.Report(i, true)
 }
 
 // proxyWalk tries each candidate in order, skipping down nodes while an
@@ -413,7 +391,7 @@ func (rt *Router) proxyWalk(r *http.Request, sc *routeScope, order []int, method
 			rt.failovers.Add(1)
 		}
 		attempted = true
-		if err := rt.tryNode(r, sc, i, method, key, body); err != nil {
+		if err := rt.tryNode(r, sc, i, method, key, body, true); err != nil {
 			lastErr = err
 			continue
 		}
@@ -423,7 +401,7 @@ func (rt *Router) proxyWalk(r *http.Request, sc *routeScope, order []int, method
 		// Every node is marked down; try the owner anyway so the client
 		// sees the real transport error, and so a revived node is
 		// discovered even if the health loop is disabled.
-		if err := rt.tryNode(r, sc, order[0], method, key, body); err == nil {
+		if err := rt.tryNode(r, sc, order[0], method, key, body, true); err == nil {
 			return
 		} else {
 			lastErr = err

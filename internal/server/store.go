@@ -32,7 +32,7 @@ func newBodyStore(capBytes int64) *bodyStore {
 // get appends the stored body to dst (may be nil) and refreshes the
 // entry's recency. The copy is deliberate: entry buffers are reused in
 // place by put, so handing a caller store-owned memory would race with
-// the next refresh of the same key. Callers pass a per-request arena
+// the next refresh of the same key. Callers pass the request's pooled
 // buffer, making the steady-state copy allocation-free.
 func (s *bodyStore) get(key uint64, dst []byte) ([]byte, bool) {
 	s.mu.Lock()
@@ -43,14 +43,13 @@ func (s *bodyStore) get(key uint64, dst []byte) ([]byte, bool) {
 	}
 	s.unlink(e)
 	s.pushFront(e)
-	//scip:alloc-ok appends into the caller's arena buffer; growth amortises to the arena's high-water mark
 	return append(dst, e.body...), true
 }
 
 // put stores a copy of body under key, displacing least-recently-used
 // bodies while over capacity. Refreshing a resident key reuses the
 // entry's buffer in place (no allocation once its capacity suffices),
-// which is why body may be arena memory that the caller recycles after
+// which is why body may be pooled memory that the caller recycles after
 // the request. Bodies larger than the store are not kept.
 func (s *bodyStore) put(key uint64, body []byte) {
 	n := int64(len(body))
@@ -65,7 +64,7 @@ func (s *bodyStore) put(key uint64, body []byte) {
 		s.unlink(e)
 		s.pushFront(e)
 	} else {
-		e := &bodyEntry{key: key, body: append([]byte(nil), body...)} //scip:alloc-ok first insert of a key allocates its entry; refreshes reuse the buffer in place
+		e := &bodyEntry{key: key, body: append([]byte(nil), body...)}
 		s.m[key] = e
 		s.pushFront(e)
 		s.used += n
