@@ -11,7 +11,7 @@ GO ?= go
 # must be listed here so `make vet` covers it.
 VET_TAGS ?= scipdebug
 
-.PHONY: check fmt-check vet lint supps build test test-race examples docs-check golden-equiv fuzz bench bench-kernels bench-figures bench-scale bench-gc bench-cluster bench-check load
+.PHONY: check fmt-check vet lint supps build test test-race examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load
 
 check: fmt-check vet lint build test test-race examples docs-check golden-equiv
 
@@ -98,56 +98,11 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkGBMFit|BenchmarkLRBAccessTrained|BenchmarkTreePredict' \
 		-benchtime $(BENCHTIME) -benchmem .
 
-# Full figure regeneration with per-figure timings in BENCH.json.
-# scip-bench merges into the file, so the scale_matrix section written by
-# bench-scale survives a figure rerun (and vice versa).
+# Full figure regeneration with per-figure timings in BENCH.json (the
+# file's only writer). Throughput, latency, memory and per-layer cost are
+# measured by the repository benchmark instead: `bash benchmark/run.sh`.
 bench-figures:
 	$(GO) run ./cmd/scip-bench -scale 0.01 -seeds 2 -json BENCH.json all
-
-# The workers x GOMAXPROCS x concurrency-mode throughput matrix
-# (EXPERIMENTS.md "Scaling"): one replay per (gomaxprocs, workers,
-# mutex/batched/actor) cell, cross-checked for identical miss ratios and
-# merged into BENCH.json as scale_matrix. SCALE=0.002 keeps the default
-# run short; raise it for stable numbers, e.g. `make bench-scale
-# SCALE=0.01`.
-SCALE ?= 0.002
-BENCHJSON ?= BENCH.json
-bench-scale:
-	$(GO) run ./cmd/scip-load -scale $(SCALE) -shards 8 -batch 64 -scalebench $(BENCHJSON)
-
-# GC-pressure matrix (DESIGN.md §12): fills the cache to each working-set
-# size, measures the scannable-heap bytes the resident set adds (~0 with
-# the pointer-free core) and the pause cost of churn, cross-checks miss
-# ratios across concurrency modes and merges the cells into BENCH.json as
-# gc_matrix. GCOBJECTS=50000 keeps the default a CI smoke run; the
-# committed artefact uses the paper-faithful 1M-object working set
-# (`make bench-gc GCOBJECTS=1000000 SCALE=0.01`).
-GCOBJECTS ?= 50000
-bench-gc:
-	$(GO) run ./cmd/scip-load -scale $(SCALE) -shards 8 -gcobjects $(GCOBJECTS) -gcbench $(BENCHJSON)
-
-# Cluster equivalence smoke (CLUSTER.md): spins an in-process 3-node
-# fleet on loopback with a scip-route router in front, replays a tiny
-# CDN-T trace through the router from concurrent clients, cross-checks
-# every node's shard counters byte-for-byte against a single-node replay
-# of its ring partition, and merges the router-overhead cells into
-# BENCH.json as cluster_matrix. SCALE=0.002 keeps it a CI smoke run.
-bench-cluster:
-	$(GO) run ./cmd/scip-route -clusterbench $(BENCHJSON) -scale $(SCALE) -shards 4 -bench-nodes 3
-
-# Benchmark-regression guard: reruns the replay hot path and fails if
-# ns/op regresses more than 20% against the committed baseline in
-# BENCH.json (replay_hot_path.lru_ns_per_op_after). Best-of-3 damps
-# scheduler noise; a genuine data-plane regression still trips it.
-bench-check:
-	@base=$$(sed -n 's/.*"lru_ns_per_op_after": *\([0-9.]*\).*/\1/p' $(BENCHJSON)); \
-	if [ -z "$$base" ]; then echo "bench-check: no replay_hot_path baseline in $(BENCHJSON)"; exit 1; fi; \
-	best=$$($(GO) test -run '^$$' -bench 'BenchmarkReplayHotPathLRU$$' -benchtime 1s -count 3 . \
-		| awk '/BenchmarkReplayHotPathLRU/ {if (best == "" || $$3 < best) best = $$3} END {print best}'); \
-	if [ -z "$$best" ]; then echo "bench-check: benchmark produced no result"; exit 1; fi; \
-	echo "bench-check: best $$best ns/op vs baseline $$base ns/op (limit +20%)"; \
-	awk -v b="$$best" -v base="$$base" 'BEGIN { exit !(b <= base * 1.2) }' || \
-		{ echo "bench-check: BenchmarkReplayHotPathLRU regressed >20%"; exit 1; }
 
 # Concurrent load run with the race detector enabled: replays a synthetic
 # CDN-T trace across GOMAXPROCS workers against the sharded SCIP front,

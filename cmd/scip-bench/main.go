@@ -134,10 +134,7 @@ func main() {
 	}
 	report.TotalSeconds = time.Since(total).Seconds() //scip:wallclock-ok BENCH.json metering: wall time of the whole figure run
 	if *jsonPath != "" {
-		// Merge rather than overwrite: BENCH.json also carries the
-		// scale_matrix section of `make bench-scale`, which a figure
-		// rerun must not clobber (and vice versa).
-		if err := sim.MergeJSON(*jsonPath, report); err != nil {
+		if err := sim.WriteJSON(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

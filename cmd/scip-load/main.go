@@ -11,8 +11,7 @@
 //	scip-load [-profile CDN-T] [-scale 0.01] [-seed 1] [-trace file] [-csv|-lrb]
 //	    [-policy SCIP] [-cache 655MiB] [-shards 8] [-workers N] [-repeat 1]
 //	    [-mode mutex|actor] [-batch N] [-depth N] [-nolat] [-gcstats]
-//	    [-interval 1s] [-json LOAD.json] [-scalebench BENCH.json]
-//	    [-gcbench BENCH.json] [-gcobjects 1000000]
+//	    [-interval 1s] [-json LOAD.json]
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The trace is partitioned by shard, not by request index: every shard's
@@ -27,12 +26,10 @@
 // of that size (amortising one lock acquisition or actor handoff per
 // batch), and -nolat drops the per-request latency timing — the replay's
 // only clock reads. None of the three changes a single counter
-// (TestModeInvariance). -scalebench replays the workers x GOMAXPROCS x
-// mode matrix instead of a single run and merges it into the given JSON
-// file as the scale_matrix section. -gcbench runs the GC-pressure
-// matrix (scannable-heap bytes per resident object, churn pause cost)
-// and merges it as gc_matrix; -gcstats adds a live GC column to the
-// interval reports of an ordinary run.
+// (TestModeInvariance). -gcstats adds a live GC column to the interval
+// reports. Per-mode throughput, scaling and GC cost are measured by the
+// repository benchmark (benchmark/README.md, the shard.* and server.gc_*
+// rows), not here.
 package main
 
 import (
@@ -45,24 +42,14 @@ import (
 	"sync"
 	"time"
 
-	"github.com/scip-cache/scip/internal/admission/scorer"
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/gen"
-	"github.com/scip-cache/scip/internal/runner"
 	"github.com/scip-cache/scip/internal/server"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/sim"
 	"github.com/scip-cache/scip/internal/stats"
 	"github.com/scip-cache/scip/internal/trace"
 )
-
-// buildSharded returns a sharded cache for one of the concurrency-ready
-// policies — the same construction scip-serve uses (server.BuildSharded),
-// so a load run and a daemon with matching flags replay the identical
-// decision stream.
-func buildSharded(policy string, capBytes int64, shards int, seed int64, opts ...shard.Option) (*shard.Cache, error) {
-	return server.BuildSharded(policy, capBytes, shards, seed, opts...)
-}
 
 // runLoad replays tr against c from `workers` goroutines, each owning the
 // shards whose index ≡ worker (mod workers). batch > 1 groups each shard's
@@ -219,9 +206,6 @@ func main() {
 	gcstats := flag.Bool("gcstats", false, "add a GC column (cycles, pause, heap-scan bytes) to each interval report")
 	interval := flag.Duration("interval", 1*time.Second, "live snapshot period (0 disables)")
 	jsonPath := flag.String("json", "LOAD.json", "write the final report as JSON to this path (empty disables)")
-	scalebench := flag.String("scalebench", "", "replay the workers x GOMAXPROCS x mode matrix and merge it into this JSON file as scale_matrix, then exit")
-	gcbench := flag.String("gcbench", "", "run the GC-pressure matrix (heap-scan bytes and pause deltas per working-set size) and merge it into this JSON file as gc_matrix, then exit")
-	gcobjects := flag.Int("gcobjects", 1_000_000, "largest resident working set, in objects, for -gcbench")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
@@ -291,20 +275,6 @@ func main() {
 		}
 	}
 
-	if *scalebench != "" {
-		if err := runScaleBench(tr, *policy, capBytes, *shards, *seed, *batch, *scalebench); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *gcbench != "" {
-		if err := runGCBench(tr, *policy, *shards, *seed, *gcobjects, *gcbench); err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	mode, err := shard.ParseMode(*modeFlag)
 	if err != nil {
 		fail(err)
@@ -313,7 +283,7 @@ func main() {
 	if *depth > 0 {
 		opts = append(opts, shard.WithActorDepth(*depth))
 	}
-	c, err := buildSharded(*policy, capBytes, *shards, *seed, opts...)
+	c, err := server.BuildSharded(*policy, capBytes, *shards, *seed, opts...)
 	if err != nil {
 		fail(err)
 	}
@@ -348,208 +318,4 @@ func main() {
 		}
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
-}
-
-// runScaleBench replays the workers x GOMAXPROCS x mode throughput
-// matrix (`make bench-scale`): for each GOMAXPROCS value suited to this
-// machine and each worker count, it replays the trace once per
-// concurrency configuration — per-request mutex locking, mutex locking
-// amortised over -batch-request batches, and the actor path fed the same
-// batches — and merges the cells into jsonPath as the scale_matrix
-// section, alongside whatever else (scip-bench figures) the file holds.
-// Only Mreq/s is wall-clock; the miss ratio must be identical in every
-// cell and the run fails if any cell diverges (the serial-order
-// invariant, cross-checked rather than assumed).
-func runScaleBench(tr *trace.Trace, policy string, capBytes int64, shards int, seed int64, batch int, jsonPath string) error {
-	if batch <= 1 {
-		batch = 64
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	// 1, NumCPU/2, NumCPU — strictly increasing, duplicates skipped, so
-	// a 1-CPU machine runs just {1} and records that honestly.
-	gmps := []int{1}
-	if n := runtime.NumCPU(); n >= 4 {
-		gmps = append(gmps, n/2)
-	}
-	if n := runtime.NumCPU(); n > 1 {
-		gmps = append(gmps, n)
-	}
-	var workerSet []int
-	for w := 1; w <= 8; w *= 2 {
-		if w <= shards {
-			workerSet = append(workerSet, w)
-		}
-	}
-	modes := []struct {
-		name  string
-		mode  shard.Mode
-		batch int
-	}{
-		{"mutex", shard.ModeMutex, 1},
-		{"batched", shard.ModeMutex, batch},
-		{"actor", shard.ModeActor, batch},
-	}
-
-	label := strings.ToUpper(policy)
-	if scorer.IsSpec(policy) {
-		label = policy // scorer specs are case-sensitive display names
-	}
-	rep := sim.ScaleReport{
-		Trace:      tr.Name,
-		Policy:     label,
-		CacheBytes: capBytes,
-		Shards:     shards,
-		Requests:   len(tr.Requests),
-		NumCPU:     runtime.NumCPU(),
-	}
-	fmt.Printf("scip-load scalebench: %s  trace=%s (%d requests)  cache=%.1f MiB  shards=%d  ncpu=%d\n",
-		rep.Policy, tr.Name, len(tr.Requests), float64(capBytes)/(1<<20), shards, rep.NumCPU)
-	fmt.Printf("%-10s %-8s %-10s %-6s %12s %10s\n", "gomaxprocs", "workers", "mode", "batch", "Mreq/s", "missRatio")
-
-	wantMiss, first := 0.0, true
-	for _, g := range gmps {
-		runtime.GOMAXPROCS(g)
-		for _, w := range workerSet {
-			for _, m := range modes {
-				c, err := buildSharded(policy, capBytes, shards, seed, shard.WithMode(m.mode))
-				if err != nil {
-					return err
-				}
-				start := time.Now() //scip:wallclock-ok scale-matrix metering: wall time per cell
-				hits := runner.ReplaySharded(tr.Requests, c, w, m.batch)
-				elapsed := time.Since(start).Seconds() //scip:wallclock-ok scale-matrix metering: wall time per cell
-				c.Close()
-				miss := 1 - float64(hits)/float64(len(tr.Requests))
-				if first {
-					wantMiss, first = miss, false
-				} else if miss != wantMiss {
-					return fmt.Errorf("scalebench: gomaxprocs=%d workers=%d mode=%s: miss ratio %.6f != %.6f — serial-order invariant violated",
-						g, w, m.name, miss, wantMiss)
-				}
-				cell := sim.ScaleCell{
-					Workers:    w,
-					GoMaxProcs: g,
-					Mode:       m.name,
-					Batch:      m.batch,
-					MreqPerSec: float64(len(tr.Requests)) / elapsed / 1e6,
-					MissRatio:  miss,
-				}
-				rep.Cells = append(rep.Cells, cell)
-				fmt.Printf("%-10d %-8d %-10s %-6d %12.2f %10.4f\n",
-					g, w, m.name, m.batch, cell.MreqPerSec, miss)
-			}
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-	rep.GeneratedUnix = time.Now().Unix() //scip:wallclock-ok report metadata: records when the run happened, never feeds a decision
-	out := struct {
-		ScaleMatrix sim.ScaleReport `json:"scale_matrix"`
-	}{rep}
-	if err := sim.MergeJSON(jsonPath, out); err != nil {
-		return err
-	}
-	fmt.Printf("scale_matrix merged into %s (%d cells)\n", jsonPath, len(rep.Cells))
-	return nil
-}
-
-// runGCBench measures the GC footprint of the pointer-free data plane
-// (`make bench-gc`): for each working-set size up to maxObjects and each
-// concurrency mode, it fills the cache to that many resident objects,
-// forces a GC to read how many scannable heap bytes the resident set
-// added (with slab-backed entries and a scalar index this is ~zero per
-// object, the invariant DESIGN.md §12 promises), then replays the trace
-// as churn and records the GC cycles and pause time the steady state
-// incurred. Cells merge into jsonPath as the gc_matrix section. The
-// churn miss ratio must be identical across modes at each size — the
-// serial-order invariant, cross-checked rather than assumed — and the
-// run fails on any divergence.
-func runGCBench(tr *trace.Trace, policy string, shards int, seed int64, maxObjects int, jsonPath string) error {
-	if maxObjects < 1024 {
-		maxObjects = 1024
-	}
-	const objBytes = 4096
-	// fillBase keeps fill keys disjoint from any trace key.
-	const fillBase = uint64(1) << 40
-	sizes := []int{maxObjects}
-	if maxObjects >= 10_000 {
-		sizes = []int{maxObjects / 10, maxObjects}
-	}
-	modes := []struct {
-		name  string
-		mode  shard.Mode
-		batch int
-	}{
-		{"mutex", shard.ModeMutex, 1},
-		{"batched", shard.ModeMutex, 64},
-		{"actor", shard.ModeActor, 64},
-	}
-
-	label := strings.ToUpper(policy)
-	if scorer.IsSpec(policy) {
-		label = policy
-	}
-	rep := sim.GCReport{
-		Trace:    tr.Name,
-		Policy:   label,
-		Shards:   shards,
-		Requests: len(tr.Requests),
-	}
-	fmt.Printf("scip-load gcbench: %s  trace=%s (%d churn requests)  shards=%d\n",
-		rep.Policy, tr.Name, len(tr.Requests), shards)
-	fmt.Printf("%-10s %-8s %14s %10s %9s %10s %10s\n",
-		"objects", "mode", "heapScanMiB", "scanB/obj", "gcCycles", "pause", "missRatio")
-
-	for _, n := range sizes {
-		// The fill ends at time 0 so the churn trace's native timestamps
-		// continue monotonically per shard.
-		fill := make([]cache.Request, n)
-		for i := range fill {
-			fill[i] = cache.Request{Time: int64(i - n), Key: fillBase + uint64(i), Size: objBytes}
-		}
-		wantMiss, first := 0.0, true
-		for _, m := range modes {
-			c, err := buildSharded(policy, int64(n)*objBytes, shards, seed, shard.WithMode(m.mode))
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			gc0 := stats.ReadGC()
-			runner.ReplaySharded(fill, c, 1, m.batch)
-			runtime.GC()
-			gc1 := stats.ReadGC()
-			hits := runner.ReplaySharded(tr.Requests, c, 1, m.batch)
-			gc2 := stats.ReadGC()
-			c.Close()
-			miss := 1 - float64(hits)/float64(len(tr.Requests))
-			if first {
-				wantMiss, first = miss, false
-			} else if miss != wantMiss {
-				return fmt.Errorf("gcbench: objects=%d mode=%s: miss ratio %.6f != %.6f — serial-order invariant violated",
-					n, m.name, miss, wantMiss)
-			}
-			scanDelta := float64(int64(gc1.HeapScanBytes) - int64(gc0.HeapScanBytes))
-			cell := sim.GCCell{
-				Objects:         n,
-				Mode:            m.name,
-				HeapScanMiB:     scanDelta / (1 << 20),
-				ScanBytesPerObj: scanDelta / float64(n),
-				GCCycles:        gc2.NumGC - gc1.NumGC,
-				PauseMillis:     (gc2.PauseTotal - gc1.PauseTotal).Seconds() * 1e3,
-				MissRatio:       miss,
-			}
-			rep.Cells = append(rep.Cells, cell)
-			fmt.Printf("%-10d %-8s %14.2f %10.1f %9d %9.2fms %10.4f\n",
-				n, m.name, cell.HeapScanMiB, cell.ScanBytesPerObj, cell.GCCycles, cell.PauseMillis, miss)
-		}
-	}
-	rep.GeneratedUnix = time.Now().Unix() //scip:wallclock-ok report metadata: records when the run happened, never feeds a decision
-	out := struct {
-		GCMatrix sim.GCReport `json:"gc_matrix"`
-	}{rep}
-	if err := sim.MergeJSON(jsonPath, out); err != nil {
-		return err
-	}
-	fmt.Printf("gc_matrix merged into %s (%d cells)\n", jsonPath, len(rep.Cells))
-	return nil
 }

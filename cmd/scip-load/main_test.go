@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/scip-cache/scip/internal/gen"
+	"github.com/scip-cache/scip/internal/server"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/sim"
 	"github.com/scip-cache/scip/internal/stats"
@@ -25,7 +26,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	capBytes := gen.CDNT.CacheBytes(64<<30, 0.001)
 
 	run := func(policy string, workers int) stats.Snapshot {
-		c, err := buildSharded(policy, capBytes, 8, 1)
+		c, err := server.BuildSharded(policy, capBytes, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestRepeatExtendsRun(t *testing.T) {
 	}
 	capBytes := gen.CDNT.CacheBytes(64<<30, 0.0005)
 	run := func(workers int) stats.Snapshot {
-		c, err := buildSharded("LRU", capBytes, 4, 1)
+		c, err := server.BuildSharded("LRU", capBytes, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestIntervalSnapshotOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	capBytes := gen.CDNT.CacheBytes(64<<30, 0.002)
-	c, err := buildSharded("LRU", capBytes, 4, 1)
+	c, err := server.BuildSharded("LRU", capBytes, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestModeInvariance(t *testing.T) {
 		first := true
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, v := range variants {
-				c, err := buildSharded(policy, capBytes, 8, 1, shard.WithMode(v.mode))
+				c, err := server.BuildSharded(policy, capBytes, 8, 1, shard.WithMode(v.mode))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,11 +173,5 @@ func TestModeInvariance(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestBuildShardedRejectsUnknownPolicy(t *testing.T) {
-	if _, err := buildSharded("nope", 1<<20, 4, 1); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }

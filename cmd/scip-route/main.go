@@ -15,34 +15,20 @@
 //	    [-vnodes 64] [-replicas 2] [-replicate] [-hot-k 16] [-hot-min 64]
 //	    [-node-timeout 2s] [-fail-threshold 3] [-health-interval 2s]
 //	    [-max-body 1MiB] [-drain 10s] [-interval 10s]
-//
-// With -clusterbench FILE the binary instead runs the cluster
-// equivalence benchmark (`make bench-cluster`): it spins an in-process
-// fleet on loopback, replays a generated CDN-T trace through a router,
-// cross-checks every node's shard counters byte-for-byte against a
-// single-node replay of the same ring partition, and merges the
-// cluster_matrix section (per-node cells plus router overhead) into
-// FILE.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"github.com/scip-cache/scip/internal/cluster"
-	"github.com/scip-cache/scip/internal/gen"
-	"github.com/scip-cache/scip/internal/server"
-	"github.com/scip-cache/scip/internal/sim"
 	"github.com/scip-cache/scip/internal/stats"
 	"github.com/scip-cache/scip/internal/trace"
 )
@@ -61,25 +47,11 @@ func main() {
 	maxBody := flag.String("max-body", "1MiB", "accepted PUT body size cap")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout (0 waits indefinitely)")
 	interval := flag.Duration("interval", 10*time.Second, "live stats line period on stdout (0 disables)")
-	clusterbench := flag.String("clusterbench", "", "run the cluster equivalence benchmark and merge cluster_matrix into this JSON file")
-	scale := flag.Float64("scale", 0.002, "trace scale for -clusterbench")
-	policy := flag.String("policy", "SCIP", "node policy for -clusterbench")
-	benchNodes := flag.Int("bench-nodes", 3, "fleet size for -clusterbench")
-	shards := flag.Int("shards", 4, "per-node shard count for -clusterbench")
-	clients := flag.Int("clients", 4, "concurrent replay clients for -clusterbench")
-	seed := flag.Int64("seed", 1, "trace and policy seed for -clusterbench")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "scip-route:", err)
 		os.Exit(1)
-	}
-
-	if *clusterbench != "" {
-		if err := runClusterBench(*clusterbench, *scale, *policy, *benchNodes, *shards, *clients, *seed, *vnodes); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	nodeList := splitNodes(*nodes)
@@ -165,204 +137,4 @@ func reportLoop(ctx context.Context, rt *cluster.Router, interval time.Duration)
 			prevTotal, prevT = total, now
 		}
 	}
-}
-
-// benchNode is one in-process fleet member of the cluster benchmark.
-type benchNode struct {
-	srv    *server.Server
-	url    string
-	cancel context.CancelFunc
-	done   chan error
-}
-
-// startNode builds and serves one fleet node on loopback.
-func startNode(policy string, capBytes int64, shards int, seed int64) (*benchNode, error) {
-	s, err := server.New(server.Config{
-		Policy:     policy,
-		CacheBytes: capBytes,
-		Shards:     shards,
-		Seed:       seed,
-		Origin:     &server.SyntheticOrigin{MaxBody: 64},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0", 10*time.Second, ready) }()
-	select {
-	case a := <-ready:
-		return &benchNode{srv: s, url: "http://" + a.String(), cancel: cancel, done: done}, nil
-	case err := <-done:
-		cancel()
-		return nil, err
-	}
-}
-
-// runClusterBench is `make bench-cluster`: an in-process fleet replay
-// through the router, cross-checked for byte-identical shard counters
-// against single-node replays of the ring partitions, with the router's
-// added cost merged into jsonPath as cluster_matrix.
-func runClusterBench(jsonPath string, scale float64, policy string, nodes, shards, clients int, seed int64, vnodes int) error {
-	tr, err := gen.Generate(gen.CDNT.Config(scale, seed))
-	if err != nil {
-		return err
-	}
-	capBytes := gen.CDNT.CacheBytes(64<<30, scale)
-	fmt.Printf("scip-route clusterbench: %s  trace=%s (%d requests)  %d nodes x %d shards  cache=%.1f MiB/node\n",
-		policy, tr.Name, len(tr.Requests), nodes, shards, float64(capBytes)/(1<<20))
-
-	// Fleet on loopback.
-	fleet := make([]*benchNode, 0, nodes)
-	defer func() {
-		for _, n := range fleet {
-			n.cancel()
-			<-n.done
-			n.srv.Close()
-		}
-	}()
-	urls := make([]string, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		n, err := startNode(policy, capBytes, shards, seed)
-		if err != nil {
-			return err
-		}
-		fleet = append(fleet, n)
-		urls = append(urls, n.url)
-	}
-
-	// Router in front of it.
-	rt, err := cluster.NewRouter(cluster.RouterConfig{Nodes: urls, VNodes: vnodes})
-	if err != nil {
-		return err
-	}
-	rctx, rcancel := context.WithCancel(context.Background())
-	ready := make(chan net.Addr, 1)
-	rdone := make(chan error, 1)
-	go func() { rdone <- rt.ListenAndServe(rctx, "127.0.0.1:0", 10*time.Second, ready) }()
-	defer func() {
-		rcancel()
-		<-rdone
-	}()
-	var routerAddr string
-	select {
-	case a := <-ready:
-		routerAddr = a.String()
-	case err := <-rdone:
-		rcancel()
-		return err
-	}
-
-	// Shard-partitioned concurrent replay through the router: client c
-	// owns the (node, shard) pairs with (node*shards+shard) % clients ==
-	// c and issues that partition's requests sequentially in trace
-	// order, so every shard of every node sees the identical access
-	// sequence as a single-node replay of its ring partition.
-	laneOf := make([]int, len(tr.Requests))
-	nodeOf := make([]int, len(tr.Requests))
-	for i, req := range tr.Requests {
-		n := rt.Ring().Lookup(req.Key)
-		nodeOf[i] = n
-		laneOf[i] = n*shards + fleet[n].srv.Cache().ShardIndex(req.Key)
-	}
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients * 2}}
-	var lat stats.Histogram
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	start := time.Now() //scip:wallclock-ok clusterbench metering: wall time and per-request latency, never a routing decision input
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i, req := range tr.Requests {
-				if laneOf[i]%clients != c {
-					continue
-				}
-				url := fmt.Sprintf("http://%s/obj/%d?size=%d&t=%d", routerAddr, req.Key, req.Size, req.Time)
-				t0 := time.Now() //scip:wallclock-ok clusterbench metering: client-observed request latency
-				resp, err := client.Get(url)
-				if err != nil {
-					errc <- err
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat.Observe(time.Since(t0))
-				if resp.StatusCode != http.StatusOK {
-					errc <- fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds() //scip:wallclock-ok clusterbench metering: wall time for the throughput cell
-	select {
-	case err := <-errc:
-		return err
-	default:
-	}
-
-	// The equivalence cross-check: each fleet node's shard counters must
-	// be byte-identical to a serial single-node replay of its ring
-	// partition (routing must be a pure partition of the trace).
-	rep := sim.ClusterReport{
-		Trace:    tr.Name,
-		Policy:   policy,
-		Nodes:    nodes,
-		VNodes:   vnodes,
-		Shards:   shards,
-		Requests: len(tr.Requests),
-	}
-	for n, bn := range fleet {
-		got := bn.srv.Stats().Snapshot()
-		ref, err := server.BuildSharded(policy, capBytes, shards, seed)
-		if err != nil {
-			return err
-		}
-		st := ref.EnableStats()
-		var part int
-		for i, req := range tr.Requests {
-			if nodeOf[i] == n {
-				ref.Access(req)
-				part++
-			}
-		}
-		want := st.Snapshot()
-		ref.Close()
-		for s := 0; s < shards; s++ {
-			if want.Shards[s] != got.Shards[s] {
-				return fmt.Errorf("clusterbench: node %d shard %d diverged from single-node replay:\n  single-node: %+v\n  fleet:       %+v",
-					n, s, want.Shards[s], got.Shards[s])
-			}
-		}
-		tot := got.Totals()
-		cell := sim.ClusterCell{
-			Node:      bn.url,
-			Requests:  part,
-			Hits:      tot.Hits,
-			MissRatio: got.MissRatio(),
-		}
-		rep.Cells = append(rep.Cells, cell)
-		fmt.Printf("node %d: %s  %d requests, miss=%.4f — byte-identical to single-node replay\n",
-			n, bn.url, part, cell.MissRatio)
-	}
-
-	snap := stats.Snapshot{}
-	snap.Latency, snap.LatencySumNanos = lat.Snapshot()
-	rep.RouteKreqSec = float64(len(tr.Requests)) / elapsed / 1e3
-	rep.RouteP50Micros = float64(snap.LatencyQuantile(0.50).Microseconds())
-	rep.RouteP99Micros = float64(snap.LatencyQuantile(0.99).Microseconds())
-	rep.GeneratedUnix = time.Now().Unix() //scip:wallclock-ok report metadata: records when the run happened, never feeds a decision
-	fmt.Printf("router: %.1f kreq/s through the proxy, p50=%s p99=%s\n",
-		rep.RouteKreqSec, snap.LatencyQuantile(0.50), snap.LatencyQuantile(0.99))
-	out := struct {
-		ClusterMatrix sim.ClusterReport `json:"cluster_matrix"`
-	}{rep}
-	if err := sim.MergeJSON(jsonPath, out); err != nil {
-		return err
-	}
-	fmt.Printf("cluster_matrix merged into %s (%d cells)\n", jsonPath, len(rep.Cells))
-	return nil
 }

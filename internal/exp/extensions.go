@@ -159,9 +159,8 @@ func runSharded(cfg Config) error {
 // the same scheme the scip-load harness uses. The previous index-range
 // partitioning interleaved each shard's requests across workers in
 // scheduler order, which made the printed miss ratio nondeterministic.
-// The loop itself lives in runner.ReplaySharded, shared with the
-// scip-load scale matrix; batch chooses per-request Access (<= 1) or
-// amortised AccessBatch issue.
+// The loop itself lives in runner.ReplaySharded; batch chooses
+// per-request Access (<= 1) or amortised AccessBatch issue.
 func replayShardPartitioned(reqs []cache.Request, c *shard.Cache, workers, batch int) int64 {
 	return runner.ReplaySharded(reqs, c, workers, batch)
 }

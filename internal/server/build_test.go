@@ -1,0 +1,18 @@
+package server
+
+import "testing"
+
+// TestBuildShardedRejectsUnknownPolicy: a policy name outside the table
+// and a scorer: spec that does not parse must both come back as errors,
+// not as a cache (scip-serve and scip-load print them and exit 1).
+func TestBuildShardedRejectsUnknownPolicy(t *testing.T) {
+	for _, policy := range []string{
+		"nope",
+		"scorer:zro=notanumber",
+	} {
+		if c, err := BuildSharded(policy, 1<<20, 4, 1); err == nil {
+			c.Close()
+			t.Errorf("BuildSharded(%q) accepted", policy)
+		}
+	}
+}

@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"strings"
 	"time"
@@ -26,128 +23,6 @@ func WriteJSON(path string, v any) error {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil
-}
-
-// MergeJSON overlays v's top-level keys onto the JSON object already at
-// path (if any) and writes the result back in the WriteJSON style. It
-// lets independently produced report sections — the figure timings of
-// scip-bench and the scale_matrix of scip-load — share one artefact file
-// without clobbering each other: regenerating either section rewrites
-// only its own keys. Existing numbers pass through as json.Number, so a
-// merge never reformats values it does not own. v must marshal to a JSON
-// object.
-func MergeJSON(path string, v any) error {
-	merged := map[string]any{}
-	if buf, err := os.ReadFile(path); err == nil {
-		dec := json.NewDecoder(bytes.NewReader(buf))
-		dec.UseNumber()
-		if err := dec.Decode(&merged); err != nil {
-			return fmt.Errorf("merging into %s: %w", path, err)
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("merging into %s: %w", path, err)
-	}
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	var overlay map[string]any
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	dec.UseNumber()
-	if err := dec.Decode(&overlay); err != nil {
-		return fmt.Errorf("merging %T into %s: %w", v, path, err)
-	}
-	for k, val := range overlay {
-		merged[k] = val
-	}
-	return WriteJSON(path, merged)
-}
-
-// ScaleCell is one configuration of the scip-load scale matrix: a
-// (workers, GOMAXPROCS, concurrency mode, batch size) tuple and what it
-// measured. MreqPerSec is wall-clock; MissRatio must be identical across
-// every cell of a matrix (the serial-order invariant) and the harness
-// rejects the run otherwise.
-type ScaleCell struct {
-	Workers    int     `json:"workers"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Mode       string  `json:"mode"`
-	Batch      int     `json:"batch"`
-	MreqPerSec float64 `json:"mreq_per_sec"`
-	MissRatio  float64 `json:"miss_ratio"`
-}
-
-// ScaleReport is the scale_matrix section of BENCH.json, produced by
-// `scip-load -scalebench` (see `make bench-scale`).
-type ScaleReport struct {
-	GeneratedUnix int64       `json:"generated_unix"`
-	Trace         string      `json:"trace"`
-	Policy        string      `json:"policy"`
-	CacheBytes    int64       `json:"cache_bytes"`
-	Shards        int         `json:"shards"`
-	Requests      int         `json:"requests"`
-	NumCPU        int         `json:"num_cpu"`
-	Cells         []ScaleCell `json:"cells"`
-}
-
-// GCCell is one working-set size of the scip-load GC-pressure matrix:
-// the cache is filled to Objects resident entries, a forced GC measures
-// how many scannable heap bytes the resident set added (ScanBytesPerObj
-// — ~0 with the pointer-free core), and a churn replay then records the
-// GC cycles and pause time the steady state incurs. MissRatio is the
-// churn replay's miss ratio; it must be identical across the modes of a
-// matrix (the serial-order invariant) and the harness rejects the run
-// otherwise.
-type GCCell struct {
-	Objects         int     `json:"objects"`
-	Mode            string  `json:"mode"`
-	HeapScanMiB     float64 `json:"heap_scan_mib"`
-	ScanBytesPerObj float64 `json:"scan_bytes_per_object"`
-	GCCycles        uint32  `json:"gc_cycles"`
-	PauseMillis     float64 `json:"pause_ms"`
-	MissRatio       float64 `json:"miss_ratio"`
-}
-
-// GCReport is the gc_matrix section of BENCH.json, produced by
-// `scip-load -gcbench` (see `make bench-gc`).
-type GCReport struct {
-	GeneratedUnix int64    `json:"generated_unix"`
-	Trace         string   `json:"trace"`
-	Policy        string   `json:"policy"`
-	Shards        int      `json:"shards"`
-	Requests      int      `json:"requests"`
-	Cells         []GCCell `json:"cells"`
-}
-
-// ClusterCell is one node of the scip-route cluster-bench fleet: which
-// share of the ring-partitioned trace the node owned and what its shard
-// counters measured. MissRatio must be byte-identical to a single-node
-// replay of the same partition (the cluster equivalence invariant) and
-// the harness rejects the run otherwise.
-type ClusterCell struct {
-	Node      string  `json:"node"`
-	Requests  int     `json:"requests"`
-	Hits      int64   `json:"hits"`
-	MissRatio float64 `json:"miss_ratio"`
-}
-
-// ClusterReport is the cluster_matrix section of BENCH.json, produced by
-// `scip-route -clusterbench` (see `make bench-cluster`): an in-process
-// fleet replay through the router, cross-checked node-by-node against
-// single-node replays of the ring partitions, plus the router's added
-// proxy cost.
-type ClusterReport struct {
-	GeneratedUnix  int64         `json:"generated_unix"`
-	Trace          string        `json:"trace"`
-	Policy         string        `json:"policy"`
-	Nodes          int           `json:"nodes"`
-	VNodes         int           `json:"vnodes"`
-	Shards         int           `json:"shards"`
-	Requests       int           `json:"requests"`
-	RouteKreqSec   float64       `json:"route_kreq_per_sec"`
-	RouteP50Micros float64       `json:"route_p50_us"`
-	RouteP99Micros float64       `json:"route_p99_us"`
-	Cells          []ClusterCell `json:"cells"`
 }
 
 // LoadReport is the final JSON document of a scip-load run. It shares the
