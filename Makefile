@@ -78,12 +78,14 @@ docs-check:
 golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
-# Short fuzz passes over the analysis fixture-comment parser and the
+# Short fuzz passes over the analysis fixture-comment parser, the
 # interprocedural call-graph builder (arbitrary parseable source must
-# never panic the module indexer or the flow analyzers).
+# never panic the module indexer or the flow analyzers), and scip-serve's
+# query scanner (diffed against url.ParseQuery).
 fuzz:
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzParseWant -fuzztime 30s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzCallGraph -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s
 
 # Hot-path and per-figure micro benchmarks at reduced scale.
 bench:

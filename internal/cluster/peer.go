@@ -122,7 +122,14 @@ func (p *PeerClient) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 	return nil, 0, lastErr
 }
 
-// fetchPeer performs one GET {base}/peer/{key}.
+// exactReadMax bounds the declared length fetchPeer allocates before any
+// byte has arrived, so a lying Content-Length cannot make one fetch
+// allocate gigabytes; longer bodies are read as they arrive.
+const exactReadMax = 64 << 20
+
+// fetchPeer performs one GET {base}/peer/{key}. A body of declared
+// length is read into a buffer of exactly that length: the server adopts
+// the returned slice into a body store that counts len, not cap.
 func (p *PeerClient) fetchPeer(ctx context.Context, base string, key uint64) ([]byte, error) {
 	url := base + "/peer/" + strconv.FormatUint(key, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -142,5 +149,13 @@ func (p *PeerClient) fetchPeer(ctx context.Context, base string, key uint64) ([]
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("peer %s: %s", base, resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	n := resp.ContentLength
+	if n < 0 || n > exactReadMax {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }

@@ -40,6 +40,8 @@
 //   - The body store never blocks the accounting path and is bounded by
 //     the configured capacity; a policy hit whose body was displaced is
 //     refetched from the origin and stays a hit.
+//   - A stored body is never written after it is installed, so hits,
+//     peer serves and coalesced waiters all read the stored slice itself.
 //   - /metrics renders the internal/stats snapshot in Prometheus text
 //     exposition format plus scip_server_* serving-path series.
 //

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,10 @@ import (
 // size used for cache accounting. The returned body may be shorter than
 // objSize (origins cap generated or stored bodies), which affects only
 // the response payload, never the accounting.
+//
+// A returned body is handed over to the caller: the origin must not
+// retain it or modify it afterwards. The server stores it as is and
+// serves it to concurrent readers, so every Fetch returns a fresh slice.
 type Origin interface {
 	Fetch(ctx context.Context, key uint64, size int64) (body []byte, objSize int64, err error)
 }
@@ -64,11 +69,18 @@ func (o *SyntheticOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]
 	if n > maxBody {
 		n = maxBody
 	}
+	// The SplitMix64 stream seeded with key, one word per 8 bytes, laid
+	// out little-endian; the tail takes the low bytes of one more word.
+	// Any length is therefore a prefix of every longer one.
 	body := make([]byte, n)
-	x := key
-	for i := range body {
-		x = splitmix64(x)
-		body[i] = byte(x)
+	x, i := key, 0
+	for ; i+8 <= len(body); i += 8 {
+		binary.LittleEndian.PutUint64(body[i:], splitmix64(x))
+		x += splitmixGamma
+	}
+	for w := splitmix64(x); i < len(body); i++ {
+		body[i] = byte(w)
+		w >>= 8
 	}
 	return body, size, nil
 }
@@ -79,10 +91,15 @@ func syntheticSize(key uint64) int64 {
 	return 1<<10 + int64(splitmix64(key)%(63<<10))
 }
 
-// splitmix64 is the SplitMix64 mixing function — a bijective scramble,
-// so distinct keys yield distinct byte streams.
+// splitmixGamma is SplitMix64's state increment (the golden ratio in
+// 64-bit fixed point).
+const splitmixGamma = 0x9E3779B97F4A7C15
+
+// splitmix64 is one SplitMix64 output for state x: advance by the gamma,
+// then mix. The mix is a bijective scramble, so distinct keys yield
+// distinct byte streams.
 func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
+	x += splitmixGamma
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
@@ -120,7 +137,7 @@ func (o *HTTPOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 		io.Copy(io.Discard, resp.Body)
 		return nil, 0, fmt.Errorf("origin %s: %s", url, resp.Status)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readExact(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -128,4 +145,25 @@ func (o *HTTPOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 		size = int64(len(body))
 	}
 	return body, size, nil
+}
+
+// exactReadMax bounds the declared length readExact allocates before any
+// byte has arrived, so a lying Content-Length cannot make one fetch
+// allocate gigabytes; longer bodies are read as they arrive.
+const exactReadMax = 64 << 20
+
+// readExact reads resp's body into a buffer of exactly its declared
+// length, so a body the store adopts carries no spare capacity beyond
+// the len its byte accounting counts. Unknown (and implausibly large)
+// lengths fall back to io.ReadAll.
+func readExact(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > exactReadMax {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }

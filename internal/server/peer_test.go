@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -23,8 +24,9 @@ func (h *hangOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 	return nil, 0, ctx.Err()
 }
 
-// fixedPeer answers every fetch with a fixed body, standing in for a
-// fleet peer that holds the object.
+// fixedPeer answers every fetch with a copy of a fixed body (the Origin
+// contract hands the returned slice over), standing in for a fleet peer
+// that holds the object.
 type fixedPeer struct {
 	body  []byte
 	calls atomic.Int64
@@ -32,7 +34,7 @@ type fixedPeer struct {
 
 func (p *fixedPeer) Fetch(ctx context.Context, key uint64, size int64) ([]byte, int64, error) {
 	p.calls.Add(1)
-	return p.body, size, nil
+	return bytes.Clone(p.body), size, nil
 }
 
 func newPeerTestServer(t *testing.T, cfg Config) *Server {

@@ -10,15 +10,15 @@ import (
 )
 
 // reqScope is the pooled per-request state: the status capture the
-// response-class counters read, and a byte buffer for request/response
-// bodies. instrument checks one out per request and returns it after the
+// response-class counters read, and the PUT request-body read buffer.
+// instrument checks one out per request and returns it after the
 // handler finishes. Nothing handed to net/http may alias it past that
-// point — header values are ordinary strings, and body is consumed
-// synchronously by Write before the handler returns.
+// point, so header values are ordinary strings. Response bodies never
+// pass through it: they are the body store's immutable slices.
 type reqScope struct {
 	w      http.ResponseWriter
 	status int
-	body   []byte // request-body read buffer / response-body copy buffer
+	body   []byte // request-body read buffer
 }
 
 var scopePool = sync.Pool{New: func() any {
@@ -90,33 +90,31 @@ func setHeader(h http.Header, key, value string) {
 // parseQuery extracts the size and t parameters from a raw query string
 // without the per-request map and slice allocations of r.URL.Query().
 // The daemon's parameters are plain integers, so percent-decoding is
-// deliberately not applied; unknown parameters are ignored and empty
-// values are treated as absent, matching Query().Get. Absent values
-// return -1.
+// deliberately not applied. Each parameter resolves as Query().Get does:
+// its first occurrence wins, later duplicates are ignored, and an empty
+// or missing value counts as absent. Absent values return -1.
 func parseQuery(raw string) (size, t int64, err error) {
 	size, t = -1, -1
+	var sawSize, sawT bool
 	for len(raw) > 0 {
-		kv := raw
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			kv, raw = raw[:i], raw[i+1:]
-		} else {
-			raw = ""
-		}
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			continue
-		}
-		k, v := kv[:eq], kv[eq+1:]
-		if v == "" {
-			continue
-		}
-		switch k {
-		case "size":
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(kv, "=")
+		switch {
+		case k == "size" && !sawSize:
+			sawSize = true
+			if v == "" {
+				continue
+			}
 			size, err = strconv.ParseInt(v, 10, 64)
 			if err != nil || size <= 0 {
 				return 0, 0, badParamError{"size", v}
 			}
-		case "t":
+		case k == "t" && !sawT:
+			sawT = true
+			if v == "" {
+				continue
+			}
 			t, err = strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				return 0, 0, badParamError{"t", v}

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,11 +52,14 @@ func (b *replayBody) Close() error { return nil }
 // measures. The ceilings are the values measured on go1.24: a GET hit
 // allocates the five one-element header slices, the formatted size (one
 // string, shared by X-Object-Size and Content-Length) and the mux's
-// path-value slice; a PUT refresh the two header slices and the mux's.
-// The pooled reqScope and the body store's copy-through keep status
-// capture, the request body and the response body out of that count.
+// path-value slice; a PUT refresh the two header slices, the mux's, and
+// the one copy of the body the store keeps — stored bodies are immutable,
+// so a refresh installs a new slice instead of overwriting the old one a
+// concurrent hit may still be writing out. The pooled reqScope keeps
+// status capture and the request-body read buffer out of that count, and
+// a hit writes the stored slice itself, so the response body costs none.
 func TestServeAllocs(t *testing.T) {
-	const getCeiling, putCeiling = 7, 3
+	const getCeiling, putCeiling = 7, 4
 	for _, policy := range []string{"SCIP", "LRU"} {
 		t.Run(policy, func(t *testing.T) {
 			s := newTestServer(t, func(c *Config) { c.Policy = policy })
@@ -183,7 +188,11 @@ func TestParseQuery(t *testing.T) {
 		{"other=zz&size=7", 7, -1, false},
 		{"size=", -1, -1, false}, // empty value = absent, like Query().Get
 		{"t=", -1, -1, false},
-		{"size", -1, -1, false}, // no '=': ignored
+		{"size", -1, -1, false},         // no '=': empty value, absent
+		{"size=5&size=7", 5, -1, false}, // first occurrence wins, like Query().Get
+		{"size=&size=7", -1, -1, false},
+		{"size&size=7", -1, -1, false},
+		{"size=5&size=abc", 5, -1, false}, // a later duplicate is never parsed
 		{"size=0", 0, 0, true},
 		{"size=-3", 0, 0, true},
 		{"size=abc", 0, 0, true},
@@ -204,27 +213,145 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
-// TestBodyStoreCopies: the store must not retain caller memory (put
-// copies in) and must not leak entry memory (get copies out), so buffer
-// reuse by the serving path cannot corrupt stored bodies.
-func TestBodyStoreCopies(t *testing.T) {
+// FuzzParseQuery diffs the in-place scanner against url.ParseQuery +
+// Get, the behaviour it documents, on every query the reference accepts
+// whose keys and values need no unescaping (the scanner deliberately
+// applies none).
+func FuzzParseQuery(f *testing.F) {
+	for _, seed := range []string{
+		"", "size=100&t=5", "t=5&size=100", "size=", "size", "size=5&size=7",
+		"size=&size=7", "size=0", "t=abc", "a=1&&size=2=3", "t=1&t=-2&size=9",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, err := url.ParseQuery(raw)
+		if err != nil || strings.ContainsAny(raw, "%+") {
+			t.Skip()
+		}
+		wantSize, wantT, wantBad := int64(-1), int64(-1), false
+		if v := vals.Get("size"); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			wantSize, wantBad = n, err != nil || n <= 0
+		}
+		if v := vals.Get("t"); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			wantT, wantBad = n, wantBad || err != nil
+		}
+		size, tt, err := parseQuery(raw)
+		if wantBad {
+			if err == nil {
+				t.Fatalf("parseQuery(%q) = (%d, %d, nil), want an error", raw, size, tt)
+			}
+			return
+		}
+		if err != nil || size != wantSize || tt != wantT {
+			t.Fatalf("parseQuery(%q) = (%d, %d, %v), want (%d, %d, nil)", raw, size, tt, err, wantSize, wantT)
+		}
+	})
+}
+
+// TestBodyStoreBodiesAreImmutable: put copies caller memory in, adopt
+// keeps the caller's slice itself, and a slice get handed out is never
+// written again — not by a refresh of the same key through put or adopt,
+// and not by its deletion — so readers may hold it outside the lock.
+func TestBodyStoreBodiesAreImmutable(t *testing.T) {
 	st := newBodyStore(1 << 16)
 	src := []byte("hello world")
 	st.put(7, src)
 	src[0] = 'X' // caller recycles its buffer
-	got, ok := st.get(7, nil)
+	got, ok := st.get(7)
 	if !ok || string(got) != "hello world" {
 		t.Fatalf("stored body = %q, want %q", got, "hello world")
 	}
-	got[0] = 'Y' // reader scribbles on its copy
-	again, _ := st.get(7, nil)
-	if string(again) != "hello world" {
-		t.Fatalf("entry mutated through get result: %q", again)
-	}
-	// Refreshing a resident key reuses the entry buffer in place.
-	st.put(7, []byte("hello again"))
-	refreshed, _ := st.get(7, nil)
-	if string(refreshed) != "hello again" {
+
+	st.put(7, []byte("HELLO AGAIN")) // same length: an in-place write would fit
+	refreshed, _ := st.get(7)
+	if string(refreshed) != "HELLO AGAIN" {
 		t.Fatalf("refresh = %q", refreshed)
 	}
+	adopted := []byte("adopted bod")
+	st.adopt(7, adopted)
+	if a, _ := st.get(7); &a[0] != &adopted[0] {
+		t.Fatal("adopt stored a copy, want the caller's slice")
+	}
+	st.delete(7)
+
+	if string(got) != "hello world" || string(refreshed) != "HELLO AGAIN" {
+		t.Fatalf("served bodies changed after refresh/delete: %q, %q", got, refreshed)
+	}
+}
+
+// TestBodyStoreOversizeRefreshDropsOldBody: refreshing a key with a body
+// larger than the store cannot keep the new body, and must not keep the
+// old one either — the next hit would serve superseded content.
+func TestBodyStoreOversizeRefreshDropsOldBody(t *testing.T) {
+	for _, name := range []string{"put", "adopt"} {
+		st := newBodyStore(16)
+		st.put(7, []byte("hello"))
+		big := bytes.Repeat([]byte{'x'}, 32)
+		if name == "put" {
+			st.put(7, big)
+		} else {
+			st.adopt(7, big)
+		}
+		if body, ok := st.get(7); ok {
+			t.Errorf("%s: oversize refresh kept the old body %q", name, body)
+		}
+		// The dropped body's bytes are released: a full-size body fits.
+		st.put(8, bytes.Repeat([]byte{'y'}, 16))
+		if _, ok := st.get(8); !ok {
+			t.Errorf("%s: a 16-byte body no longer fits a 16-byte store", name)
+		}
+	}
+}
+
+// TestRefreshDuringGetsServesWholeBodies refreshes one key with two
+// alternating bodies while concurrent clients GET it through Handler():
+// every response must be one body in full. A refresh that wrote into the
+// slice a hit is still writing out would tear responses (and trip -race).
+func TestRefreshDuringGetsServesWholeBodies(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const clients, perClient, n = 8, 300, 8 << 10
+	patterns := [2][]byte{bytes.Repeat([]byte{'a'}, n), bytes.Repeat([]byte{'b'}, n)}
+	s := newTestServer(t, nil)
+	h := s.Handler()
+	put := func(p []byte) {
+		if rec := doReq(t, h, "PUT", "/obj/5", bytes.NewReader(p)); rec.Code != http.StatusNoContent {
+			t.Errorf("PUT: status %d", rec.Code)
+		}
+	}
+	put(patterns[0])
+
+	stop := make(chan struct{})
+	putterDone := make(chan struct{})
+	go func() {
+		defer close(putterDone)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				put(patterns[i%2])
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				rec := doReq(t, h, "GET", "/obj/5?size="+strconv.Itoa(n), nil)
+				if got := rec.Body.Bytes(); !bytes.Equal(got, patterns[0]) && !bytes.Equal(got, patterns[1]) {
+					t.Errorf("GET %d: status %d, X-Cache %q: body is neither refresh in full",
+						i, rec.Code, rec.Header().Get("X-Cache"))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-putterDone
 }

@@ -281,7 +281,8 @@ func (s *Server) tick(t int64) int64 {
 // from the request context so a departing waiter does not abort the
 // flight for everyone else; coalescing covers the whole chain, so a
 // thundering herd of concurrent misses costs one peer round and at most
-// one origin fetch.
+// one origin fetch. Every waiter receives the same body slice and adopts
+// it into the store; it is read-only from here on (see bodyStore).
 func (s *Server) fetchBody(r *http.Request, shardIdx int, key uint64, size int64) flightResult {
 	ctx := context.WithoutCancel(r.Context())
 	res, shared := s.flights[shardIdx].do(key, func() flightResult {
@@ -343,7 +344,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		hit := s.access(key, res.size, s.tick(t))
-		s.bodies[shardIdx].put(key, res.body)
+		s.bodies[shardIdx].adopt(key, res.body)
 		state := "MISS"
 		if hit {
 			state = "HIT"
@@ -354,7 +355,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 	hit := s.access(key, size, s.tick(t))
 	if hit {
-		if body, ok := s.copyBody(w, shardIdx, key); ok {
+		if body, ok := s.bodies[shardIdx].get(key); ok {
 			s.serveBody(w, "HIT", shardIdx, size, body)
 			return
 		}
@@ -367,7 +368,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.finishWithError(w, shardIdx, key, res.err)
 		return
 	}
-	s.bodies[shardIdx].put(key, res.body)
+	s.bodies[shardIdx].adopt(key, res.body)
 	if res.peer {
 		setHeader(w.Header(), "X-Fill", "peer")
 	}
@@ -391,7 +392,7 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shardIdx := s.cache.ShardIndex(key)
-	body, ok := s.copyBody(w, shardIdx, key)
+	body, ok := s.bodies[shardIdx].get(key)
 	if !ok {
 		s.peerMisses.Add(1)
 		http.Error(w, "not cached", http.StatusNotFound)
@@ -405,30 +406,13 @@ func (s *Server) handlePeer(w http.ResponseWriter, r *http.Request) {
 // degradation is enabled and one survives, a 502 otherwise.
 func (s *Server) finishWithError(w http.ResponseWriter, shardIdx int, key uint64, err error) {
 	if s.cfg.ServeStale {
-		if body, ok := s.copyBody(w, shardIdx, key); ok {
+		if body, ok := s.bodies[shardIdx].get(key); ok {
 			s.staleServes.Add(1)
 			s.serveBody(w, "STALE", shardIdx, int64(len(body)), body)
 			return
 		}
 	}
 	http.Error(w, "origin: "+err.Error(), http.StatusBadGateway)
-}
-
-// copyBody fetches key's stored body into the request's pooled buffer.
-// The store owns its entry buffers and reuses them in place on refresh,
-// so the serving path must not hold store memory outside the store lock;
-// the copy is what makes that reuse safe (see bodyStore.put).
-func (s *Server) copyBody(w http.ResponseWriter, shardIdx int, key uint64) ([]byte, bool) {
-	sc := scopeOf(w)
-	var dst []byte
-	if sc != nil {
-		dst = sc.body[:0]
-	}
-	body, ok := s.bodies[shardIdx].get(key, dst)
-	if ok && sc != nil {
-		sc.body = body
-	}
-	return body, ok
 }
 
 // access performs the one policy access of an object request under the

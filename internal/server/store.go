@@ -16,6 +16,11 @@ type bodyEntry struct {
 // displaced triggers an origin refetch, and a displaced policy entry
 // whose body survives is what serve-stale degradation serves — and both
 // disagreements are counted, not hidden (see the scip_server_* metrics).
+//
+// Stored bodies are immutable: a slice is never written after it is
+// installed (put copies caller memory in, adopt takes ownership, and a
+// refresh swaps the entry's slice instead of writing into it). That is
+// what lets get hand out the stored slice itself, outside the lock.
 type bodyStore struct {
 	mu       sync.Mutex
 	capBytes int64
@@ -29,12 +34,10 @@ func newBodyStore(capBytes int64) *bodyStore {
 	return &bodyStore{capBytes: capBytes, m: make(map[uint64]*bodyEntry)}
 }
 
-// get appends the stored body to dst (may be nil) and refreshes the
-// entry's recency. The copy is deliberate: entry buffers are reused in
-// place by put, so handing a caller store-owned memory would race with
-// the next refresh of the same key. Callers pass the request's pooled
-// buffer, making the steady-state copy allocation-free.
-func (s *bodyStore) get(key uint64, dst []byte) ([]byte, bool) {
+// get returns key's stored body and refreshes the entry's recency. The
+// slice is the store's own and stays valid after a later refresh, evict
+// or delete of the key; callers must not write to it.
+func (s *bodyStore) get(key uint64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[key]
@@ -43,37 +46,43 @@ func (s *bodyStore) get(key uint64, dst []byte) ([]byte, bool) {
 	}
 	s.unlink(e)
 	s.pushFront(e)
-	return append(dst, e.body...), true
+	return e.body, true
 }
 
-// put stores a copy of body under key, displacing least-recently-used
-// bodies while over capacity. Refreshing a resident key reuses the
-// entry's buffer in place (no allocation once its capacity suffices),
-// which is why body may be pooled memory that the caller recycles after
-// the request. Bodies larger than the store are not kept.
+// put stores a copy of body under key; body may be pooled memory the
+// caller recycles after the request.
 func (s *bodyStore) put(key uint64, body []byte) {
+	s.adopt(key, append([]byte(nil), body...))
+}
+
+// adopt stores body itself under key, displacing least-recently-used
+// bodies while over capacity. The caller hands body over and must not
+// write to it again. A body larger than the store is not kept, and
+// neither is the key's previous body: serving that would serve
+// superseded content.
+func (s *bodyStore) adopt(key uint64, body []byte) {
 	n := int64(len(body))
-	if n > s.capBytes {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[key]; ok {
+	e, ok := s.m[key]
+	if n > s.capBytes {
+		if ok {
+			s.remove(e)
+		}
+		return
+	}
+	if ok {
 		s.used += n - int64(len(e.body))
-		e.body = append(e.body[:0], body...)
+		e.body = body
 		s.unlink(e)
-		s.pushFront(e)
 	} else {
-		e := &bodyEntry{key: key, body: append([]byte(nil), body...)}
+		e = &bodyEntry{key: key, body: body}
 		s.m[key] = e
-		s.pushFront(e)
 		s.used += n
 	}
+	s.pushFront(e)
 	for s.used > s.capBytes && s.tail != nil {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.m, victim.key)
-		s.used -= int64(len(victim.body))
+		s.remove(s.tail)
 	}
 }
 
@@ -82,13 +91,17 @@ func (s *bodyStore) delete(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[key]
-	if !ok {
-		return false
+	if ok {
+		s.remove(e)
 	}
+	return ok
+}
+
+//scip:locked mu
+func (s *bodyStore) remove(e *bodyEntry) {
 	s.unlink(e)
-	delete(s.m, key)
+	delete(s.m, e.key)
 	s.used -= int64(len(e.body))
-	return true
 }
 
 //scip:locked mu
