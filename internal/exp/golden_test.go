@@ -12,8 +12,9 @@ import (
 )
 
 // The ML-heavy figures (fig4 classifier accuracy, fig10/fig12 learned
-// policies) are pinned byte-for-byte against committed goldens at quick
-// benchmark scale. The goldens were captured before the flat-matrix
+// policies) and the policy-table figures (fig7, fig8, scorers) are
+// pinned byte-for-byte against committed goldens at quick benchmark
+// scale. The goldens were captured before the flat-matrix
 // kernel rewrite, so they prove the rewrite is output-preserving: any
 // change to bin thresholds, split tie-breaking, training-sample order or
 // model arithmetic shows up as a table diff here. Regenerate with
@@ -83,6 +84,11 @@ func diffLines(want, got []byte) string {
 	return out.String()
 }
 
-func TestGoldenFig4(t *testing.T)  { runGolden(t, "fig4") }
-func TestGoldenFig10(t *testing.T) { runGolden(t, "fig10") }
-func TestGoldenFig12(t *testing.T) { runGolden(t, "fig12") }
+// TestGolden pins every goldened table. fig7, fig8 and scorers cover
+// the plain-name policy rows (Figure 8's insertion baselines, SCI and
+// the scorer mixes) that fig10/fig12 do not.
+func TestGolden(t *testing.T) {
+	for _, name := range []string{"fig4", "fig7", "fig8", "fig10", "fig12", "scorers"} {
+		t.Run(name, func(t *testing.T) { runGolden(t, name) })
+	}
+}
