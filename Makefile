@@ -78,14 +78,23 @@ docs-check:
 golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
-# Short fuzz passes over the analysis fixture-comment parser, the
-# interprocedural call-graph builder (arbitrary parseable source must
-# never panic the module indexer or the flow analyzers), and scip-serve's
-# query scanner (diffed against url.ParseQuery).
+# Short fuzz passes over all eight Fuzz* targets: the analysis
+# fixture-comment parser, the interprocedural call-graph builder
+# (arbitrary parseable source must never panic the module indexer or the
+# flow analyzers), scip-serve's query scanner (diffed against
+# url.ParseQuery), the cache's open-addressing index (diffed against a
+# plain map) and ghost history (structural invariants after every
+# operation), and the three trace readers (CSV, binary, LRB: corrupt
+# input must never panic them).
 fuzz:
-	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzParseWant -fuzztime 30s
-	$(GO) test ./internal/analysis/ -run '^$$' -fuzz FuzzCallGraph -fuzztime 30s
-	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzParseQuery -fuzztime 30s
+	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzParseWant$$' -fuzztime 30s
+	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 30s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzIndexVsMap$$' -fuzztime 10s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadLRB$$' -fuzztime 10s
 
 # Hot-path and per-figure micro benchmarks at reduced scale.
 bench:

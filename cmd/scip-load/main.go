@@ -1,7 +1,7 @@
 // Command scip-load is a closed-loop concurrent load harness for the
 // sharded cache front: it replays a trace partitioned across N worker
-// goroutines against a sharded policy (SCIP, SCI, LRU, LRB, 2Q,
-// TinyLFU, AdaptSize, or a composable "scorer:" admission spec), prints live
+// goroutines against a sharded policy (any internal/registry name but
+// Belady, or a composable "scorer:" admission spec), prints live
 // interval snapshots (request rate, object and byte miss ratio, per-shard
 // occupancy, p50/p99 access latency) and writes a final JSON report in the
 // BENCH.json artefact style.
@@ -44,6 +44,7 @@ import (
 
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/gen"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/server"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/sim"
@@ -194,7 +195,7 @@ func main() {
 	tracePath := flag.String("trace", "", "replay this trace file instead of generating one")
 	csv := flag.Bool("csv", false, "trace file is time,key,size CSV")
 	lrbFmt := flag.Bool("lrb", false, "trace file is LRB-format")
-	policy := flag.String("policy", "SCIP", "sharded policy: SCIP, SCI, LRU, LRB, 2Q, TinyLFU, AdaptSize or a scorer: spec")
+	policy := flag.String("policy", "SCIP", "sharded policy: "+strings.Join(registry.Names(), ", ")+" (all but Belady, which needs a trace), or a scorer: spec")
 	cacheSize := flag.String("cache", "", "cache capacity (KiB/MiB/GiB suffixes); default: profile's paper-scaled size")
 	shards := flag.Int("shards", 8, "shard count (rounded up to a power of two)")
 	workers := flag.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS, clamped to the shard count)")

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/scip-cache/scip/internal/cluster"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/server"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/sim"
@@ -46,7 +47,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
-	policy := flag.String("policy", "SCIP", "sharded policy: SCIP, SCI, LRU, LRB, 2Q, TinyLFU, AdaptSize or a scorer: spec")
+	policy := flag.String("policy", "SCIP", "sharded policy: "+strings.Join(registry.Names(), ", ")+" (all but Belady, which needs a trace), or a scorer: spec")
 	cacheSize := flag.String("cache", "256MiB", "cache capacity (KiB/MiB/GiB suffixes)")
 	shards := flag.Int("shards", 8, "shard count (rounded up to a power of two)")
 	seed := flag.Int64("seed", 1, "policy seed (shard i gets seed+i)")

@@ -5,9 +5,10 @@
 //
 //	scip-sim -trace cdn-t.trace -policy SCIP -cache 512MiB [-csv] [-warmup 0.2]
 //
-// Policies: SCIP, SCI, LRU, LIP, BIP, DIP, PIPP, DTA, SHiP, DGIPPR,
-// DAAIP, ASC-IP, LRU-K, S4LRU, SS-LRU, GDSF, LHD, ARC, LIRS, LeCaR,
-// CACHEUS, GL-Cache, LRB, 2Q, TinyLFU, AdaptSize, Belady, plus
+// -policy takes any internal/registry name (case-insensitive): SCIP,
+// SCI, LRU, the Figure 8 insertion policies, the Figure 10 replacement
+// algorithms, the §7 admission policies and the Belady oracle (the
+// names scip-serve and scip-load take too, all but Belady), plus
 // composable admission mixes via "scorer:" specs, e.g.
 // -policy scorer:zro=0.6,size=0.2,freq=0.2 (see internal/admission/scorer).
 package main
@@ -18,86 +19,16 @@ import (
 	"os"
 	"strings"
 
-	"github.com/scip-cache/scip/internal/admission"
-	"github.com/scip-cache/scip/internal/admission/scorer"
-	"github.com/scip-cache/scip/internal/belady"
-	"github.com/scip-cache/scip/internal/cache"
-	"github.com/scip-cache/scip/internal/core"
-	"github.com/scip-cache/scip/internal/lrb"
-	"github.com/scip-cache/scip/internal/policies"
-	"github.com/scip-cache/scip/internal/replacement"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/sim"
 	"github.com/scip-cache/scip/internal/trace"
 )
-
-func buildPolicy(name string, capBytes int64, seed int64, tr *trace.Trace) (cache.Policy, error) {
-	if scorer.IsSpec(name) {
-		return scorer.FromSpec(name, capBytes, seed)
-	}
-	switch strings.ToUpper(name) {
-	case "SCIP":
-		return core.NewCache(capBytes, core.WithSeed(seed)), nil
-	case "SCI":
-		return core.NewSCICache(capBytes, core.WithSeed(seed)), nil
-	case "LRU":
-		return cache.NewLRU(capBytes), nil
-	case "LIP":
-		return policies.NewCache("LIP", capBytes, policies.LIP{}), nil
-	case "BIP":
-		return policies.NewCache("BIP", capBytes, policies.NewBIP(seed)), nil
-	case "DIP":
-		return policies.NewCache("DIP", capBytes, policies.NewDIP(capBytes, seed)), nil
-	case "PIPP":
-		return policies.NewPIPP(capBytes, seed), nil
-	case "DTA":
-		return policies.NewCache("DTA", capBytes, policies.NewDTA()), nil
-	case "SHIP":
-		return policies.NewCache("SHiP", capBytes, policies.NewSHiP()), nil
-	case "DGIPPR":
-		return policies.NewDGIPPR(capBytes, seed), nil
-	case "DAAIP":
-		return policies.NewCache("DAAIP", capBytes, policies.NewDAAIP(seed)), nil
-	case "ASC-IP", "ASCIP":
-		return policies.NewCache("ASC-IP", capBytes, policies.NewASCIP(capBytes)), nil
-	case "LRU-K", "LRUK":
-		return replacement.NewLRUK(capBytes, seed), nil
-	case "S4LRU":
-		return replacement.NewS4LRU(capBytes), nil
-	case "SS-LRU", "SSLRU":
-		return replacement.NewSSLRU(capBytes), nil
-	case "GDSF":
-		return replacement.NewGDSF(capBytes), nil
-	case "LHD":
-		return replacement.NewLHD(capBytes, seed), nil
-	case "ARC":
-		return replacement.NewARC(capBytes), nil
-	case "LECAR":
-		return replacement.NewLeCaR(capBytes, seed), nil
-	case "CACHEUS":
-		return replacement.NewCACHEUS(capBytes, seed), nil
-	case "GL-CACHE", "GLCACHE":
-		return replacement.NewGLCache(capBytes), nil
-	case "LIRS":
-		return replacement.NewLIRS(capBytes), nil
-	case "2Q":
-		return admission.NewTwoQ(capBytes), nil
-	case "TINYLFU":
-		return admission.NewTinyLFU(capBytes), nil
-	case "ADAPTSIZE":
-		return admission.NewAdaptSize(capBytes, seed), nil
-	case "LRB":
-		return lrb.New(capBytes, lrb.WithSeed(seed)), nil
-	case "BELADY":
-		return belady.New(tr, capBytes), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
-}
 
 func main() {
 	tracePath := flag.String("trace", "", "trace file (binary by default)")
 	csv := flag.Bool("csv", false, "trace file is time,key,size CSV")
 	lrbFmt := flag.Bool("lrb", false, "trace file is LRB-format (timestamp id size ...)")
-	policy := flag.String("policy", "SCIP", "cache policy to replay")
+	policy := flag.String("policy", "SCIP", "cache policy: "+strings.Join(registry.Names(), ", ")+", or a scorer: spec")
 	cacheSize := flag.String("cache", "512MiB", "cache capacity (supports KiB/MiB/GiB suffixes)")
 	warmup := flag.Float64("warmup", 0.2, "warm-up fraction excluded from metrics")
 	seed := flag.Int64("seed", 1, "policy seed")
@@ -132,11 +63,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	p, err := buildPolicy(*policy, capBytes, *seed, tr)
+	build, err := registry.Lookup(*policy, tr)
 	if err != nil {
 		fail(err)
 	}
-	res := sim.Run(tr, p, sim.Options{WarmupFrac: *warmup, Meter: *meter})
+	res := sim.Run(tr, build(registry.Env{Capacity: capBytes, Seed: *seed}), sim.Options{WarmupFrac: *warmup, Meter: *meter})
 	fmt.Println(res.String())
 	if *meter {
 		fmt.Printf("tps=%.0f req/s  peakHeap=%.1f MiB  cpu=%.0f ns/req\n",

@@ -9,7 +9,7 @@ import (
 	"sort"
 
 	scip "github.com/scip-cache/scip"
-	"github.com/scip-cache/scip/internal/policies"
+	"github.com/scip-cache/scip/internal/registry"
 )
 
 func main() {
@@ -20,30 +20,21 @@ func main() {
 	capBytes := int64(64) << 30 / 500 // 64 GB at trace scale 1/500
 	seed := int64(1)
 
-	contenders := []struct {
-		name  string
-		build func() scip.Policy
-	}{
-		{"SCIP", func() scip.Policy { return scip.NewCache(capBytes, scip.WithSeed(seed)) }},
-		{"LRU", func() scip.Policy { return scip.NewLRU(capBytes) }},
-		{"LIP", func() scip.Policy { return policies.NewCache("LIP", capBytes, policies.LIP{}) }},
-		{"BIP", func() scip.Policy { return policies.NewCache("BIP", capBytes, policies.NewBIP(seed)) }},
-		{"DIP", func() scip.Policy { return policies.NewCache("DIP", capBytes, policies.NewDIP(capBytes, seed)) }},
-		{"PIPP", func() scip.Policy { return policies.NewPIPP(capBytes, seed) }},
-		{"SHiP", func() scip.Policy { return policies.NewCache("SHiP", capBytes, policies.NewSHiP()) }},
-		{"DTA", func() scip.Policy { return policies.NewCache("DTA", capBytes, policies.NewDTA()) }},
-		{"DGIPPR", func() scip.Policy { return policies.NewDGIPPR(capBytes, seed) }},
-		{"DAAIP", func() scip.Policy { return policies.NewCache("DAAIP", capBytes, policies.NewDAAIP(seed)) }},
-		{"ASC-IP", func() scip.Policy { return policies.NewCache("ASC-IP", capBytes, policies.NewASCIP(capBytes)) }},
-	}
+	// Every name resolves through the one policy table the binaries use.
+	contenders := []string{"SCIP", "LRU", "LIP", "BIP", "DIP", "PIPP", "SHiP", "DTA", "DGIPPR", "DAAIP", "ASC-IP"}
 
 	type row struct {
 		name string
 		res  scip.ReplayResult
 	}
 	var rows []row
-	for _, c := range contenders {
-		rows = append(rows, row{c.name, scip.Replay(tr, c.build(), scip.ReplayOptions{WarmupFrac: 0.2})})
+	for _, name := range contenders {
+		build, err := registry.Lookup(name, tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		p := build(registry.Env{Capacity: capBytes, Seed: seed})
+		rows = append(rows, row{name, scip.Replay(tr, p, scip.ReplayOptions{WarmupFrac: 0.2})})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].res.MissRatio() < rows[j].res.MissRatio() })
 

@@ -11,7 +11,7 @@
 // In filter mode a FilterCache gates admission into a plain-LRU inner
 // cache, either deterministically (score ≥ θ) or probabilistically
 // (score ≥ u). Both modes are selectable from the CLIs via the
-// "scorer:" policy spec (see FromSpec).
+// "scorer:" policy spec (see ParseSpec).
 //
 // Monolith equivalence: a pipeline configured with only the zro scorer
 // reproduces the monolithic SCIP policy byte-identically — the embedded

@@ -23,16 +23,8 @@ var (
 	_ cache.Resetter        = (*FilterCache)(nil)
 )
 
-// NewFilter builds a filter-mode cache of capBytes capacity. name
-// defaults to the pipeline's.
-func NewFilter(name string, capBytes int64, theta float64, cfg Config) (*FilterCache, error) {
-	p, err := NewPipeline(capBytes, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		name = p.Name()
-	}
+// newFilter wraps pipeline p in a filter-mode cache named name.
+func newFilter(name string, capBytes int64, theta float64, p *Pipeline) *FilterCache {
 	f := &FilterCache{name: name, inner: cache.NewLRU(capBytes), p: p, theta: theta}
 	// The inner cache is plain LRU, so the pipeline is not its insertion
 	// policy; evictions reach the scorers through the hook instead.
@@ -45,7 +37,7 @@ func NewFilter(name string, capBytes int64, theta float64, cfg Config) (*FilterC
 			Residency:   e.Residency,
 		})
 	}
-	return f, nil
+	return f
 }
 
 // Name implements cache.Policy.

@@ -71,8 +71,22 @@ var (
 	_ cache.Resetter          = (*Pipeline)(nil)
 )
 
+// selectsScorer reports whether cfg gives at least one scorer a
+// positive weight.
+func (cfg Config) selectsScorer() bool {
+	return cfg.ZRO > 0 || cfg.Size > 0 || cfg.Freq > 0 || cfg.Ghost > 0 || cfg.Reuse > 0
+}
+
 // NewPipeline builds the configured scorers for a cache of capBytes.
 func NewPipeline(capBytes int64, cfg Config) (*Pipeline, error) {
+	if !cfg.selectsScorer() {
+		return nil, errors.New("scorer: config selects no scorers")
+	}
+	return newPipeline(capBytes, cfg), nil
+}
+
+// newPipeline is NewPipeline for a cfg that selects at least one scorer.
+func newPipeline(capBytes int64, cfg Config) *Pipeline {
 	if cfg.Interval <= 0 {
 		cfg.Interval = core.DefaultInterval
 	}
@@ -108,9 +122,6 @@ func NewPipeline(capBytes int64, cfg Config) (*Pipeline, error) {
 	if cfg.Reuse > 0 {
 		add(newReuseScorer(), cfg.Reuse)
 	}
-	if len(p.scorers) == 0 {
-		return nil, errors.New("scorer: config selects no scorers")
-	}
 	p.initW = weights
 	p.mix = mab.NewMultiExpert(weights)
 	// The tuner's AdaptiveRate gets no PRNG: its restarts fall back to
@@ -126,7 +137,7 @@ func NewPipeline(capBytes int64, cfg Config) (*Pipeline, error) {
 		}
 		p.name = "MIX(" + strings.Join(names, "+") + ")"
 	}
-	return p, nil
+	return p
 }
 
 // bindUniform points the decision draw at the first scorer that owns a
@@ -301,18 +312,4 @@ func (p *Pipeline) Reset() {
 	p.rng = rand.New(rand.NewSource(p.seed))
 	p.bindUniform()
 	p.reqs, p.hits = 0, 0
-}
-
-// NewCache wraps a placement-mode pipeline in a QueueCache: LRU victim
-// selection with scorer-driven insertion and promotion, the same shape
-// as the paper's SCIP-LRU. name defaults to the pipeline's.
-func NewCache(name string, capBytes int64, cfg Config) (*cache.QueueCache, error) {
-	p, err := NewPipeline(capBytes, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		name = p.Name()
-	}
-	return cache.NewQueueCache(name, capBytes, p), nil
 }

@@ -39,12 +39,7 @@ func TestZROOnlyMatchesMonolith(t *testing.T) {
 	const seed, interval = 7, 5_000
 
 	mono := core.NewCache(capBytes, core.WithSeed(seed), core.WithInterval(interval))
-	pipe, err := NewCache("SCIP", capBytes, Config{
-		ZRO: 1, Seed: seed, Interval: interval, Tune: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe := mustSpec(t, "scorer:zro=1,name=SCIP").New(capBytes, seed, interval).(*cache.QueueCache)
 	for i, req := range tr.Requests {
 		mh := mono.Access(req)
 		ph := pipe.Access(req)
@@ -71,12 +66,8 @@ func TestFilterMatchesFrozenAdaptSize(t *testing.T) {
 
 	ads := admission.NewAdaptSize(capBytes, seed)
 	ads.Interval = 1 << 30 // freeze: c never tunes within the test horizon
-	filt, err := NewFilter("AdaptSize", capBytes, -1, Config{
-		Size: 1, Seed: seed + 1009, C: float64(capBytes) / 100, Tune: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// c=3000 is capBytes/100, AdaptSize's starting point.
+	filt := mustSpec(t, "scorer:size=1,mode=filter,c=3000,name=AdaptSize").New(capBytes, seed+1009, 0)
 	for i, req := range tr.Requests {
 		ah := ads.Access(req)
 		fh := filt.Access(req)
@@ -94,10 +85,7 @@ func TestFilterMatchesFrozenAdaptSize(t *testing.T) {
 // in the repository honours.
 func TestPipelineResetReplaysBitForBit(t *testing.T) {
 	tr := testTrace(t, 13)
-	p, err := FromSpec("scorer:zro=0.4,size=0.2,freq=0.2,ghost=0.1,reuse=0.1", 200_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustSpec(t, "scorer:zro=0.4,size=0.2,freq=0.2,ghost=0.1,reuse=0.1").New(200_000, 3, 0)
 	run := func() []bool {
 		out := make([]bool, len(tr.Requests))
 		for i, req := range tr.Requests {
@@ -118,11 +106,7 @@ func TestPipelineResetReplaysBitForBit(t *testing.T) {
 // TestFilterModeBasics: deterministic theta admits small objects and
 // rejects large ones under a size-only mix.
 func TestFilterModeBasics(t *testing.T) {
-	p, err := FromSpec("scorer:size=1,mode=filter,theta=0.5,c=1000", 1_000_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := p.(*FilterCache)
+	f := mustSpec(t, "scorer:size=1,mode=filter,theta=0.5,c=1000").New(1_000_000, 1, 0).(*FilterCache)
 	f.Access(cache.Request{Time: 0, Key: 1, Size: 100})    // e^{-0.1} ≈ 0.90 ≥ θ
 	f.Access(cache.Request{Time: 1, Key: 2, Size: 10_000}) // e^{-10} ≈ 0  < θ
 	if !f.Access(cache.Request{Time: 2, Key: 1, Size: 100}) {
@@ -172,30 +156,33 @@ func TestTuningMovesWeights(t *testing.T) {
 	}
 }
 
+func mustSpec(t *testing.T, spec string) Spec {
+	t.Helper()
+	sp, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 func TestSpecParsing(t *testing.T) {
 	if !IsSpec("SCORER:zro=1") || !IsSpec("scorer:size") || IsSpec("SCIP") {
 		t.Fatal("IsSpec prefix detection wrong")
 	}
-	cfg, mode, theta, err := ParseSpec("scorer:zro=1,size=0.5,mode=filter,theta=0.8,tune=off,interval=9000,name=X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ZRO != 1 || cfg.Size != 0.5 || mode != "filter" || theta != 0.8 || cfg.Tune || cfg.Interval != 9000 || cfg.Name != "X" {
-		t.Fatalf("parsed %+v mode=%q theta=%v", cfg, mode, theta)
+	sp := mustSpec(t, "scorer:zro=1,size=0.5,mode=filter,theta=0.8,tune=off,interval=9000,name=X")
+	if c := sp.cfg; c.ZRO != 1 || c.Size != 0.5 || !sp.filter || sp.theta != 0.8 || c.Tune || c.Interval != 9000 || c.Name != "X" {
+		t.Fatalf("parsed %+v", sp)
 	}
 	// Bare scorer name means weight 1; defaults: placement, θ=-1, tune on.
-	cfg, mode, theta, err = ParseSpec("scorer:freq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Freq != 1 || mode != "placement" || theta != -1 || !cfg.Tune {
-		t.Fatalf("parsed %+v mode=%q theta=%v", cfg, mode, theta)
+	sp = mustSpec(t, "scorer:freq")
+	if sp.cfg.Freq != 1 || sp.filter || sp.theta != -1 || !sp.cfg.Tune {
+		t.Fatalf("parsed %+v", sp)
 	}
 	for _, bad := range []string{
 		"scorer:", "scorer:bogus=1", "scorer:zro=x", "scorer:zro=1,mode=nope",
 		"scorer:zro=1,tune=maybe", "SCIP",
 	} {
-		if _, _, _, err := ParseSpec(bad); err == nil {
+		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
 	}
@@ -210,11 +197,7 @@ func TestPipelineName(t *testing.T) {
 	if p.Name() != "MIX(size+freq)" {
 		t.Fatalf("derived name = %q", p.Name())
 	}
-	pol, err := FromSpec("scorer:ghost=1,name=GhostOnly", 10_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Name() != "GhostOnly" {
+	if pol := mustSpec(t, "scorer:ghost=1,name=GhostOnly").New(10_000, 1, 0); pol.Name() != "GhostOnly" {
 		t.Fatalf("overridden name = %q", pol.Name())
 	}
 }

@@ -18,9 +18,17 @@ func IsSpec(policy string) bool {
 	return len(policy) >= len(SpecPrefix) && strings.EqualFold(policy[:len(SpecPrefix)], SpecPrefix)
 }
 
-// ParseSpec parses a "scorer:" policy spec into a Config plus the mode
-// fields that sit outside it. The grammar is a comma-separated list of
-// key=value pairs after the prefix:
+// Spec is a parsed "scorer:" policy spec. Seed, capacity and the
+// interval override are runtime inputs to New, not spec fields.
+type Spec struct {
+	cfg    Config
+	filter bool    // mode=filter; the default is placement
+	theta  float64 // filter mode's threshold; -1 is the score >= u rule
+	raw    string  // the spec text, the display name when cfg.Name is empty
+}
+
+// ParseSpec parses a "scorer:" policy spec. The grammar is a
+// comma-separated list of key=value pairs after the prefix:
 //
 //	scorer:zro=1,size=0.5,freq=0.3,ghost=0.2,reuse=0.4,
 //	       mode=placement|filter,theta=0.8,tune=on|off,
@@ -29,12 +37,13 @@ func IsSpec(policy string) bool {
 // Scorer keys give initial mixer weights (at least one must be
 // positive). mode defaults to placement; theta (filter mode only)
 // defaults to -1, the probabilistic score >= u rule; tune defaults to
-// on. Seed and capacity are runtime inputs, not spec fields.
-func ParseSpec(spec string) (cfg Config, mode string, theta float64, err error) {
+// on.
+func ParseSpec(spec string) (Spec, error) {
+	sp := Spec{theta: -1, raw: spec}
 	if !IsSpec(spec) {
-		return cfg, "", 0, fmt.Errorf("scorer: spec %q lacks the %q prefix", spec, SpecPrefix)
+		return sp, fmt.Errorf("scorer: spec %q lacks the %q prefix", spec, SpecPrefix)
 	}
-	mode, theta = "placement", -1
+	cfg := &sp.cfg
 	cfg.Tune = true
 	for _, kv := range strings.Split(spec[len(SpecPrefix):], ",") {
 		kv = strings.TrimSpace(kv)
@@ -55,6 +64,7 @@ func ParseSpec(spec string) (cfg Config, mode string, theta float64, err error) 
 			}
 			return f, nil
 		}
+		var err error
 		switch k {
 		case "zro":
 			cfg.ZRO, err = num()
@@ -67,7 +77,7 @@ func ParseSpec(spec string) (cfg Config, mode string, theta float64, err error) 
 		case "reuse":
 			cfg.Reuse, err = num()
 		case "theta":
-			theta, err = num()
+			sp.theta, err = num()
 		case "c":
 			cfg.C, err = num()
 		case "ghostfrac":
@@ -77,8 +87,9 @@ func ParseSpec(spec string) (cfg Config, mode string, theta float64, err error) 
 			f, err = num()
 			cfg.Interval = int(f)
 		case "mode":
-			mode = strings.ToLower(v)
-			if mode != "placement" && mode != "filter" {
+			mode := strings.ToLower(v)
+			sp.filter = mode == "filter"
+			if !sp.filter && mode != "placement" {
 				err = fmt.Errorf("scorer: unknown mode %q in spec %q", v, spec)
 			}
 		case "tune":
@@ -96,38 +107,32 @@ func ParseSpec(spec string) (cfg Config, mode string, theta float64, err error) 
 			err = fmt.Errorf("scorer: unknown key %q in spec %q", k, spec)
 		}
 		if err != nil {
-			return cfg, "", 0, err
+			return sp, err
 		}
 	}
-	if cfg.ZRO <= 0 && cfg.Size <= 0 && cfg.Freq <= 0 && cfg.Ghost <= 0 && cfg.Reuse <= 0 {
-		return cfg, "", 0, fmt.Errorf("scorer: spec %q selects no scorers", spec)
+	if !cfg.selectsScorer() {
+		return sp, fmt.Errorf("scorer: spec %q selects no scorers", spec)
 	}
-	return cfg, mode, theta, nil
+	return sp, nil
 }
 
-// FromSpec builds the cache.Policy a "scorer:" spec describes. The
-// policy's display name defaults to the spec string itself so experiment
-// tables identify the exact mix.
-func FromSpec(spec string, capBytes, seed int64) (cache.Policy, error) {
-	cfg, mode, theta, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
+// New builds the cache.Policy the spec describes. interval > 0 overrides
+// the spec's tuning window. The display name defaults to the spec text
+// so experiment tables identify the exact mix. A parsed spec selects at
+// least one scorer, so New cannot fail.
+func (sp Spec) New(capBytes, seed int64, interval int) cache.Policy {
+	cfg := sp.cfg
 	cfg.Seed = seed
+	if interval > 0 {
+		cfg.Interval = interval
+	}
 	name := cfg.Name
 	if name == "" {
-		name = spec
+		name = sp.raw
 	}
-	if mode == "filter" {
-		f, ferr := NewFilter(name, capBytes, theta, cfg)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return f, nil
+	p := newPipeline(capBytes, cfg)
+	if sp.filter {
+		return newFilter(name, capBytes, sp.theta, p)
 	}
-	c, cerr := NewCache(name, capBytes, cfg)
-	if cerr != nil {
-		return nil, cerr
-	}
-	return c, nil
+	return cache.NewQueueCache(name, capBytes, p)
 }

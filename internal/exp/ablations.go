@@ -6,55 +6,31 @@ import (
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
 	"github.com/scip-cache/scip/internal/gen"
-	"github.com/scip-cache/scip/internal/sim"
+	"github.com/scip-cache/scip/internal/registry"
 )
 
 func init() {
 	register(Runner{Name: "ablation", Title: "Ablations: SCIP design choices (DESIGN.md §6)", Run: runAblations})
 }
 
-// ablationVariant is one SCIP configuration under test.
-type ablationVariant struct {
-	name string
-	opts func(capBytes int64, seed int64, scale float64) []core.Option
-}
-
-func baseOpts(seed int64, scale float64) []core.Option {
-	return []core.Option{core.WithSeed(seed), core.WithInterval(scaledInterval(scale))}
-}
-
 // runAblations measures the miss-ratio impact of each resolved design
 // choice on all three profiles.
 func runAblations(cfg Config) error {
-	variants := []ablationVariant{
-		{"default", func(c, s int64, sc float64) []core.Option { return baseOpts(s, sc) }},
-		{"history=1/4", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithHistoryFraction(0.25))
-		}},
-		{"history=1x", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithHistoryFraction(1.0))
-		}},
-		{"interval=1/4", func(c, s int64, sc float64) []core.Option {
-			return []core.Option{core.WithSeed(s), core.WithInterval(scaledInterval(sc) / 4)}
-		}},
-		{"unified-ω", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithUnifiedModel())
-		}},
-		{"no-duel", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithDueling(0))
-		}},
-		{"no-evict-sig", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithEvictGain(0))
-		}},
-		{"no-hit-sig", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithHitGain(0))
-		}},
-		{"force-none", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithForceMode(core.ForceNone))
-		}},
-		{"force-both", func(c, s int64, sc float64) []core.Option {
-			return append(baseOpts(s, sc), core.WithForceMode(core.ForceBoth))
-		}},
+	// Each variant's options apply after the cell's seed and interval.
+	variants := []struct {
+		name string
+		opts []core.Option
+	}{
+		{"default", nil},
+		{"history=1/4", []core.Option{core.WithHistoryFraction(0.25)}},
+		{"history=1x", []core.Option{core.WithHistoryFraction(1.0)}},
+		{"interval=1/4", []core.Option{core.WithInterval(scaledInterval(cfg.Scale) / 4)}},
+		{"unified-ω", []core.Option{core.WithUnifiedModel()}},
+		{"no-duel", []core.Option{core.WithDueling(0)}},
+		{"no-evict-sig", []core.Option{core.WithEvictGain(0)}},
+		{"no-hit-sig", []core.Option{core.WithHitGain(0)}},
+		{"force-none", []core.Option{core.WithForceMode(core.ForceNone)}},
+		{"force-both", []core.Option{core.WithForceMode(core.ForceBoth)}},
 	}
 	if cfg.Quick {
 		variants = variants[:5]
@@ -66,16 +42,20 @@ func runAblations(cfg Config) error {
 	for _, v := range variants {
 		for _, p := range gen.Profiles {
 			capBytes := p.CacheBytes(gb(64), cfg.Scale)
-			b := policyBuilder{v.name, func(c, s int64, sc float64) cache.Policy {
-				return core.NewCache(c, v.opts(c, s, sc)...)
+			b := policyBuilder{v.name, func(e registry.Env) cache.Policy {
+				opts := append([]core.Option{core.WithSeed(e.Seed), core.WithInterval(e.Interval)}, v.opts...)
+				return core.NewCache(e.Capacity, opts...)
 			}}
 			jobs = append(jobs, missCell(cfg, p, capBytes, b))
 		}
 	}
+	lru, err := named(nil, "LRU")
+	if err != nil {
+		return err
+	}
 	for _, p := range gen.Profiles {
 		capBytes := p.CacheBytes(gb(64), cfg.Scale)
-		jobs = append(jobs, missCell(cfg, p, capBytes,
-			policyBuilder{"LRU", func(c, s int64, _ float64) cache.Policy { return cache.NewLRU(c) }}))
+		jobs = append(jobs, missCell(cfg, p, capBytes, lru[0]))
 	}
 	cells, err := runJobs(cfg, jobs)
 	if err != nil {
@@ -104,16 +84,4 @@ func runAblations(cfg Config) error {
 	}
 	fmt.Fprintln(cfg.Out)
 	return nil
-}
-
-// RunSCIPOnce is a helper used by benchmarks: one SCIP replay on a
-// profile at the given cache size.
-func RunSCIPOnce(p gen.Profile, scale float64, seed int64, paperCacheGB int64) (sim.Result, error) {
-	tr, err := getTrace(p, scale, seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	capBytes := p.CacheBytes(gb(paperCacheGB), scale)
-	c := core.NewCache(capBytes, core.WithSeed(seed), core.WithInterval(scaledInterval(scale)))
-	return sim.Run(tr, c, sim.Options{WarmupFrac: 0.2}), nil
 }

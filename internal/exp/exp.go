@@ -43,20 +43,20 @@ type Runner struct {
 	Run func(cfg Config) error
 }
 
-var registry []Runner
+var experiments []Runner
 
-func register(r Runner) { registry = append(registry, r) }
+func register(r Runner) { experiments = append(experiments, r) }
 
 // Runners returns all registered experiments sorted by name.
 func Runners() []Runner {
-	out := append([]Runner(nil), registry...)
+	out := append([]Runner(nil), experiments...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // Lookup finds an experiment by name.
 func Lookup(name string) (Runner, bool) {
-	for _, r := range registry {
+	for _, r := range experiments {
 		if r.Name == name {
 			return r, true
 		}

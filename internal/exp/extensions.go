@@ -5,10 +5,10 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/scip-cache/scip/internal/admission"
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
 	"github.com/scip-cache/scip/internal/gen"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/replacement"
 	"github.com/scip-cache/scip/internal/runner"
 	"github.com/scip-cache/scip/internal/shard"
@@ -35,13 +35,14 @@ func runExtensions(cfg Config) error {
 // runMultiChain compares S4LRU against S4LRU-SCIP (the paper's stated
 // future work) on all profiles.
 func runMultiChain(cfg Config) error {
-	builders := []policyBuilder{
-		{"S4LRU", func(c, s int64, _ float64) cache.Policy { return replacement.NewS4LRU(c) }},
-		{"S4LRU-SCIP", func(c, s int64, sc float64) cache.Policy {
-			return replacement.NewS4LRUWithInsertion(c, core.New(c,
-				core.WithSeed(s), core.WithInterval(scaledInterval(sc)), core.ForEnhancement()))
-		}},
+	builders, err := named(nil, "S4LRU")
+	if err != nil {
+		return err
 	}
+	builders = append(builders, policyBuilder{"S4LRU-SCIP", func(e registry.Env) cache.Policy {
+		return replacement.NewS4LRUWithInsertion(e.Capacity, core.New(e.Capacity,
+			core.WithSeed(e.Seed), core.WithInterval(e.Interval), core.ForEnhancement()))
+	}})
 	var jobs []func() (float64, error)
 	for _, p := range gen.Profiles {
 		capBytes := p.CacheBytes(gb(64), cfg.Scale)
@@ -64,14 +65,9 @@ func runMultiChain(cfg Config) error {
 // runAdmission compares SCIP with the related-work admission family.
 func runAdmission(cfg Config) error {
 	header(cfg.Out, "# Extension B — admission policies (paper §7), 64 GB-eq (scale %.4g)", cfg.Scale)
-	builderSet := []policyBuilder{
-		{"SCIP", func(c, s int64, sc float64) cache.Policy {
-			return core.NewCache(c, core.WithSeed(s), core.WithInterval(scaledInterval(sc)))
-		}},
-		{"LRU", func(c, s int64, _ float64) cache.Policy { return cache.NewLRU(c) }},
-		{"2Q", func(c, s int64, _ float64) cache.Policy { return admission.NewTwoQ(c) }},
-		{"TinyLFU", func(c, s int64, _ float64) cache.Policy { return admission.NewTinyLFU(c) }},
-		{"AdaptSize", func(c, s int64, _ float64) cache.Policy { return admission.NewAdaptSize(c, s) }},
+	builderSet, err := named(nil, "SCIP", "LRU", "2Q", "TinyLFU", "AdaptSize")
+	if err != nil {
+		return err
 	}
 	var jobs []func() (float64, error)
 	for _, p := range gen.Profiles {
@@ -108,6 +104,10 @@ func runSharded(cfg Config) error {
 		return err
 	}
 	capBytes := gen.CDNT.CacheBytes(gb(64), cfg.Scale)
+	scip, err := lookupPolicy("SCIP", nil)
+	if err != nil {
+		return err
+	}
 	maxWorkers := runtime.GOMAXPROCS(0) * 2
 	if maxWorkers > 8 {
 		maxWorkers = 8
@@ -133,7 +133,7 @@ func runSharded(cfg Config) error {
 		shards := workers * 2
 		for _, m := range modes {
 			c, err := shard.New("scip", capBytes, shards, func(cb int64, i int) cache.Policy {
-				return core.NewCache(cb, core.WithSeed(int64(i)+1), core.WithInterval(scaledInterval(cfg.Scale)))
+				return scip(registry.Env{Capacity: cb, Seed: int64(i) + 1, Interval: scaledInterval(cfg.Scale)})
 			}, shard.WithMode(m.mode))
 			if err != nil {
 				return err

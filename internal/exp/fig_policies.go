@@ -2,13 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/scip-cache/scip/internal/belady"
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
 	"github.com/scip-cache/scip/internal/gen"
 	"github.com/scip-cache/scip/internal/lrb"
 	"github.com/scip-cache/scip/internal/policies"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/replacement"
 	"github.com/scip-cache/scip/internal/sim"
 	"github.com/scip-cache/scip/internal/trace"
@@ -34,20 +35,12 @@ func scaledInterval(scale float64) int {
 	return iv
 }
 
-// policyBuilder creates a fresh policy for a given capacity and seed.
-type policyBuilder struct {
-	name  string
-	build func(capBytes, seed int64, scale float64) cache.Policy
-}
-
-// buildSCIPCache constructs the monolithic SCIP cache every figure table
-// uses. It is a swappable hook: the scorer golden-equivalence test
-// (golden_equiv_test.go) replaces it with a zro-only scorer pipeline and
-// re-runs the goldened figures to prove the pipeline reproduces the
-// monolith byte-identically.
-var buildSCIPCache = func(capBytes, seed int64, interval int) cache.Policy {
-	return core.NewCache(capBytes, core.WithSeed(seed), core.WithInterval(interval))
-}
+// lookupPolicy resolves every policy name the figure tables use. It is a
+// swappable hook: the scorer golden-equivalence test
+// (golden_equiv_test.go) wraps it to resolve SCIP to a zro-only scorer
+// pipeline and re-runs the goldened figures to prove the pipeline
+// reproduces the monolith byte-identically.
+var lookupPolicy = registry.Lookup
 
 // buildSCIPEnhancer constructs the SCIP insertion policy embedded in
 // LRU-K and LRB for Figure 12; swapped by the same equivalence test.
@@ -55,40 +48,37 @@ var buildSCIPEnhancer = func(capBytes, seed int64, interval int) cache.Insertion
 	return core.New(capBytes, core.WithSeed(seed), core.WithInterval(interval), core.ForEnhancement())
 }
 
-// insertionBaselines are Figure 8's competitors (all over LRU victim
-// selection).
-func insertionBaselines() []policyBuilder {
-	return []policyBuilder{
-		{"SCIP", func(c, s int64, sc float64) cache.Policy {
-			return buildSCIPCache(c, s, scaledInterval(sc))
-		}},
-		{"LIP", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("LIP", c, policies.LIP{}) }},
-		{"DIP", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("DIP", c, policies.NewDIP(c, s)) }},
-		{"PIPP", func(c, s int64, _ float64) cache.Policy { return policies.NewPIPP(c, s) }},
-		{"DTA", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("DTA", c, policies.NewDTA()) }},
-		{"SHiP", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("SHiP", c, policies.NewSHiP()) }},
-		{"DGIPPR", func(c, s int64, _ float64) cache.Policy { return policies.NewDGIPPR(c, s) }},
-		{"DAAIP", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("DAAIP", c, policies.NewDAAIP(s)) }},
-		{"ASC-IP", func(c, s int64, _ float64) cache.Policy { return policies.NewCache("ASC-IP", c, policies.NewASCIP(c)) }},
-	}
+// policyBuilder is one table column: its label and constructor.
+type policyBuilder struct {
+	name  string
+	build registry.Constructor
 }
 
-// replacementBaselines are Figure 10's competitors.
-func replacementBaselines() []policyBuilder {
-	return []policyBuilder{
-		{"SCIP", func(c, s int64, sc float64) cache.Policy {
-			return buildSCIPCache(c, s, scaledInterval(sc))
-		}},
-		{"LRU", func(c, s int64, _ float64) cache.Policy { return cache.NewLRU(c) }},
-		{"LRU-K", func(c, s int64, _ float64) cache.Policy { return replacement.NewLRUK(c, s) }},
-		{"S4LRU", func(c, s int64, _ float64) cache.Policy { return replacement.NewS4LRU(c) }},
-		{"SS-LRU", func(c, s int64, _ float64) cache.Policy { return replacement.NewSSLRU(c) }},
-		{"GDSF", func(c, s int64, _ float64) cache.Policy { return replacement.NewGDSF(c) }},
-		{"LHD", func(c, s int64, _ float64) cache.Policy { return replacement.NewLHD(c, s) }},
-		{"CACHEUS", func(c, s int64, _ float64) cache.Policy { return replacement.NewCACHEUS(c, s) }},
-		{"LRB", func(c, s int64, _ float64) cache.Policy { return lrb.New(c, lrb.WithSeed(s)) }},
-		{"GL-Cache", func(c, s int64, _ float64) cache.Policy { return replacement.NewGLCache(c) }},
+// named resolves registry policy names to table columns. tr is the
+// trace Belady replays; nil when no column is Belady.
+func named(tr *trace.Trace, names ...string) ([]policyBuilder, error) {
+	out := make([]policyBuilder, len(names))
+	for i, name := range names {
+		build, err := lookupPolicy(name, tr)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = policyBuilder{name, build}
 	}
+	return out, nil
+}
+
+// insertionBaselines are Figure 8's competitors (all over LRU victim
+// selection).
+var insertionBaselines = []string{"SCIP", "LIP", "DIP", "PIPP", "DTA", "SHiP", "DGIPPR", "DAAIP", "ASC-IP"}
+
+// replacementBaselines are Figure 10's competitors.
+var replacementBaselines = []string{"SCIP", "LRU", "LRU-K", "S4LRU", "SS-LRU", "GDSF", "LHD", "CACHEUS", "LRB", "GL-Cache"}
+
+// cellEnv is the construction input of every table cell: the cell's
+// capacity and seed, and SCIP's learning interval scaled to the trace.
+func cellEnv(cfg Config, capBytes, seed int64) registry.Env {
+	return registry.Env{Capacity: capBytes, Seed: seed, Interval: scaledInterval(cfg.Scale)}
 }
 
 // runMissRatio replays each seed's trace and averages the miss ratio.
@@ -99,15 +89,14 @@ func runMissRatio(cfg Config, p gen.Profile, capBytes int64, b policyBuilder) (f
 		if err != nil {
 			return 0, err
 		}
-		res := sim.Run(tr, b.build(capBytes, seed, cfg.Scale), sim.Options{WarmupFrac: 0.2})
+		res := sim.Run(tr, b.build(cellEnv(cfg, capBytes, seed)), sim.Options{WarmupFrac: 0.2})
 		mrs = append(mrs, res.MissRatio())
 	}
 	return mean(mrs), nil
 }
 
 // beladyMR computes Belady's miss ratio over the post-warmup region.
-func beladyMR(tr *trace.Trace, capBytes int64) float64 {
-	c := belady.New(tr, capBytes)
+func beladyMR(tr *trace.Trace, c cache.Policy) float64 {
 	warm := int(0.2 * float64(len(tr.Requests)))
 	hits, total := 0, 0
 	for i, r := range tr.Requests {
@@ -137,18 +126,19 @@ func beladyCell(cfg Config, p gen.Profile, capBytes int64) func() (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		return beladyMR(tr, capBytes), nil
+		build, err := lookupPolicy("Belady", tr)
+		if err != nil {
+			return 0, err
+		}
+		return beladyMR(tr, build(registry.Env{Capacity: capBytes})), nil
 	}
 }
 
 // runFig7 compares SCIP and SCI on all profiles.
 func runFig7(cfg Config) error {
-	builders := []policyBuilder{
-		{"LRU", func(c, s int64, _ float64) cache.Policy { return cache.NewLRU(c) }},
-		{"SCI", func(c, s int64, sc float64) cache.Policy {
-			return core.NewSCICache(c, core.WithSeed(s), core.WithInterval(scaledInterval(sc)))
-		}},
-		insertionBaselines()[0],
+	builders, err := named(nil, "LRU", "SCI", "SCIP")
+	if err != nil {
+		return err
 	}
 	var jobs []func() (float64, error)
 	for _, p := range gen.Profiles {
@@ -178,7 +168,10 @@ func runFig8(cfg Config) error {
 	if cfg.Quick {
 		sizes = sizes[:1]
 	}
-	builders := insertionBaselines()
+	builders, err := named(nil, insertionBaselines...)
+	if err != nil {
+		return err
+	}
 	var jobs []func() (float64, error)
 	for _, sz := range sizes {
 		for _, p := range gen.Profiles {
@@ -216,38 +209,36 @@ func runFig8(cfg Config) error {
 // deliberately stay serial regardless of Config.Workers: wall-clock and
 // peak-heap samples taken while sibling cells run would measure the pool,
 // not the policy.
-func runResources(cfg Config, builderSet []policyBuilder, figure string) error {
+func runResources(cfg Config, names []string, figure string) error {
 	p := gen.CDNT
 	capBytes := p.CacheBytes(gb(64), cfg.Scale)
 	tr, err := getTrace(p, cfg.Scale, cfg.Seeds[0])
 	if err != nil {
 		return err
 	}
+	rows, err := named(tr, slices.Concat(names, []string{"Belady"})...)
+	if err != nil {
+		return err
+	}
 	header(cfg.Out, "# %s — resource usage on CDN-T, 64 GB-equivalent (scale %.4g)", figure, cfg.Scale)
 	header(cfg.Out, "%-10s %10s %12s %12s %14s", "policy", "missRatio", "cpuNsPerReq", "peakHeapMiB", "TPS(kreq/s)")
-	rows := append([]policyBuilder(nil), builderSet...)
-	rows = append(rows, policyBuilder{"Belady", nil})
 	for _, b := range rows {
-		if b.build == nil {
-			// Belady's resource row: metered replay of the oracle.
-			res := sim.Run(tr, belady.New(tr, capBytes), sim.Options{WarmupFrac: 0.2, Meter: true})
-			fmt.Fprintf(cfg.Out, "%-10s %10.4f %12.1f %12.1f %14.1f\n",
-				"Belady", res.MissRatio(), res.NsPerRequest, res.PeakHeapMiB, res.TPS/1000)
-			continue
-		}
-		res := sim.Run(tr, b.build(capBytes, cfg.Seeds[0], cfg.Scale), sim.Options{WarmupFrac: 0.2, Meter: true})
+		res := sim.Run(tr, b.build(cellEnv(cfg, capBytes, cfg.Seeds[0])), sim.Options{WarmupFrac: 0.2, Meter: true})
 		fmt.Fprintf(cfg.Out, "%-10s %10.4f %12.1f %12.1f %14.1f\n",
 			b.name, res.MissRatio(), res.NsPerRequest, res.PeakHeapMiB, res.TPS/1000)
 	}
 	return nil
 }
 
-func runFig9(cfg Config) error  { return runResources(cfg, insertionBaselines(), "Figure 9") }
-func runFig11(cfg Config) error { return runResources(cfg, replacementBaselines(), "Figure 11") }
+func runFig9(cfg Config) error  { return runResources(cfg, insertionBaselines, "Figure 9") }
+func runFig11(cfg Config) error { return runResources(cfg, replacementBaselines, "Figure 11") }
 
 // runFig10 compares SCIP with the replacement algorithms.
 func runFig10(cfg Config) error {
-	builders := replacementBaselines()
+	builders, err := named(nil, replacementBaselines...)
+	if err != nil {
+		return err
+	}
 	var jobs []func() (float64, error)
 	for _, p := range gen.Profiles {
 		capBytes := p.CacheBytes(gb(64), cfg.Scale)
@@ -278,20 +269,24 @@ func runFig10(cfg Config) error {
 func runFig12(cfg Config) error {
 	header(cfg.Out, "# Figure 12 — enhancing replacement algorithms (scale %.4g, %d seeds)", cfg.Scale, len(cfg.Seeds))
 	header(cfg.Out, "%-8s %10s %12s %12s %10s %12s %12s", "trace", "LRU-K", "LRU-K-SCIP", "LRU-K-ASCIP", "LRB", "LRB-SCIP", "LRB-ASCIP")
+	plain, err := named(nil, "LRU-K", "LRB")
+	if err != nil {
+		return err
+	}
 	variants := []policyBuilder{
-		{"LRU-K", func(c, s int64, _ float64) cache.Policy { return replacement.NewLRUK(c, s) }},
-		{"LRU-K-SCIP", func(c, s int64, sc float64) cache.Policy {
-			return replacement.NewLRUKWithInsertion(c, s, buildSCIPEnhancer(c, s, scaledInterval(sc)))
+		plain[0],
+		{"LRU-K-SCIP", func(e registry.Env) cache.Policy {
+			return replacement.NewLRUKWithInsertion(e.Capacity, e.Seed, buildSCIPEnhancer(e.Capacity, e.Seed, e.Interval))
 		}},
-		{"LRU-K-ASCIP", func(c, s int64, _ float64) cache.Policy {
-			return replacement.NewLRUKWithInsertion(c, s, policies.NewASCIP(c))
+		{"LRU-K-ASCIP", func(e registry.Env) cache.Policy {
+			return replacement.NewLRUKWithInsertion(e.Capacity, e.Seed, policies.NewASCIP(e.Capacity))
 		}},
-		{"LRB", func(c, s int64, _ float64) cache.Policy { return lrb.New(c, lrb.WithSeed(s)) }},
-		{"LRB-SCIP", func(c, s int64, sc float64) cache.Policy {
-			return lrb.New(c, lrb.WithSeed(s), lrb.WithInsertion(buildSCIPEnhancer(c, s, scaledInterval(sc))))
+		plain[1],
+		{"LRB-SCIP", func(e registry.Env) cache.Policy {
+			return lrb.New(e.Capacity, lrb.WithSeed(e.Seed), lrb.WithInsertion(buildSCIPEnhancer(e.Capacity, e.Seed, e.Interval)))
 		}},
-		{"LRB-ASCIP", func(c, s int64, _ float64) cache.Policy {
-			return lrb.New(c, lrb.WithSeed(s), lrb.WithInsertion(policies.NewASCIP(c)))
+		{"LRB-ASCIP", func(e registry.Env) cache.Policy {
+			return lrb.New(e.Capacity, lrb.WithSeed(e.Seed), lrb.WithInsertion(policies.NewASCIP(e.Capacity)))
 		}},
 	}
 	var jobs []func() (float64, error)

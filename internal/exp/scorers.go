@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/scip-cache/scip/internal/admission/scorer"
-	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/gen"
 )
 
@@ -31,25 +29,16 @@ var scorerSpecs = []struct {
 // the monolith-equivalent mix, two weighted placement mixes, and a
 // filter-mode mix, across all trace profiles.
 func runScorers(cfg Config) error {
-	builderSet := []policyBuilder{
-		{"SCIP", func(c, s int64, sc float64) cache.Policy {
-			return buildSCIPCache(c, s, scaledInterval(sc))
-		}},
+	builderSet, err := named(nil, "SCIP")
+	if err != nil {
+		return err
 	}
 	for _, sp := range scorerSpecs {
-		full := fmt.Sprintf("%s,name=%s", sp.spec, sp.name)
-		if _, _, _, err := scorer.ParseSpec(full); err != nil {
+		build, err := lookupPolicy(sp.spec+",name="+sp.name, nil)
+		if err != nil {
 			return err
 		}
-		builderSet = append(builderSet, policyBuilder{sp.name, func(c, s int64, sc float64) cache.Policy {
-			p, err := scorer.FromSpec(fmt.Sprintf("%s,interval=%d", full, scaledInterval(sc)), c, s)
-			if err != nil {
-				// Unreachable: the spec was validated above and interval
-				// is numeric.
-				panic(err)
-			}
-			return p
-		}})
+		builderSet = append(builderSet, policyBuilder{sp.name, build})
 	}
 	var jobs []func() (float64, error)
 	for _, p := range gen.Profiles {

@@ -2,70 +2,29 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
-	"github.com/scip-cache/scip/internal/admission"
-	"github.com/scip-cache/scip/internal/admission/scorer"
 	"github.com/scip-cache/scip/internal/cache"
-	"github.com/scip-cache/scip/internal/core"
-	"github.com/scip-cache/scip/internal/lrb"
+	"github.com/scip-cache/scip/internal/registry"
 	"github.com/scip-cache/scip/internal/shard"
 )
 
-// BuildSharded returns a sharded cache front for one of the
-// concurrency-ready policies (SCIP, SCI, LRU, LRB, 2Q, TinyLFU,
-// AdaptSize) or a composable "scorer:" admission spec (see
-// internal/admission/scorer). Each shard gets its own single-threaded
-// policy instance seeded by seed + shard index, so a given (policy,
-// capacity, shards, seed) tuple always produces the same decision
-// stream — the property the scip-load and scip-serve comparisons rest
-// on. Both commands build their cache through this one function. opts
-// selects the shard concurrency configuration (shard.WithMode,
-// shard.WithActorDepth); the decision stream is identical in every
-// mode.
+// BuildSharded returns a sharded cache front for any policy name or
+// "scorer:" spec the registry resolves (internal/registry), except the
+// offline Belady oracle, which needs a trace. Each shard gets its own
+// single-threaded policy instance seeded by seed + shard index, so a
+// given (policy, capacity, shards, seed) tuple always produces the same
+// decision stream — the property the scip-load and scip-serve
+// comparisons rest on. Both commands build their cache through this one
+// function. opts selects the shard concurrency configuration
+// (shard.WithMode, shard.WithActorDepth); the decision stream is
+// identical in every mode.
 func BuildSharded(policy string, capBytes int64, shards int, seed int64, opts ...shard.Option) (*shard.Cache, error) {
-	if scorer.IsSpec(policy) {
-		if _, _, _, err := scorer.ParseSpec(policy); err != nil {
-			return nil, err
-		}
-		build := func(b int64, s int) cache.Policy {
-			p, err := scorer.FromSpec(policy, b, seed+int64(s))
-			if err != nil {
-				// Unreachable: the spec was validated above and FromSpec
-				// has no other failure mode.
-				panic(err)
-			}
-			return p
-		}
-		return shard.New(fmt.Sprintf("%s-x%d", policy, shards), capBytes, shards, build, opts...)
+	build, err := registry.Lookup(policy, nil)
+	if err != nil {
+		return nil, err
 	}
-	var build shard.Builder
-	name := strings.ToUpper(policy)
-	switch name {
-	case "SCIP":
-		build = func(b int64, s int) cache.Policy {
-			return core.NewCache(b, core.WithSeed(seed+int64(s)))
-		}
-	case "SCI":
-		build = func(b int64, s int) cache.Policy {
-			return core.NewSCICache(b, core.WithSeed(seed+int64(s)))
-		}
-	case "LRU":
-		build = func(b int64, _ int) cache.Policy { return cache.NewLRU(b) }
-	case "LRB":
-		build = func(b int64, s int) cache.Policy {
-			return lrb.New(b, lrb.WithSeed(seed+int64(s)))
-		}
-	case "2Q":
-		build = func(b int64, _ int) cache.Policy { return admission.NewTwoQ(b) }
-	case "TINYLFU":
-		build = func(b int64, _ int) cache.Policy { return admission.NewTinyLFU(b) }
-	case "ADAPTSIZE":
-		build = func(b int64, s int) cache.Policy {
-			return admission.NewAdaptSize(b, seed+int64(s))
-		}
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want SCIP, SCI, LRU, LRB, 2Q, TinyLFU, AdaptSize or a scorer: spec)", policy)
-	}
-	return shard.New(fmt.Sprintf("%s-x%d", name, shards), capBytes, shards, build, opts...)
+	name, _ := registry.Canonical(policy) // cannot fail: Lookup accepted policy
+	return shard.New(fmt.Sprintf("%s-x%d", name, shards), capBytes, shards, func(b int64, s int) cache.Policy {
+		return build(registry.Env{Capacity: b, Seed: seed + int64(s)})
+	}, opts...)
 }

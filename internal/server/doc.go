@@ -1,8 +1,8 @@
 // Package server implements scip-serve: an HTTP cache daemon fronting
-// the sharded SCIP cache (internal/shard over internal/core and the
-// other concurrency-ready policies). It is the networked counterpart of
-// the in-process scip-load harness — same cache, same accounting, with a
-// real request path on top.
+// the sharded SCIP cache (internal/shard over any policy the
+// internal/registry table names, Belady aside). It is the networked
+// counterpart of the in-process scip-load harness — same cache, same
+// accounting, with a real request path on top.
 //
 // # Key types
 //

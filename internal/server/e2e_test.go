@@ -44,7 +44,9 @@ func TestEndToEndMatchesInProcessReplay(t *testing.T) {
 	t.Logf("trace: %d requests, cache %.1f MiB, %d shards, %d clients",
 		len(tr.Requests), float64(capBytes)/(1<<20), shards, clients)
 
-	for _, policy := range []string{"SCIP", "LRU"} {
+	// LHD: parity must hold for a replacement algorithm too, not only for
+	// the SCIP/LRU queue caches.
+	for _, policy := range []string{"SCIP", "LRU", "LHD"} {
 		t.Run(policy, func(t *testing.T) {
 			want := inProcessReplay(t, tr, policy, capBytes, shards)
 			got := daemonReplay(t, tr, policy, capBytes, shards, clients)

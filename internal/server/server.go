@@ -20,8 +20,9 @@ import (
 // Config configures a Server. The zero value is not usable: CacheBytes
 // is required; everything else has a sensible default (see New).
 type Config struct {
-	// Policy selects the sharded cache policy: SCIP, SCI, LRU or LRB
-	// (default SCIP).
+	// Policy selects the sharded cache policy: any internal/registry
+	// name except the offline Belady oracle, or a scorer: spec (default
+	// SCIP).
 	Policy string
 	// CacheBytes is the total byte capacity, split exactly across
 	// shards. Required.
@@ -180,16 +181,9 @@ func New(cfg Config) (*Server, error) {
 		bodies:  make([]*bodyStore, c.Shards()),
 		start:   time.Now(), //scip:wallclock-ok uptime metadata for /metrics and /statusz, never a cache decision
 	}
-	// Mirror shard.New's exact byte split so each shard's body store is
-	// bounded by its shard's policy capacity.
-	base := cfg.CacheBytes / int64(c.Shards())
-	rem := cfg.CacheBytes % int64(c.Shards())
+	// Each shard's body store is bounded by its shard's policy capacity.
 	for i := range s.bodies {
-		per := base
-		if int64(i) < rem {
-			per++
-		}
-		s.bodies[i] = newBodyStore(per)
+		s.bodies[i] = newBodyStore(shard.ShardBytes(cfg.CacheBytes, c.Shards(), i))
 	}
 	s.shardStr = make([]string, c.Shards())
 	for i := range s.shardStr {

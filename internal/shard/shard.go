@@ -156,19 +156,9 @@ func New(name string, capBytes int64, n int, build Builder, opts ...Option) (*Ca
 		mode:   cfg.mode,
 	}
 	c.donePool.New = func() any { return make(chan int, 1) }
-	// Split the byte budget exactly: base bytes per shard, with the
-	// remainder distributed one byte each to the first capBytes%size
-	// shards, so sum(shard caps) == capBytes and Capacity() reports
-	// the budget the caller asked for.
-	base := capBytes / int64(size)
-	rem := capBytes % int64(size)
 	for i := range c.shards {
-		per := base
-		if int64(i) < rem {
-			per++
-		}
-		c.shards[i].p = build(per, i) //scip:lock-ok construction: the cache is not yet shared
-		if c.shards[i].p == nil {     //scip:lock-ok construction: the cache is not yet shared
+		c.shards[i].p = build(ShardBytes(capBytes, size, i), i) //scip:lock-ok construction: the cache is not yet shared
+		if c.shards[i].p == nil {                               //scip:lock-ok construction: the cache is not yet shared
 			return nil, fmt.Errorf("shard: builder returned nil for shard %d", i)
 		}
 	}
@@ -181,6 +171,19 @@ func New(name string, capBytes int64, n int, build Builder, opts ...Option) (*Ca
 		}
 	}
 	return c, nil
+}
+
+// ShardBytes returns shard i's share of a capBytes budget split n ways:
+// capBytes/n each, with the remainder distributed one byte each to the
+// first capBytes%n shards, so the shares sum to exactly capBytes and
+// Capacity() reports the budget the caller asked for. n is the rounded
+// count Cache.Shards reports.
+func ShardBytes(capBytes int64, n, i int) int64 {
+	per := capBytes / int64(n)
+	if int64(i) < capBytes%int64(n) {
+		per++
+	}
+	return per
 }
 
 // runActor owns shard i in ModeActor: it drains the shard's message

@@ -70,7 +70,8 @@ func TestShardCountRoundsUp(t *testing.T) {
 // TestCapacitySplitExact is the regression test for the remainder-drop
 // bug: shard.New used capBytes/size per shard, so any budget not divisible
 // by the shard count silently shrank the cache and Capacity() disagreed
-// with the requested budget. The split must now be exact for every budget.
+// with the requested budget. The split must now be exact for every budget,
+// and ShardBytes must report the same split.
 func TestCapacitySplitExact(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -103,7 +104,11 @@ func TestCapacitySplitExact(t *testing.T) {
 			}
 			var sum int64
 			var min, max int64 = 1 << 62, -1
-			for _, b := range perShard {
+			for i, b := range perShard {
+				// ShardBytes is the split server.New sizes its body stores by.
+				if got := ShardBytes(tc.capBytes, c.Shards(), i); got != b {
+					t.Fatalf("ShardBytes(shard %d) = %d, New gave %d", i, got, b)
+				}
 				sum += b
 				if b < min {
 					min = b

@@ -165,7 +165,10 @@ func ReadBinary(r io.Reader, name string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Name: name, Requests: make([]cache.Request, 0, n)}
+	// The record count is untrusted input: preallocate at most 1 Mi
+	// records and let append grow as records actually decode, so a
+	// corrupt header cannot demand an arbitrary allocation.
+	t := &Trace{Name: name, Requests: make([]cache.Request, 0, min(n, 1<<20))}
 	var tm int64
 	for i := uint64(0); i < n; i++ {
 		dt, err := binary.ReadUvarint(br)
