@@ -78,14 +78,15 @@ docs-check:
 golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
-# Short fuzz passes over all eight Fuzz* targets: the analysis
+# Short fuzz passes over all nine Fuzz* targets: the analysis
 # fixture-comment parser, the interprocedural call-graph builder
 # (arbitrary parseable source must never panic the module indexer or the
 # flow analyzers), scip-serve's query scanner (diffed against
 # url.ParseQuery), the cache's open-addressing index (diffed against a
 # plain map) and ghost history (structural invariants after every
-# operation), and the three trace readers (CSV, binary, LRB: corrupt
-# input must never panic them).
+# operation), the three trace readers (CSV, binary, LRB: corrupt
+# input must never panic them), and the workload generator (any config
+# Validate accepts must generate a well-formed trace).
 fuzz:
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzParseWant$$' -fuzztime 30s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 30s
@@ -95,6 +96,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadLRB$$' -fuzztime 10s
+	$(GO) test ./internal/gen/ -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s
 
 # Hot-path and per-figure micro benchmarks at reduced scale.
 bench:

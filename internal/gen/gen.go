@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/trace"
@@ -60,7 +59,21 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ZipfAlpha", c.ZipfAlpha}, {"OneHitFrac", c.OneHitFrac}, {"EchoProb", c.EchoProb},
+		{"EchoTailFrac", c.EchoTailFrac}, {"DriftFrac", c.DriftFrac}, {"SizeMean", c.SizeMean},
+		{"SizeSigma", c.SizeSigma}, {"OneHitSizeBoost", c.OneHitSizeBoost},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("gen: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
+	case c.EchoDelay > math.MaxInt/2:
+		return fmt.Errorf("gen: EchoDelay must be <= %d, got %d", math.MaxInt/2, c.EchoDelay)
 	case c.Requests <= 0:
 		return fmt.Errorf("gen: Requests must be > 0, got %d", c.Requests)
 	case c.CatalogSize <= 0:
@@ -86,6 +99,11 @@ func (c *Config) Validate() error {
 // alpha <= 1, which real CDN popularity curves require.
 type zipf struct {
 	cdf []float64
+	// guide narrows the search: with G = len(guide)-1, a power of two,
+	// guide[k] is the first index whose CDF is >= k/G. Both int(u·G) and
+	// k/G are exact in floating point, so the index for u lies in
+	// [guide[k], guide[k+1]] with k = int(u·G).
+	guide []int
 }
 
 func newZipf(n int, alpha float64) *zipf {
@@ -98,13 +116,43 @@ func newZipf(n int, alpha float64) *zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &zipf{cdf: cdf}
+	// cdf[n-1] is sum/sum = 1, so every k/G <= 1 finds its index.
+	g := 1
+	for g < n {
+		g <<= 1
+	}
+	guide := make([]int, g+1)
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/float64(g) {
+			i++
+		}
+		guide[k] = i
+	}
+	return &zipf{cdf: cdf, guide: guide}
 }
 
-// rank draws a rank in [0, n); rank 0 is the most popular.
-func (z *zipf) rank(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+// rank maps a uniform draw u in [0, 1) to a rank in [0, n); rank 0 is the
+// most popular. It returns the first index whose CDF is >= u, the index
+// sort.SearchFloat64s(cdf, u) returns.
+func (z *zipf) rank(u float64) int {
+	k := int(u * float64(len(z.guide)-1))
+	lo, hi := z.guide[k], z.guide[k+1]
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if z.cdf[m] < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// object is a generated object: its size travels with its id.
+type object struct {
+	id   uint64
+	size int64
 }
 
 // Generator produces a trace from a Config.
@@ -112,10 +160,8 @@ type Generator struct {
 	cfg     Config
 	rng     *rand.Rand
 	zipf    *zipf
-	catalog []uint64 // rank -> object id
-	sizes   map[uint64]int64
+	catalog []object // rank -> object
 	nextID  uint64
-	echoes  map[int][]uint64 // due request index -> object ids
 	sizeMu  float64
 	// muCatalog and muOneHit are the log-normal location parameters of
 	// the two object populations (see Config.OneHitSizeBoost).
@@ -143,8 +189,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		zipf:   newZipf(cfg.CatalogSize, cfg.ZipfAlpha),
-		sizes:  make(map[uint64]int64, cfg.CatalogSize*2),
-		echoes: make(map[int][]uint64),
 		sizeMu: math.Log(cfg.SizeMean) - cfg.SizeSigma*cfg.SizeSigma/2,
 	}
 	// Split the mean between one-hit and catalog objects so the overall
@@ -157,15 +201,15 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	catScale := 1 / denom
 	g.muCatalog = g.sizeMu + math.Log(catScale)
 	g.muOneHit = g.sizeMu + math.Log(catScale*cfg.OneHitSizeBoost)
-	g.catalog = make([]uint64, cfg.CatalogSize)
+	g.catalog = make([]object, cfg.CatalogSize)
 	for i := range g.catalog {
 		g.catalog[i] = g.newObject(g.muCatalog)
 	}
 	return g, nil
 }
 
-// newObject mints a fresh object id with a log-normal size around mu.
-func (g *Generator) newObject(mu float64) uint64 {
+// newObject mints a fresh object with a log-normal size around mu.
+func (g *Generator) newObject(mu float64) object {
 	id := g.nextID
 	g.nextID++
 	s := int64(math.Exp(mu + g.cfg.SizeSigma*g.rng.NormFloat64()))
@@ -175,8 +219,7 @@ func (g *Generator) newObject(mu float64) uint64 {
 	if s > g.cfg.MaxSize {
 		s = g.cfg.MaxSize
 	}
-	g.sizes[id] = s
-	return id
+	return object{id: id, size: s}
 }
 
 // Generate produces the full trace.
@@ -184,6 +227,13 @@ func (g *Generator) Generate() *trace.Trace {
 	cfg := g.cfg
 	t := &trace.Trace{Name: cfg.Name, Requests: make([]cache.Request, 0, cfg.Requests)}
 	tailStart := int(float64(cfg.CatalogSize) * (1 - cfg.EchoTailFrac))
+	// Pending echoes wait in a ring of buckets: echoes[cur] holds those
+	// due at request i, echoes[(cur+d) mod len] those due at i+d. An echo
+	// is scheduled 1..2·EchoDelay requests ahead and dropped when due at
+	// or past the end, so at most min(2·EchoDelay, Requests) + 1 due
+	// indices are live at once and each has its own bucket.
+	echoes := make([][]object, min(2*cfg.EchoDelay, cfg.Requests)+1)
+	cur := 0
 	for i := 0; i < cfg.Requests; i++ {
 		// Catalog drift at epoch boundaries: replaced slots keep their
 		// popularity rank but point to fresh objects, so the retired
@@ -195,26 +245,32 @@ func (g *Generator) Generate() *trace.Trace {
 				g.catalog[slot] = g.newObject(g.muCatalog)
 			}
 		}
-		var key uint64
-		if due, ok := g.echoes[i]; ok {
-			// Deliver one scheduled echo; requeue the rest.
-			key = due[0]
+		var o object
+		if due := echoes[cur]; len(due) > 0 {
+			// Deliver one scheduled echo; requeue the rest after whatever
+			// is already due at the next request.
+			o = due[0]
 			if len(due) > 1 {
-				g.echoes[i+1] = append(g.echoes[i+1], due[1:]...)
+				next := ringSlot(cur, 1, len(echoes))
+				echoes[next] = append(echoes[next], due[1:]...)
 			}
-			delete(g.echoes, i)
+			echoes[cur] = due[:0]
 		} else if g.rng.Float64() < cfg.OneHitFrac {
-			key = g.newObject(g.muOneHit)
+			o = g.newObject(g.muOneHit)
 		} else {
-			rank := g.zipf.rank(g.rng)
-			key = g.catalog[rank]
+			rank := g.zipf.rank(g.rng.Float64())
+			o = g.catalog[rank]
 			if rank >= tailStart && g.rng.Float64() < cfg.EchoProb {
 				delay := 1 + g.rng.Intn(2*cfg.EchoDelay)
-				g.echoes[i+delay] = append(g.echoes[i+delay], key)
+				if delay < cfg.Requests-i {
+					s := ringSlot(cur, delay, len(echoes))
+					echoes[s] = append(echoes[s], o)
+				}
 			}
 		}
 		tm := int64(float64(i) / float64(cfg.Requests) * float64(cfg.Duration))
-		t.Requests = append(t.Requests, cache.Request{Time: tm, Key: key, Size: g.sizes[key]})
+		t.Requests = append(t.Requests, cache.Request{Time: tm, Key: o.id, Size: o.size})
+		cur = ringSlot(cur, 1, len(echoes))
 	}
 	return t
 }
@@ -227,4 +283,13 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		return nil, err
 	}
 	return g.Generate(), nil
+}
+
+// ringSlot is the echo-ring bucket d requests after the one at cur, for a
+// ring of n buckets and 0 <= d < n.
+func ringSlot(cur, d, n int) int {
+	if s := cur + d; s < n {
+		return s
+	}
+	return cur + d - n
 }
