@@ -1,7 +1,8 @@
 # Standard verify loop for the repository. `make check` is what CI (and
 # every PR) should run: formatting (with simplification), vet, the
-# repository's own scip-vet analyzers, build, tests, and the race
-# detector over the concurrent experiment engine and sharded front.
+# repository's own scip-vet analyzers, build, tests, the race detector
+# over the concurrent experiment engine and sharded front, and the data
+# plane under the scipdebug handle guards.
 
 GO ?= go
 
@@ -11,9 +12,9 @@ GO ?= go
 # must be listed here so `make vet` covers it.
 VET_TAGS ?= scipdebug
 
-.PHONY: check fmt-check vet lint supps build test test-race examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load
+.PHONY: check fmt-check vet lint supps build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load
 
-check: fmt-check vet lint build test test-race examples docs-check golden-equiv
+check: fmt-check vet lint build test test-race test-debug examples docs-check golden-equiv
 
 # gofmt -s also demands the simplified forms (composite-literal elision,
 # range cleanups), not just canonical spacing.
@@ -52,6 +53,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# test-debug runs the data-plane packages with the scipdebug handle guards
+# compiled in (every Arena.At checks range and liveness), plus the figure
+# goldens, so the guards run on real replays rather than only being vetted.
+test-debug:
+	$(GO) test -tags scipdebug ./internal/cache ./internal/core ./internal/shard ./internal/policies ./internal/replacement ./internal/admission/...
+	$(GO) test -tags scipdebug -run '^TestGolden$$' ./internal/exp
 
 # examples builds the five runnable programs under examples/ and runs
 # the Example* godoc functions (facade, internal/stats and

@@ -115,8 +115,7 @@ func BenchmarkAccessSCIP(b *testing.B) {
 }
 
 func BenchmarkQueuePushEvict(b *testing.B) {
-	var a cache.Arena
-	a.Reserve(1024)
+	a := cache.NewArena(1024)
 	q := a.NewQueue()
 	handles := make([]cache.Handle, 1024)
 	for i := range handles {

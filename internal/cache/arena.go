@@ -10,8 +10,8 @@ import (
 var _ [64]byte = [unsafe.Sizeof(Entry{})]byte{}
 
 // Handle identifies an Entry inside an Arena. Handles are dense int32
-// indices into the arena's slab, so queues link entries through 4-byte
-// integers instead of 8-byte pointers and the slab itself contains no
+// indices into the arena's chunks, so queues link entries through 4-byte
+// integers instead of 8-byte pointers and the chunks themselves contain no
 // pointers at all — the GC never scans cache metadata, no matter how many
 // objects are resident. None is the null handle.
 type Handle int32
@@ -25,26 +25,58 @@ const None Handle = -1
 // carry owner 0; queue members carry the positive queue id.
 const ownerFree int16 = -1
 
-// maxArenaEntries bounds the slab so handles always fit in an int32.
+// maxArenaEntries bounds the arena so handles always fit in an int32.
 const maxArenaEntries = math.MaxInt32
 
-// Arena is a dense slab of Entries addressed by Handle. Freed slots are
-// threaded into a freelist through Entry.next, so steady-state churn
-// (evict one, insert one) reuses slots without allocating; the slab only
-// grows via append when the live set exceeds every slot ever allocated.
+// Handle h lives in chunk h>>chunkShift at slot h&chunkMask. 512 entries
+// fill exactly the 32 KiB size class, so a chunk carries no allocator
+// slack, and a tiny cache pays for a single chunk.
+const (
+	chunkShift = 9
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+// chunk is one directory slot: a fixed block of entries and their
+// generation counters. The generations sit in their own 2 KiB block
+// rather than beside the entries because one 34 KiB struct would fall off
+// the 32 KiB size class and be rounded up to 40 KiB of pages. Both blocks
+// are pointer-free; the two pointers here are the only GC-visible part
+// of the arena.
+type chunk struct {
+	entries *[chunkSize]Entry
+	// gens counts, per slot, how many times the slot has been freed. It
+	// backs Ref validity checks and lives outside Entry so the hot
+	// entries stay at one cache line each; it is only touched on Alloc
+	// of a fresh slot, on Free and by Ref/Live.
+	gens *[chunkSize]uint32
+}
+
+// chunkDir is an arena's chunk directory. Queue splices copy it into a
+// local once per operation, so each entry they touch costs one
+// chunk-pointer load and no reload of the directory itself.
+type chunkDir []chunk
+
+// at returns the entry for h, without the scipdebug liveness check.
+func (d chunkDir) at(h Handle) *Entry {
+	return &d[h>>chunkShift].entries[h&chunkMask]
+}
+
+// Arena holds Entries in a directory of fixed-size chunks addressed by
+// Handle. Freed slots are threaded into a freelist through Entry.next, so
+// steady-state churn (evict one, insert one) reuses slots without
+// allocating; a chunk is added only when the live set exceeds every slot
+// ever allocated. Chunks are never moved or copied.
 //
 // The zero value is ready to use. An Arena and the Queues created from it
 // form one ownership domain: handles are only meaningful against the arena
-// that allocated them, and *Entry pointers obtained from At are transient —
-// they are invalidated by the next Alloc (the slab may move) and must not
-// be retained across it.
+// that allocated them. An *Entry obtained from At stays valid until its
+// handle is freed; after that the slot may be recycled for another entry.
 type Arena struct {
-	slab []Entry
-	// gens counts, per slot, how many times the slot has been freed. It
-	// backs Ref validity checks and lives outside Entry so the hot slab
-	// stays at one cache line per entry; it is only touched on Free and
-	// by Ref/Live.
-	gens []uint32
+	dir chunkDir
+	// n counts the slots handed out since the last Reset: every handle
+	// below n is live or on the freelist.
+	n int32
 	// free1 is the freelist head encoded as handle+1 so the zero value
 	// means "empty" (handle 0 is a valid slot).
 	free1 int32
@@ -56,82 +88,72 @@ type Arena struct {
 	epoch uint32
 }
 
-// NewArena returns an arena with room for hint entries before the slab
-// first grows. A zero hint defers all allocation to first use.
+// NewArena returns an arena expecting about hint entries. The hint only
+// sizes the chunk directory; chunks are added as entries are allocated.
 func NewArena(hint int) *Arena {
-	a := &Arena{}
-	a.Reserve(hint)
-	return a
-}
-
-// Reserve grows the slab's capacity to at least n entries without changing
-// its length. Pre-sizing from the expected working set keeps the serving
-// path free of append-driven slab moves (see OPERATIONS.md on memory
-// sizing).
-func (a *Arena) Reserve(n int) {
-	if n <= cap(a.slab) {
-		return
-	}
-	s := make([]Entry, len(a.slab), n)
-	copy(s, a.slab)
-	a.slab = s
-	g := make([]uint32, len(a.gens), n)
-	copy(g, a.gens)
-	a.gens = g
+	return &Arena{dir: make(chunkDir, 0, (hint+chunkMask)>>chunkShift)}
 }
 
 // Len returns the number of live (allocated, not freed) entries.
 func (a *Arena) Len() int { return a.live }
 
-// Cap returns the number of slots the slab holds without growing.
-func (a *Arena) Cap() int { return cap(a.slab) }
-
-// At returns the entry for h. The pointer is transient: it is valid only
-// until the next Alloc on this arena, which may move the slab.
+// At returns the entry for h. The pointer stays valid until h is freed.
 func (a *Arena) At(h Handle) *Entry {
 	if handleChecks {
 		a.checkLive(h)
 	}
-	return &a.slab[h]
+	return a.dir.at(h)
 }
 
-// Alloc takes a slot from the freelist, or extends the slab when the
-// freelist is empty, and returns its handle. The slot's policy fields are
-// zeroed; its generation survives so stale Refs to the previous occupant
-// remain detectably dead.
-//
-// Alloc may move the slab: *Entry pointers obtained before the call are
-// invalid after it.
+// Alloc takes a slot from the freelist, or the next never-used slot when
+// the freelist is empty, and returns its handle. The slot's policy fields
+// are zeroed; a recycled slot keeps its generation so stale Refs to the
+// previous occupant remain detectably dead.
 func (a *Arena) Alloc() Handle {
 	if a.free1 != 0 {
 		h := Handle(a.free1 - 1)
-		e := &a.slab[h]
+		e := a.dir.at(h)
 		a.free1 = int32(e.next) + 1
 		*e = Entry{prev: None, next: None}
 		a.live++
 		return h
 	}
-	if len(a.slab) >= maxArenaEntries {
+	if a.n == maxArenaEntries {
 		panic("cache: arena full (2^31-1 entries)")
 	}
-	a.slab = append(a.slab, Entry{prev: None, next: None})
-	a.gens = append(a.gens, 0)
+	h := Handle(a.n)
+	if int(h>>chunkShift) == len(a.dir) {
+		a.grow()
+	}
+	a.n++
+	c := &a.dir[h>>chunkShift]
+	c.entries[h&chunkMask] = Entry{prev: None, next: None}
+	c.gens[h&chunkMask] = 0
 	a.live++
-	return Handle(len(a.slab) - 1)
+	return h
+}
+
+// grow appends one zeroed chunk to the directory. Existing chunks stay
+// where they are; only the directory's chunk headers are ever copied.
+//
+//scip:coldpath one chunk per 512 slots, allocated only while the live set reaches a new high
+func (a *Arena) grow() {
+	a.dir = append(a.dir, chunk{entries: new([chunkSize]Entry), gens: new([chunkSize]uint32)})
 }
 
 // Free returns h's slot to the freelist. The entry must be detached from
 // any queue. Freeing bumps the slot's generation, so Refs taken before the
 // free report dead.
 func (a *Arena) Free(h Handle) {
-	e := &a.slab[h]
+	c := &a.dir[h>>chunkShift]
+	e := &c.entries[h&chunkMask]
 	if e.owner != 0 {
 		if e.owner == ownerFree {
 			panic("cache: double Free of entry")
 		}
 		panic("cache: Free of entry still in a queue")
 	}
-	a.gens[h]++
+	c.gens[h&chunkMask]++
 	e.owner = ownerFree
 	e.prev = None
 	e.next = Handle(a.free1 - 1)
@@ -139,12 +161,11 @@ func (a *Arena) Free(h Handle) {
 	a.live--
 }
 
-// Reset discards every entry and empties the freelist, keeping the slab's
-// capacity for reuse. Queues built on this arena must be cleared by their
-// owners in the same breath; their handles are all invalid afterwards.
+// Reset discards every entry and empties the freelist, keeping the chunks
+// for reuse. Queues built on this arena must be cleared by their owners in
+// the same breath; their handles are all invalid afterwards.
 func (a *Arena) Reset() {
-	a.slab = a.slab[:0]
-	a.gens = a.gens[:0]
+	a.n = 0
 	a.free1 = 0
 	a.live = 0
 	a.epoch++
@@ -172,26 +193,27 @@ type Ref struct {
 
 // Ref stamps h with its current generation and the arena epoch.
 func (a *Arena) Ref(h Handle) Ref {
-	return Ref{H: h, gen: a.gens[h], epoch: a.epoch}
+	return Ref{H: h, gen: a.dir[h>>chunkShift].gens[h&chunkMask], epoch: a.epoch}
 }
 
 // Live reports whether r still names the same allocation it was taken
 // from: the arena has not been Reset, the slot has not been freed, and the
 // slot has not been recycled for a different entry (generation match).
 func (a *Arena) Live(r Ref) bool {
-	if r.epoch != a.epoch || r.H < 0 || int(r.H) >= len(a.slab) {
+	if r.epoch != a.epoch || r.H < 0 || int32(r.H) >= a.n {
 		return false
 	}
-	return a.gens[r.H] == r.gen && a.slab[r.H].owner != ownerFree
+	c := &a.dir[r.H>>chunkShift]
+	return c.gens[r.H&chunkMask] == r.gen && c.entries[r.H&chunkMask].owner != ownerFree
 }
 
 // checkLive panics on out-of-range or freed handles. Compiled in only
 // under the scipdebug build tag (see handleChecks).
 func (a *Arena) checkLive(h Handle) {
-	if h < 0 || int(h) >= len(a.slab) {
+	if h < 0 || int32(h) >= a.n {
 		panic("cache: At of out-of-range handle")
 	}
-	if a.slab[h].owner == ownerFree {
+	if a.dir.at(h).owner == ownerFree {
 		panic("cache: At of freed entry")
 	}
 }

@@ -192,7 +192,7 @@ func TestArenaRefSurvivesChurn(t *testing.T) {
 		t.Fatal("fresh ref not live")
 	}
 
-	// Unrelated churn — including slab growth — must not kill the ref.
+	// Unrelated churn — including arena growth — must not kill the ref.
 	others := make([]Handle, 0, 64)
 	for i := 0; i < 64; i++ {
 		others = append(others, a.Alloc())

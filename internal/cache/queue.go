@@ -3,7 +3,7 @@ package cache
 // Entry is one cached object inside an Arena. Entries are intrusive list
 // nodes owned by exactly one Queue at a time, linked through int32 handles
 // rather than pointers: the struct contains no pointers at all, so the
-// slab holding millions of entries is invisible to the garbage collector.
+// chunks holding millions of entries are invisible to the garbage collector.
 // The exported bookkeeping fields (Hits, Freq, ...) are shared scratch
 // space for policies so that a single slot serves LRU-family algorithms
 // without per-policy wrapper nodes.
@@ -75,14 +75,15 @@ func (q *Queue) Front() Handle { return q.head }
 // Back returns the LRU entry's handle, or None when empty.
 func (q *Queue) Back() Handle { return q.tail }
 
-// At returns the entry for h. The pointer is transient — see Arena.At.
+// At returns the entry for h. Like Arena.At's, the pointer stays valid
+// until h is freed.
 func (q *Queue) At(h Handle) *Entry { return q.a.At(h) }
 
 // Next returns the handle LRU-ward of h (toward the back), or None.
-func (q *Queue) Next(h Handle) Handle { return q.a.slab[h].next }
+func (q *Queue) Next(h Handle) Handle { return q.a.dir.at(h).next }
 
 // Prev returns the handle MRU-ward of h (toward the front), or None.
-func (q *Queue) Prev(h Handle) Handle { return q.a.slab[h].prev }
+func (q *Queue) Prev(h Handle) Handle { return q.a.dir.at(h).prev }
 
 // Clear empties the queue without freeing its entries: the caller either
 // frees them individually or resets the whole arena alongside.
@@ -94,8 +95,8 @@ func (q *Queue) Clear() {
 // PushFront inserts h at the MRU end. The entry must not belong to any
 // queue.
 func (q *Queue) PushFront(h Handle) {
-	slab := q.a.slab
-	e := &slab[h]
+	dir := q.a.dir
+	e := dir.at(h)
 	if e.owner != 0 {
 		panic("cache: PushFront of entry already in a queue")
 	}
@@ -103,7 +104,7 @@ func (q *Queue) PushFront(h Handle) {
 	e.prev = None
 	e.next = q.head
 	if q.head != None {
-		slab[q.head].prev = h
+		dir.at(q.head).prev = h
 	} else {
 		q.tail = h
 	}
@@ -115,8 +116,8 @@ func (q *Queue) PushFront(h Handle) {
 // PushBack inserts h at the LRU end. The entry must not belong to any
 // queue.
 func (q *Queue) PushBack(h Handle) {
-	slab := q.a.slab
-	e := &slab[h]
+	dir := q.a.dir
+	e := dir.at(h)
 	if e.owner != 0 {
 		panic("cache: PushBack of entry already in a queue")
 	}
@@ -124,7 +125,7 @@ func (q *Queue) PushBack(h Handle) {
 	e.next = None
 	e.prev = q.tail
 	if q.tail != None {
-		slab[q.tail].next = h
+		dir.at(q.tail).next = h
 	} else {
 		q.head = h
 	}
@@ -136,12 +137,12 @@ func (q *Queue) PushBack(h Handle) {
 // InsertBefore inserts h immediately MRU-ward of mark. mark must belong
 // to q and h must be detached.
 func (q *Queue) InsertBefore(h, mark Handle) {
-	slab := q.a.slab
-	m := &slab[mark]
+	dir := q.a.dir
+	m := dir.at(mark)
 	if m.owner != q.id {
 		panic("cache: InsertBefore mark not in queue")
 	}
-	e := &slab[h]
+	e := dir.at(h)
 	if e.owner != 0 {
 		panic("cache: InsertBefore of entry already in a queue")
 	}
@@ -149,7 +150,7 @@ func (q *Queue) InsertBefore(h, mark Handle) {
 	e.next = mark
 	e.prev = m.prev
 	if m.prev != None {
-		slab[m.prev].next = h
+		dir.at(m.prev).next = h
 	} else {
 		q.head = h
 	}
@@ -161,12 +162,12 @@ func (q *Queue) InsertBefore(h, mark Handle) {
 // InsertAfter inserts h immediately LRU-ward of mark. mark must belong to
 // q and h must be detached.
 func (q *Queue) InsertAfter(h, mark Handle) {
-	slab := q.a.slab
-	m := &slab[mark]
+	dir := q.a.dir
+	m := dir.at(mark)
 	if m.owner != q.id {
 		panic("cache: InsertAfter mark not in queue")
 	}
-	e := &slab[h]
+	e := dir.at(h)
 	if e.owner != 0 {
 		panic("cache: InsertAfter of entry already in a queue")
 	}
@@ -174,7 +175,7 @@ func (q *Queue) InsertAfter(h, mark Handle) {
 	e.prev = mark
 	e.next = m.next
 	if m.next != None {
-		slab[m.next].prev = h
+		dir.at(m.next).prev = h
 	} else {
 		q.tail = h
 	}
@@ -185,18 +186,18 @@ func (q *Queue) InsertAfter(h, mark Handle) {
 
 // Remove unlinks h from the queue. The entry must belong to q.
 func (q *Queue) Remove(h Handle) {
-	slab := q.a.slab
-	e := &slab[h]
+	dir := q.a.dir
+	e := dir.at(h)
 	if e.owner != q.id {
 		panic("cache: Remove of entry not in this queue")
 	}
 	if e.prev != None {
-		slab[e.prev].next = e.next
+		dir.at(e.prev).next = e.next
 	} else {
 		q.head = e.next
 	}
 	if e.next != None {
-		slab[e.next].prev = e.prev
+		dir.at(e.next).prev = e.prev
 	} else {
 		q.tail = e.prev
 	}
@@ -213,20 +214,20 @@ func (q *Queue) MoveToFront(h Handle) {
 	if q.head == h {
 		return
 	}
-	slab := q.a.slab
-	e := &slab[h]
+	dir := q.a.dir
+	e := dir.at(h)
 	if e.owner != q.id {
 		panic("cache: MoveToFront of entry not in this queue")
 	}
-	slab[e.prev].next = e.next
+	dir.at(e.prev).next = e.next
 	if e.next != None {
-		slab[e.next].prev = e.prev
+		dir.at(e.next).prev = e.prev
 	} else {
 		q.tail = e.prev
 	}
 	e.prev = None
 	e.next = q.head
-	slab[q.head].prev = h
+	dir.at(q.head).prev = h
 	q.head = h
 }
 
@@ -236,27 +237,27 @@ func (q *Queue) MoveToBack(h Handle) {
 	if q.tail == h {
 		return
 	}
-	slab := q.a.slab
-	e := &slab[h]
+	dir := q.a.dir
+	e := dir.at(h)
 	if e.owner != q.id {
 		panic("cache: MoveToBack of entry not in this queue")
 	}
-	slab[e.next].prev = e.prev
+	dir.at(e.next).prev = e.prev
 	if e.prev != None {
-		slab[e.prev].next = e.next
+		dir.at(e.prev).next = e.next
 	} else {
 		q.head = e.next
 	}
 	e.next = None
 	e.prev = q.tail
-	slab[q.tail].next = h
+	dir.at(q.tail).next = h
 	q.tail = h
 }
 
 // MoveTowardFront moves h one position toward the MRU end (PIPP-style
 // single-step promotion). No-op if h is already at the front.
 func (q *Queue) MoveTowardFront(h Handle) {
-	p := q.a.slab[h].prev
+	p := q.a.dir.at(h).prev
 	if p == None {
 		return
 	}

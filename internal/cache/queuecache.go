@@ -7,7 +7,7 @@ package cache
 // MRU), which is the configuration the paper calls "LRU". With an
 // InsertionPolicy such as SCIP it becomes the paper's SCIP-LRU.
 //
-// The data plane is pointer-free: entries live in a dense arena slab
+// The data plane is pointer-free: entries live in the chunks of an arena,
 // linked by int32 handles, and the key index is an open-addressing table
 // of scalars (see Arena and Index), so resident metadata contributes no
 // GC scan work regardless of object count.
@@ -26,8 +26,9 @@ type QueueCache struct {
 	evictions int64
 
 	// EvictHook, when non-nil, observes every eviction (used by the ZRO
-	// analyzer and tests). The entry is only valid for the duration of
-	// the call; its slot is recycled for a later insertion afterwards.
+	// analyzer and tests). The entry is valid for the duration of the
+	// call: the victim's handle is freed when the hook returns, and a
+	// later insertion recycles its slot.
 	EvictHook func(e *Entry)
 }
 
@@ -46,18 +47,17 @@ func NewQueueCache(name string, capBytes int64, ins InsertionPolicy) *QueueCache
 		name: name,
 		cap:  capBytes,
 	}
-	hint := indexHint(capBytes)
-	c.arena.Reserve(hint)
-	c.index.Init(hint)
+	c.index.Init(indexHint(capBytes))
 	c.q = c.arena.NewQueue()
 	c.SetInsertion(ins)
 	return c
 }
 
-// indexHint pre-sizes the key index and entry slab from the byte capacity,
-// assuming CDN-scale mean object sizes (~32 KiB), so steady-state replay
-// does not repeatedly grow either. Clamped so tiny test caches and huge
-// capacities both get sane starts.
+// indexHint pre-sizes the key index from the byte capacity, assuming
+// CDN-scale mean object sizes (~32 KiB), so steady-state replay does not
+// repeatedly grow it. Clamped so tiny test caches and huge capacities
+// both get sane starts. The arena needs no hint: it grows by chunks and
+// never copies.
 func indexHint(capBytes int64) int {
 	h := capBytes >> 15
 	if h < 16 {
@@ -92,9 +92,8 @@ func (c *QueueCache) Contains(key uint64) bool {
 	return c.index.Get(key) != None
 }
 
-// Entry returns the live entry for key, or nil. The pointer is transient
-// (valid until the cache next admits an object) and callers must not
-// relink it.
+// Entry returns the live entry for key, or nil. The pointer stays valid
+// until the object is evicted or removed; callers must not relink it.
 func (c *QueueCache) Entry(key uint64) *Entry {
 	h := c.index.Get(key)
 	if h == None {

@@ -44,7 +44,9 @@ type PeerClient struct {
 // (which must appear in nodes; the list and vnodes must match the
 // router's so both sides agree on ring positions). fanout is how many
 // distinct successors to ask per fetch (default 1). client defaults to
-// http.DefaultClient; per-attempt timeouts are the server's concern.
+// one with a connection pool sized like RouterConfig's default (32 idle
+// connections per peer; http.DefaultClient keeps 2 and redials under any
+// concurrency); per-attempt timeouts are the server's concern.
 func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http.Client) (*PeerClient, error) {
 	ring, err := NewRing(nodes, vnodes)
 	if err != nil {
@@ -66,7 +68,10 @@ func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http
 		fanout = len(nodes) - 1
 	}
 	if client == nil {
-		client = http.DefaultClient
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = 32
+		t.MaxIdleConns = 32 * len(nodes)
+		client = &http.Client{Transport: t}
 	}
 	return &PeerClient{
 		ring:   ring,

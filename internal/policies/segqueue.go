@@ -38,8 +38,8 @@ func (s *SegQueue) Bytes() int64 { return s.bytes }
 // Get returns the handle for key, or cache.None.
 func (s *SegQueue) Get(key uint64) cache.Handle { return s.index.Get(key) }
 
-// At returns the entry behind a handle. The pointer is transient: it is
-// invalidated by the next InsertAt.
+// At returns the entry behind a handle. The pointer stays valid until the
+// handle is removed.
 func (s *SegQueue) At(h cache.Handle) *cache.Entry { return s.arena.At(h) }
 
 // InsertAt records a new object at the front of segment seg (clamped to

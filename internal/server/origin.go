@@ -113,15 +113,24 @@ type HTTPOrigin struct {
 	// Base is the upstream URL prefix; the decimal key is appended as a
 	// path element.
 	Base string
-	// Client is the HTTP client to use (default http.DefaultClient).
+	// Client is the HTTP client to use (default defaultOriginClient).
 	Client *http.Client
 }
+
+// defaultOriginClient serves every HTTPOrigin without a Client. Its pool
+// keeps 32 idle connections per upstream, like RouterConfig's default
+// transport: http.DefaultClient keeps 2 and redials under any concurrency.
+var defaultOriginClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 32
+	return &http.Client{Transport: t}
+}()
 
 // Fetch implements Origin.
 func (o *HTTPOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte, int64, error) {
 	client := o.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultOriginClient
 	}
 	url := o.Base + "/" + strconv.FormatUint(key, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)

@@ -10,8 +10,10 @@ import (
 
 // GCSnapshot captures the garbage-collector counters the pointer-free
 // data plane is designed to keep flat: with cache metadata in scalar
-// slabs (internal/cache.Arena, Index), heap-scan bytes and pause totals
-// must stay independent of the number of resident objects. The serving
+// arena chunks and index tables (internal/cache.Arena, Index), heap-scan
+// bytes and pause totals must stay independent of the number of resident
+// objects; an arena's only scannable memory is its chunk directory, two
+// pointers per 512 entries. The serving
 // daemon exports these as scip_server_gc_* so a deployment can verify
 // that property live (DESIGN.md §12).
 type GCSnapshot struct {
@@ -20,8 +22,8 @@ type GCSnapshot struct {
 	// PauseTotal is the cumulative stop-the-world pause time.
 	PauseTotal time.Duration
 	// HeapScanBytes is the amount of heap memory the GC considers
-	// scannable (pointer-bearing); the slab-backed cache core contributes
-	// nothing to it regardless of object count.
+	// scannable (pointer-bearing); the chunk-backed cache core contributes
+	// only its chunk directories to it.
 	HeapScanBytes uint64
 	// CPUFraction is the fraction of available CPU consumed by the GC
 	// since process start.
