@@ -48,8 +48,10 @@ supps:
 build:
 	$(GO) build ./...
 
+# -shuffle=on randomises test order within each package, so a test that
+# leans on state another test left behind fails here instead of hiding.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 test-race:
 	$(GO) test -race ./...
@@ -125,8 +127,8 @@ bench-kernels:
 bench-figures:
 	$(GO) run ./cmd/scip-bench -scale 0.01 -seeds 2 -json BENCH.json all
 
-# Concurrent load run with the race detector enabled: replays a synthetic
-# CDN-T trace across GOMAXPROCS workers against the sharded SCIP front,
-# printing live snapshots and writing LOAD.json.
+# The two replay-invariance fences under the race detector: every policy,
+# worker count, shard mode, batch size and actor depth replayed through
+# runner.ReplaySharded must leave byte-identical per-shard counters.
 load:
-	$(GO) run -race ./cmd/scip-load -scale 0.01 -shards 8 -repeat 2 -interval 1s -json LOAD.json
+	$(GO) test -race -count=1 -run '^(TestModeInvariance|TestWorkerCountInvariance)$$' ./internal/runner

@@ -313,12 +313,10 @@ func BenchmarkLRBAccessTrained(b *testing.B) {
 
 // BenchmarkShardedAccessStats measures the cost of the per-access stats
 // instrumentation on the sharded front: the same parallel access pattern
-// bare, with the lock-free counters attached (the access path itself is
-// clock-free since the counters-only ObserveAccess), and with a
-// driver-side latency ticker adding its one clock read per request — the
-// three instrumentation levels a scip-load run can choose between.
+// bare and with the lock-free counters attached (the access path itself
+// is clock-free since the counters-only ObserveAccess).
 func BenchmarkShardedAccessStats(b *testing.B) {
-	for _, variant := range []string{"bare", "counters", "counters+ticker"} {
+	for _, variant := range []string{"bare", "counters"} {
 		b.Run(variant, func(b *testing.B) {
 			c, err := shard.New("scip", 1<<24, 16, func(capBytes int64, s int) cache.Policy {
 				return core.NewCache(capBytes, core.WithSeed(int64(s)+1), core.WithInterval(2000))
@@ -326,21 +324,14 @@ func BenchmarkShardedAccessStats(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var lat *stats.Histogram
-			if variant != "bare" {
-				st := c.EnableStats()
-				if variant == "counters+ticker" {
-					lat = st.Latency()
-				}
+			if variant == "counters" {
+				c.EnableStats()
 			}
 			var ctr atomic.Uint64
 			b.RunParallel(func(pb *testing.PB) {
-				tick := stats.NewLatencyTicker(lat) // nil lat: no-op, no clock reads
-				tick.Start()
 				for pb.Next() {
 					i := ctr.Add(1)
 					c.Access(cache.Request{Time: int64(i), Key: i % 4096, Size: 512})
-					tick.Tick()
 				}
 			})
 		})
@@ -406,7 +397,8 @@ func BenchmarkShardedAccessModes(b *testing.B) {
 }
 
 // BenchmarkStatsSnapshot measures the lock-free Snapshot read path while
-// counters are hot (the reporter's cost during a load run).
+// counters are hot (the interval reporter's and /metrics' cost while
+// serving).
 func BenchmarkStatsSnapshot(b *testing.B) {
 	st := stats.New(64)
 	for i := 0; i < 64; i++ {

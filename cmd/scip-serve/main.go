@@ -165,9 +165,9 @@ func originName(url string) string {
 	return url
 }
 
-// reportLoop prints a scip-load-style interval line while the daemon
-// serves, sharing sim.FormatLoadInterval so the two tools' outputs line
-// up in logs.
+// reportLoop prints one sim.FormatLoadInterval line per interval while
+// the daemon serves: request rate, miss ratios, occupancy skew and access
+// latency over the interval.
 func reportLoop(ctx context.Context, s *server.Server, interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()

@@ -8,7 +8,7 @@
 // -policy takes any internal/registry name (case-insensitive): SCIP,
 // SCI, LRU, the Figure 8 insertion policies, the Figure 10 replacement
 // algorithms, the §7 admission policies and the Belady oracle (the
-// names scip-serve and scip-load take too, all but Belady), plus
+// names scip-serve takes too, all but Belady), plus
 // composable admission mixes via "scorer:" specs, e.g.
 // -policy scorer:zro=0.6,size=0.2,freq=0.2 (see internal/admission/scorer).
 package main

@@ -171,7 +171,7 @@ func TestClusterEquivalenceMatchesSingleNode(t *testing.T) {
 
 	// Client c owns the (node, shard) lanes with lane % clients == c and
 	// replays them sequentially in trace order — the same partitioning
-	// scip-load uses, lifted to the fleet.
+	// runner.ReplaySharded uses, lifted to the fleet.
 	laneOf := make([]int, len(tr.Requests))
 	nodeOf := make([]int, len(tr.Requests))
 	for i, req := range tr.Requests {

@@ -94,8 +94,9 @@ func runAdmission(cfg Config) error {
 
 // runSharded measures throughput scaling of the concurrent sharded SCIP
 // front across worker counts. Only the Mreq/s column is a wall-clock
-// measurement; the missRatio column is deterministic because the replay
-// partitions the trace by shard (see replayShardPartitioned).
+// measurement; the missRatio column is deterministic because
+// runner.ReplaySharded partitions the trace by shard, never by request
+// index (TestModeInvariance).
 func runSharded(cfg Config) error {
 	header(cfg.Out, "# Extension C — sharded concurrent SCIP throughput (scale %.4g)", cfg.Scale)
 	header(cfg.Out, "%-8s %-10s %10s %8s %14s %10s", "workers", "mode", "shards", "batch", "Mreq/s", "missRatio")
@@ -139,7 +140,7 @@ func runSharded(cfg Config) error {
 				return err
 			}
 			start := time.Now() //scip:wallclock-ok metering only: feeds the Mreq/s column, never a cache decision
-			hits := replayShardPartitioned(tr.Requests, c, workers, m.batch)
+			hits := runner.ReplaySharded(tr.Requests, c, workers, m.batch)
 			elapsed := time.Since(start).Seconds() //scip:wallclock-ok metering only: feeds the Mreq/s column, never a cache decision
 			c.Close()
 			total := len(tr.Requests)
@@ -148,19 +149,4 @@ func runSharded(cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// replayShardPartitioned replays reqs against the sharded cache from
-// `workers` goroutines, partitioning the trace BY SHARD (worker w owns
-// the shards with index ≡ w mod workers), not by request index: every
-// shard sees its request subsequence in exact trace order regardless of
-// the worker count, so each per-shard policy makes identical decisions
-// and the returned hit count is byte-identical across worker counts —
-// the same scheme the scip-load harness uses. The previous index-range
-// partitioning interleaved each shard's requests across workers in
-// scheduler order, which made the printed miss ratio nondeterministic.
-// The loop itself lives in runner.ReplaySharded; batch chooses
-// per-request Access (<= 1) or amortised AccessBatch issue.
-func replayShardPartitioned(reqs []cache.Request, c *shard.Cache, workers, batch int) int64 {
-	return runner.ReplaySharded(reqs, c, workers, batch)
 }

@@ -1,5 +1,5 @@
 // Package registry is the one table from policy name to constructor.
-// Every binary (scip-sim, scip-serve, scip-load), the sharded front
+// Every binary (scip-sim, scip-serve), the sharded front
 // (server.BuildSharded) and the experiment tables (internal/exp) resolve
 // policy names here, so they all accept the same names: the canonical
 // display names the figure tables print (SCIP, GL-Cache, SHiP, TinyLFU,

@@ -18,7 +18,8 @@ import (
 // batches of that size and issues them through AccessBatch, amortising
 // one synchronisation round (lock acquisition or actor handoff) across
 // the batch; batch <= 1 issues per-request Access calls. This is the
-// replay loop Extension C is built on.
+// module's one shard-partitioned replay loop: Extension C is built on it,
+// and TestModeInvariance and TestWorkerCountInvariance fence it.
 func ReplaySharded(reqs []cache.Request, c *shard.Cache, workers, batch int) int64 {
 	if workers < 1 {
 		workers = 1

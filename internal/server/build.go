@@ -13,9 +13,10 @@ import (
 // offline Belady oracle, which needs a trace. Each shard gets its own
 // single-threaded policy instance seeded by seed + shard index, so a
 // given (policy, capacity, shards, seed) tuple always produces the same
-// decision stream — the property the scip-load and scip-serve
-// comparisons rest on. Both commands build their cache through this one
-// function. opts selects the shard concurrency configuration
+// decision stream — the property scip-serve's end-to-end comparison and
+// the replay-invariance fences (internal/runner) rest on. The daemon, the
+// fences and the benchmark build their cache through this one function.
+// opts selects the shard concurrency configuration
 // (shard.WithMode, shard.WithActorDepth); the decision stream is
 // identical in every mode.
 func BuildSharded(policy string, capBytes int64, shards int, seed int64, opts ...shard.Option) (*shard.Cache, error) {

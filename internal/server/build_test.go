@@ -5,7 +5,7 @@ import "testing"
 // TestBuildShardedRejectsUnknownPolicy: a policy name outside the
 // registry, a scorer: spec that does not parse and the trace-bound
 // Belady oracle must all come back as errors, not as a cache (scip-serve
-// and scip-load print them and exit 1).
+// prints them and exits 1).
 func TestBuildShardedRejectsUnknownPolicy(t *testing.T) {
 	for _, policy := range []string{
 		"nope",

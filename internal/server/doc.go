@@ -1,14 +1,15 @@
 // Package server implements scip-serve: an HTTP cache daemon fronting
 // the sharded SCIP cache (internal/shard over any policy the
 // internal/registry table names, Belady aside). It is the networked
-// counterpart of the in-process scip-load harness — same cache, same
-// accounting, with a real request path on top.
+// counterpart of the in-process shard-partitioned replay
+// (runner.ReplaySharded) — same cache, same accounting, with a real
+// request path on top.
 //
 // # Key types
 //
 //   - Config — daemon configuration (policy, capacity, shard count,
 //     origin behaviour); BuildSharded constructs the sharded cache the
-//     daemon and scip-load share.
+//     daemon and the in-process replays share.
 //   - Server — the daemon itself: New validates a Config, Handler
 //     returns the http.Handler, Serve runs it with graceful shutdown.
 //   - Origin — the upstream interface; SyntheticOrigin (deterministic
@@ -18,11 +19,11 @@
 //
 // GET/PUT/DELETE operate on /obj/{key} (decimal uint64 keys). Every
 // object request performs exactly one policy Access under its shard
-// lock, so the daemon's hit/miss/byte counters are governed by the same
-// invariant as scip-load: per-shard access order determines every
-// policy decision, and replaying a shard-partitioned trace over
-// loopback yields counters byte-identical to the in-process replay
-// (asserted by TestEndToEndMatchesInProcessReplay).
+// lock, so the daemon's hit/miss/byte counters are governed by the
+// replay invariant: per-shard access order determines every policy
+// decision, and replaying a shard-partitioned trace over loopback yields
+// counters byte-identical to the in-process replay (asserted by
+// TestEndToEndMatchesInProcessReplay).
 //
 // Cache accounting is deliberately decoupled from body serving: the
 // policy (keys and sizes) is the source of truth for hit/miss and byte

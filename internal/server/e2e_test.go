@@ -21,10 +21,10 @@ import (
 // TestEndToEndMatchesInProcessReplay is the daemon's determinism
 // acceptance test: replaying a generated trace over loopback HTTP
 // against scip-serve — shard-partitioned across concurrent clients,
-// exactly as scip-load partitions its workers — produces per-shard
-// counters and object/byte miss ratios byte-identical to an in-process
-// replay of the same trace against the same sharded cache. It also
-// checks that /metrics emits valid Prometheus text and that shutdown
+// exactly as runner.ReplaySharded partitions its workers — produces
+// per-shard counters and object/byte miss ratios byte-identical to an
+// in-process replay of the same trace against the same sharded cache. It
+// also checks that /metrics emits valid Prometheus text and that shutdown
 // drains cleanly afterwards.
 func TestEndToEndMatchesInProcessReplay(t *testing.T) {
 	if testing.Short() {
@@ -55,7 +55,7 @@ func TestEndToEndMatchesInProcessReplay(t *testing.T) {
 	}
 }
 
-// inProcessReplay is the scip-load ground truth: a serial replay of the
+// inProcessReplay is the in-process ground truth: a serial replay of the
 // trace through the same sharded construction the daemon uses.
 func inProcessReplay(t *testing.T, tr *trace.Trace, policy string, capBytes int64, shards int) stats.Snapshot {
 	t.Helper()
@@ -102,7 +102,7 @@ func daemonReplay(t *testing.T, tr *trace.Trace, policy string, capBytes int64, 
 		t.Fatalf("listen: %v", err)
 	}
 
-	// Partition by shard exactly like scip-load's runLoad.
+	// Partition by shard exactly like runner.ReplaySharded.
 	shardOf := make([]int, len(tr.Requests))
 	for i, req := range tr.Requests {
 		shardOf[i] = s.Cache().ShardIndex(req.Key)

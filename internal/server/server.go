@@ -411,10 +411,8 @@ func (s *Server) finishWithError(w http.ResponseWriter, shardIdx int, key uint64
 
 // access performs the one policy access of an object request under the
 // shard lock. The daemon is open-loop — requests arrive whenever clients
-// send them — so unlike the closed-loop replay drivers (which reuse the
-// previous completion timestamp, stats.LatencyTicker) it must pay two
-// clock reads per request to time the access; Config.NoLatency trades
-// the histogram away to eliminate them.
+// send them — so it pays two clock reads per request to time the access;
+// Config.NoLatency trades the histogram away to eliminate them.
 func (s *Server) access(key uint64, size, t int64) bool {
 	if s.cfg.NoLatency {
 		return s.cache.Access(cache.Request{Time: t, Key: key, Size: size})

@@ -13,7 +13,8 @@
 //
 // The per-shard request order fully determines every policy decision:
 // replaying a trace partitioned by shard produces byte-identical per-shard
-// counters regardless of how many goroutines issue the requests. Both
-// cmd/scip-load and the scip-serve end-to-end tests rest on this
-// invariant; see DESIGN.md §7.
+// counters regardless of how many goroutines issue the requests.
+// runner.ReplaySharded (Extension C) and the scip-serve end-to-end tests
+// rest on this invariant, and internal/runner's TestModeInvariance and
+// TestWorkerCountInvariance fence it; see DESIGN.md §10.
 package shard

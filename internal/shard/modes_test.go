@@ -5,118 +5,7 @@ import (
 	"testing"
 
 	"github.com/scip-cache/scip/internal/cache"
-	"github.com/scip-cache/scip/internal/gen"
 )
-
-// modeTrace generates a small CDN-T trace for the mode tests.
-func modeTrace(t testing.TB) []cache.Request {
-	t.Helper()
-	tr, err := gen.Generate(gen.CDNT.Config(0.0008, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr.Requests
-}
-
-// replayByShard replays reqs against c from `workers` goroutines, worker
-// w owning shards ≡ w (mod workers), batching batch requests per
-// AccessBatch call (batch <= 1 uses per-request Access). The scheme all
-// drivers share: per-shard order equals trace order in every
-// configuration.
-func replayByShard(t testing.TB, c *Cache, reqs []cache.Request, workers, batch int) {
-	t.Helper()
-	if workers > c.Shards() {
-		workers = c.Shards()
-	}
-	shardOf := make([]int32, len(reqs))
-	for i, r := range reqs {
-		shardOf[i] = int32(c.ShardIndex(r.Key))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if batch <= 1 {
-				for i, req := range reqs {
-					if int(shardOf[i])%workers == w {
-						c.Access(req)
-					}
-				}
-				return
-			}
-			bufs := make([][]cache.Request, c.Shards())
-			for i, req := range reqs {
-				s := int(shardOf[i])
-				if s%workers != w {
-					continue
-				}
-				bufs[s] = append(bufs[s], req)
-				if len(bufs[s]) == batch {
-					c.AccessBatch(s, bufs[s], nil)
-					bufs[s] = bufs[s][:0]
-				}
-			}
-			for s, buf := range bufs {
-				if len(buf) > 0 {
-					c.AccessBatch(s, buf, nil)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// TestShardModeCountersInvariant: the per-shard counter blocks must be
-// byte-identical across ModeMutex per-request, ModeMutex batched (several
-// batch sizes) and ModeActor replays of the same shard-partitioned trace,
-// at several worker counts. This is the serial-order invariant the
-// concurrency modes are built on (DESIGN.md §10); the latency histogram
-// is wall-clock and is deliberately not compared.
-func TestShardModeCountersInvariant(t *testing.T) {
-	reqs := modeTrace(t)
-	type variant struct {
-		name    string
-		mode    Mode
-		workers int
-		batch   int
-	}
-	variants := []variant{{"mutex-serial", ModeMutex, 1, 1}}
-	for _, w := range []int{2, 4, 8} {
-		variants = append(variants,
-			variant{"mutex", ModeMutex, w, 1},
-			variant{"batched-3", ModeMutex, w, 3},
-			variant{"batched-64", ModeMutex, w, 64},
-			variant{"actor-1", ModeActor, w, 1},
-			variant{"actor-64", ModeActor, w, 64},
-		)
-	}
-	var want []int64
-	for _, v := range variants {
-		c, err := New("scip", 1<<24, 8, scipBuilder, WithMode(v.mode), WithActorDepth(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := c.EnableStats()
-		replayByShard(t, c, reqs, v.workers, v.batch)
-		c.Close()
-		snap := st.Snapshot()
-		var got []int64
-		for _, sh := range snap.Shards {
-			got = append(got, sh.Requests, sh.Hits, sh.BytesRequested, sh.BytesHit, sh.Evictions, sh.UsedBytes)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s workers=%d: counter %d = %d, want %d (serial replay)",
-					v.name, v.workers, i, got[i], want[i])
-			}
-		}
-	}
-}
 
 // TestAccessBatchMatchesSerial: a batch call must return the same hit
 // outcomes, in order, as serial Access calls, and report the hit count.

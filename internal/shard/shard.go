@@ -41,9 +41,9 @@ func (m Mode) String() string {
 	return "mutex"
 }
 
-// ParseMode parses "mutex" or "actor" (the -mode flag values of
-// scip-load and scip-serve; those drivers layer "batched" on top of
-// ModeMutex — batching is an access pattern, not a cache mode).
+// ParseMode parses "mutex" or "actor" (scip-serve's -mode flag values;
+// "batched" is ModeMutex driven through AccessBatch — batching is an
+// access pattern, not a cache mode).
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "mutex":
@@ -272,7 +272,7 @@ func (c *Cache) Name() string { return c.name }
 
 // EnableStats attaches (and returns) a per-shard stats block. Every
 // subsequent Access records its outcome, the shard's occupancy and
-// eviction count. Latency is the caller's concern (stats.LatencyTicker);
+// eviction count. Latency is the caller's concern (Histogram.Observe);
 // the access path itself never reads the clock. Must be called before
 // the cache is shared between goroutines; it is not synchronised with
 // Access.
@@ -288,8 +288,8 @@ func (c *Cache) EnableStats() *stats.Stats {
 // Stats returns the attached stats block, or nil.
 func (c *Cache) Stats() *stats.Stats { return c.st }
 
-// ShardIndex returns the shard the key is routed to. Load drivers use it
-// to partition a trace by shard so per-shard request order (and therefore
+// ShardIndex returns the shard the key is routed to. Replay drivers
+// (runner.ReplaySharded) use it to partition a trace by shard so per-shard request order (and therefore
 // every per-shard policy decision) is independent of the worker count.
 //
 //scip:hotpath

@@ -251,7 +251,7 @@ func TestStatsWiring(t *testing.T) {
 		t.Fatalf("UsedBytes gauge %d != Used() %d", tot.UsedBytes, c.Used())
 	}
 	// The access path is clock-free: latency is observed caller-side
-	// (stats.LatencyTicker), never by shard.Cache itself.
+	// (Histogram.Observe), never by shard.Cache itself.
 	if snap.LatencySamples() != 0 {
 		t.Fatalf("latency samples = %d, want 0", snap.LatencySamples())
 	}

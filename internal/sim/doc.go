@@ -3,8 +3,7 @@
 // and resource measurements (throughput, peak heap, CPU time proxy) used
 // by Figures 9 and 11.
 //
-// Run replays one trace against one policy; the Load* helpers
-// (BuildLoadReport, FormatLoadInterval, FormatShardOccupancy) format the
-// concurrent harness's interval and final reports, shared by scip-load
-// and scip-serve so their log lines align.
+// Run replays one trace against one policy. FormatLoadInterval formats
+// scip-serve's live interval line, WriteJSON writes scip-bench's BENCH.json
+// and StartProfiles holds the CLIs' pprof plumbing.
 package sim

@@ -13,9 +13,8 @@ import (
 // finalises the CPU profile first, then forces a GC so the heap profile
 // records reachable steady-state memory rather than unswept garbage.
 //
-// The profiles meter the process — they never feed a cache decision — so
-// the CLIs (scip-bench, scip-load) share this helper to keep pprof
-// plumbing out of every main.
+// The profiles meter the process — they never feed a cache decision — and
+// this helper keeps pprof plumbing out of scip-bench's main.
 func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -11,8 +11,9 @@
 // differencing two snapshots (Snapshot.Sub). UsedBytes is a gauge holding
 // the most recently observed occupancy.
 //
-// Snapshots feed three consumers: the scip-load/scip-serve interval
-// reporters (via Sub), the final JSON reports, and the Prometheus text
-// exposition (WritePrometheus) scraped from the daemon's /metrics
-// endpoint — the metric catalogue is documented in OPERATIONS.md.
+// Snapshots feed three consumers: scip-serve's interval reporter (via
+// Sub), the invariance tests that compare per-shard counters across
+// replay configurations, and the Prometheus text exposition
+// (WritePrometheus) scraped from the daemon's /metrics endpoint — the
+// metric catalogue is documented in OPERATIONS.md.
 package stats

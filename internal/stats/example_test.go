@@ -35,7 +35,7 @@ func ExampleStats() {
 }
 
 // ExampleSnapshot_Sub differences two snapshots into an interval view —
-// the pattern behind scip-load's and scip-serve's live report lines.
+// the pattern behind scip-serve's live report line.
 func ExampleSnapshot_Sub() {
 	st := stats.New(1)
 	sh := st.Shard(0)

@@ -33,7 +33,7 @@ type GCSnapshot struct {
 }
 
 // ReadGC samples the runtime's GC counters. It is a control-plane call
-// (metrics scrape, interval report), not for request paths.
+// (metrics scrape, /statusz), not for request paths.
 func ReadGC() GCSnapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -85,18 +85,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(d.Nanoseconds())
 }
 
-// ObserveN records n latency samples of d/n each — the batched-access
-// form: a batch of n requests completed after a total of d, so each is
-// attributed the mean per-request latency. One histogram update and one
-// sum update cover the whole batch.
-func (h *Histogram) ObserveN(d time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	h.buckets[bucketFor(d/time.Duration(n))].Add(int64(n))
-	h.sum.Add(d.Nanoseconds())
-}
-
 // Snapshot copies the histogram's current buckets and nanosecond sum
 // with one atomic load each. Standalone Histogram users (the router's
 // proxy-latency histogram) pair it with WriteHistogramPrometheus;
@@ -135,8 +123,8 @@ func (s *Stats) Latency() *Histogram { return &s.lat }
 // ObserveAccess records one access routed to shard i: its hit outcome,
 // the object size, and the shard's post-access occupancy and cumulative
 // eviction count. It touches only atomic counters — no clock reads;
-// latency is the caller's concern (see LatencyTicker for the
-// one-clock-read-per-request scheme the load drivers use).
+// latency is the caller's concern (scip-serve times each access and
+// feeds Latency().Observe).
 func (s *Stats) ObserveAccess(i int, size int64, hit bool, usedBytes, evictions int64) {
 	c := s.Shard(i)
 	c.Requests.Add(1)

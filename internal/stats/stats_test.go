@@ -45,8 +45,8 @@ func TestObserveAccessAndSnapshot(t *testing.T) {
 		t.Fatalf("ByteMissRatio = %g, want %g", br, wantByte)
 	}
 	// ObserveAccess is counters-only: latency is decoupled (observed by
-	// the caller via LatencyTicker or Histogram.Observe), so no clock is
-	// read and no samples appear here.
+	// the caller via Histogram.Observe), so no clock is read and no
+	// samples appear here.
 	if n := snap.LatencySamples(); n != 0 {
 		t.Fatalf("LatencySamples = %d, want 0 (counters-only path)", n)
 	}
@@ -80,47 +80,6 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 	batched.ObserveBatch(1, n, hits, bytesReq, bytesHit, used, ev)
 	if s, b := serial.Snapshot(), batched.Snapshot(); s.Shards[1] != b.Shards[1] {
 		t.Fatalf("batched counters diverge:\nserial  %+v\nbatched %+v", s.Shards[1], b.Shards[1])
-	}
-}
-
-// TestObserveNAttributesMeanLatency: ObserveN(d, n) must add n samples
-// of d/n each and d to the sum, so batched runs keep sample counts and
-// sums comparable to per-request runs.
-func TestObserveNAttributesMeanLatency(t *testing.T) {
-	var h Histogram
-	h.ObserveN(8*time.Microsecond, 4)
-	if got := h.buckets[bucketFor(2*time.Microsecond)].Load(); got != 4 {
-		t.Fatalf("mean bucket count = %d, want 4", got)
-	}
-	if got := h.sum.Load(); got != 8000 {
-		t.Fatalf("sum = %d, want 8000", got)
-	}
-	h.ObserveN(time.Second, 0) // n<=0 is a no-op
-	if got := h.sum.Load(); got != 8000 {
-		t.Fatalf("sum after no-op = %d, want 8000", got)
-	}
-}
-
-// TestLatencyTicker: one Tick per request feeds exactly one sample, a
-// TickN(n) feeds n, and the nil-histogram ticker (the -nolat opt-out)
-// records nothing.
-func TestLatencyTicker(t *testing.T) {
-	s := New(1)
-	tick := NewLatencyTicker(s.Latency())
-	tick.Start()
-	for i := 0; i < 5; i++ {
-		tick.Tick()
-	}
-	tick.TickN(3)
-	if n := s.Snapshot().LatencySamples(); n != 8 {
-		t.Fatalf("samples = %d, want 8", n)
-	}
-	off := NewLatencyTicker(nil)
-	off.Start()
-	off.Tick()
-	off.TickN(4)
-	if n := s.Snapshot().LatencySamples(); n != 8 {
-		t.Fatalf("nil ticker recorded samples: %d", n)
 	}
 }
 
@@ -264,13 +223,11 @@ func TestConcurrentObserve(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Each worker owns a LatencyTicker, the one-clock-read
-			// scheme the load drivers use.
-			tick := NewLatencyTicker(s.Latency())
-			tick.Start()
+			// Every worker writes the shared histogram, as scip-serve's
+			// handlers do.
 			for i := 0; i < perW; i++ {
 				s.ObserveAccess((w+i)%shards, 1, i%2 == 0, 64, int64(i))
-				tick.Tick()
+				s.Latency().Observe(time.Duration(i) * time.Microsecond)
 			}
 		}(w)
 	}
