@@ -31,11 +31,13 @@ vet:
 		$(GO) vet -tags "$$tags" ./... || exit 1; \
 	done
 
-# lint runs the repository's own determinism/concurrency/allocation
-# analyzers (see internal/analysis and DESIGN.md "Invariants"): the
-# per-file syntactic checks plus the interprocedural hotalloc,
-# clocktaint and guardedby passes, ending with the suppression audit — a
-# stale or unknown //scip: comment fails the run.
+# lint runs the repository's own determinism/concurrency analyzers (see
+# internal/analysis and DESIGN.md "Invariants"): the per-file syntactic
+# checks plus the interprocedural clocktaint and guardedby passes,
+# ending with the suppression audit — a stale or unknown //scip: comment
+# fails the run. The data plane's zero allocation is pinned by tests,
+# not by an analyzer (TestHotPathsAllocateNothing and the per-package
+# Allocs pins).
 lint:
 	$(GO) run ./cmd/scip-vet ./...
 
@@ -71,13 +73,10 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) test -run Example . ./internal/stats/ ./internal/cluster/
 
-# docs-check fails on broken intra-repo markdown links (docs_test.go) and
-# on internal/ packages missing a package comment (the scip-vet pkgdoc
-# analyzer, scoped here to internal/... for a fast signal; `make lint`
-# runs the full analyzer set).
+# docs-check fails on broken intra-repo markdown links and on internal/
+# packages missing a package comment (both in docs_test.go).
 docs-check:
-	$(GO) test -run TestDocsLinks .
-	$(GO) run ./cmd/scip-vet ./internal/...
+	$(GO) test -run 'TestDocsLinks|TestPackageDocs' .
 
 # golden-equiv replays the goldened figures with every SCIP construction
 # swapped for a zro-only scorer pipeline (internal/admission/scorer) and
@@ -89,14 +88,14 @@ golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
 # Short fuzz passes over all nine Fuzz* targets: the analysis
-# fixture-comment parser, the interprocedural call-graph builder
-# (arbitrary parseable source must never panic the module indexer or the
-# flow analyzers), scip-serve's query scanner (diffed against
-# url.ParseQuery), the cache's open-addressing index (diffed against a
-# plain map) and ghost history (structural invariants after every
-# operation), the three trace readers (CSV, binary, LRB: corrupt
-# input must never panic them), and the workload generator (any config
-# Validate accepts must generate a well-formed trace).
+# fixture-comment parser, the module indexer (arbitrary parseable
+# source must never panic it or the flow analyzers), scip-serve's query
+# scanner (diffed against url.ParseQuery), the cache's open-addressing
+# index (diffed against a plain map) and ghost history (structural
+# invariants after every operation), the three trace readers (CSV,
+# binary, LRB: corrupt input must never panic them), and the workload
+# generator (any config Validate accepts must generate a well-formed
+# trace).
 fuzz:
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzParseWant$$' -fuzztime 30s
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 30s

@@ -154,16 +154,21 @@ func BenchmarkHistoryAddDelete(b *testing.B) {
 // ResidencyObserver, pre-sized index). Run with -benchmem or rely on
 // ReportAllocs: steady-state LRU replay should report 0 allocs/op.
 
+// steadyStateTrace is the replay hot-path workload: CDN-T at scale 0.001,
+// seed 3 (78 750 requests), and the cache size that scale implies.
+func steadyStateTrace(tb testing.TB) (reqs []cache.Request, capBytes int64) {
+	tr, err := scip.GenerateProfile(scip.CDNT, 0.001, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr.Requests, gen.CDNT.CacheBytes(64<<30, 0.001)
+}
+
 // benchReplaySteadyState replays a trace through an already-warm policy so
 // every miss is served from the eviction-fed freelist.
 func benchReplaySteadyState(b *testing.B, build func(capBytes int64) cache.Policy) {
-	tr, err := scip.GenerateProfile(scip.CDNT, 0.001, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	capBytes := gen.CDNT.CacheBytes(64<<30, 0.001)
+	reqs, capBytes := steadyStateTrace(b)
 	p := build(capBytes)
-	reqs := tr.Requests
 	for _, r := range reqs { // warm: fill the cache and seed the freelist
 		p.Access(r)
 	}

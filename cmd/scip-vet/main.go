@@ -4,13 +4,11 @@
 // deterministic-replay packages), maporder (no map iteration feeding
 // ordered accumulators or output), nocopy (no value copies of types
 // carrying sync or atomic state), atomicmix (no plain access to
-// variables accessed atomically elsewhere) and pkgdoc — are joined by
-// the interprocedural, call-graph-backed checks: hotalloc (functions
-// annotated //scip:hotpath and their transitive callees must be
-// allocation-free), clocktaint (no wall-clock-derived value may flow
-// into policy/admission/MAB/LRB decision state through any call chain)
-// and guardedby (//scip:guardedby struct fields must be accessed with
-// their mutex provably held). A final audit diagnoses every
+// variables accessed atomically elsewhere) — are joined by the
+// interprocedural checks: clocktaint (no wall-clock-derived value may
+// flow into policy/admission/MAB/LRB decision state through any call
+// chain) and guardedby (//scip:guardedby struct fields must be accessed
+// with their mutex provably held). A final audit diagnoses every
 // //scip:*-ok suppression that no longer silences anything (stale) or
 // names a token no analyzer recognises (unknown).
 //
@@ -19,8 +17,8 @@
 //	scip-vet [-run names] [-supps] [packages]
 //
 // Packages default to ./...; a dir/... suffix selects a subtree
-// (e.g. ./internal/...). Note the flow-aware analyzers only see call
-// edges inside the loaded set, so CI runs the full module. Diagnostics
+// (e.g. ./internal/...). Note the flow-aware analyzers only see callees
+// inside the loaded set, so CI runs the full module. Diagnostics
 // print as file:line: analyzer: message; the exit status is 1 when any
 // diagnostic is reported and 2 when loading or type-checking fails.
 // -run limits the run to a comma-separated list of analyzer names.
@@ -45,7 +43,7 @@ func main() {
 	supps := flag.Bool("supps", false, "print the //scip: suppression inventory instead of diagnostics")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: scip-vet [-run names] [-supps] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism, concurrency and allocation analyzers.\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism and concurrency analyzers.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -2,6 +2,9 @@ package scip_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,6 +44,42 @@ func TestDocsLinks(t *testing.T) {
 				checkLink(t, doc, l)
 			}
 		})
+	}
+}
+
+// TestPackageDocs fails when a package under internal/ has no package
+// comment. Every internal package documents its role, key types and
+// invariants, conventionally in a doc.go; one without is invisible to
+// go doc and to the next reader deciding where code belongs. Commands
+// document themselves in their main file and are not checked.
+func TestPackageDocs(t *testing.T) {
+	err := filepath.WalkDir("internal", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		sources, documented := 0, false
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.PackageClauseOnly|parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			sources++
+			documented = documented || f.Doc.Text() != ""
+		}
+		if sources > 0 && !documented {
+			t.Errorf("package %s has no package comment; document it in a doc.go", dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

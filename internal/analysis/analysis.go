@@ -24,7 +24,7 @@ type Analyzer struct {
 }
 
 // Pass carries one analyzer's view of one type-checked package. Mod is
-// the module-wide index (call graph, annotations, summaries) shared by
+// the module-wide index (functions, annotations, summaries) shared by
 // every pass of one vet run; per-file analyzers can ignore it.
 type Pass struct {
 	Analyzer *Analyzer
@@ -167,7 +167,7 @@ func VetModule(analyzers []*Analyzer, mod *Module) []Diagnostic {
 }
 
 // auditSuppressions reports stale and unknown //scip: comments in one
-// package. Annotation tokens (hotpath, guardedby, ...) assert invariants
+// package. Annotation tokens (locked, guardedby) assert invariants
 // rather than silencing findings and are exempt from staleness.
 func auditSuppressions(pkg *Package, sup suppressionSet, known, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic

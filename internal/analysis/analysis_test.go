@@ -20,11 +20,6 @@ func TestFixtures(t *testing.T) {
 		{Maporder, "maporder"},
 		{Nocopy, "nocopy"},
 		{Atomicmix, "atomicmix"},
-		// pkgdoc is package-scoped, so its three states are three fixture
-		// packages instead of three files of one package.
-		{Pkgdoc, "pkgdoc/missing"},
-		{Pkgdoc, "pkgdoc/clean"},
-		{Pkgdoc, "pkgdoc/suppressed"},
 		// guardedby works from per-package lexical lock regions, so one
 		// package exercises it fully.
 		{Guardedby, "guardedby"},
@@ -39,14 +34,13 @@ func TestFixtures(t *testing.T) {
 
 // TestModuleFixtures runs the interprocedural analyzers over multi-file
 // (and multi-package) fixture trees through the module-wide VetModule
-// entry point: cross-package transitive hot paths, taint flows into a
-// sink sub-package, and the suppression audit itself.
+// entry point: taint flows into a sink sub-package, and the suppression
+// audit itself.
 func TestModuleFixtures(t *testing.T) {
 	cases := []struct {
 		analyzers []*Analyzer
 		dir       string
 	}{
-		{[]*Analyzer{Hotalloc}, "hotalloc"},
 		{[]*Analyzer{Clocktaint}, "clocktaint"},
 		// The audit runs after any VetModule invocation; the full analyzer
 		// set makes every registered token count as "ran".
@@ -86,8 +80,9 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestLoadPrefixPattern pins the "dir/..." expansion `make docs-check`
-// relies on: every package under the prefix and nothing outside it.
+// TestLoadPrefixPattern pins the "dir/..." expansion scip-vet accepts
+// (scip-vet ./internal/...): every package under the prefix and nothing
+// outside it.
 func TestLoadPrefixPattern(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a module subtree")
@@ -129,8 +124,6 @@ func TestApplies(t *testing.T) {
 		{Maporder, "github.com/scip-cache/scip/internal/analysis", true},
 		{Nocopy, "github.com/scip-cache/scip/cmd/scip-vet", true},
 		{Atomicmix, "github.com/scip-cache/scip/internal/shard", true},
-		{Pkgdoc, "github.com/scip-cache/scip/internal/server", true},
-		{Pkgdoc, "github.com/scip-cache/scip/cmd/scip-serve", false},
 	}
 	for _, c := range cases {
 		if got := Applies(c.analyzer, c.path); got != c.want {

@@ -9,16 +9,16 @@ import (
 )
 
 // This file is the interprocedural layer under the flow-aware analyzers
-// (hotalloc, clocktaint, guardedby): a Module indexes every
-// type-checked package of one load, builds a module-wide call graph over
-// the declared functions (callgraph.go) and parses the //scip:
-// annotations that name the invariants — hotpath roots, coldpath
-// boundaries, locked preconditions and guardedby fields. Per-function
-// effect summaries (allocation sites, clock taint, lock regions) are
-// computed by the analyzers on top of this index.
+// (clocktaint, guardedby): a Module indexes every type-checked package
+// of one load and every function declared in it, so an analyzer can
+// resolve a call site to the callee's declaration in any package, and
+// parses the //scip: annotations that name the invariants — locked
+// preconditions and guardedby fields. Per-function effect summaries
+// (clock taint, lock regions) are computed by the analyzers on top of
+// this index.
 
 // Module is the interprocedural view of one loaded package set. Build it
-// once with NewModule and share it across analyzers: the call graph and
+// once with NewModule and share it across analyzers: the function and
 // annotation index are immutable after construction, and the lazily
 // computed summaries are memoised on the Module.
 type Module struct {
@@ -38,34 +38,15 @@ type Module struct {
 	// stale-suppression audit.
 	sups map[*Package]suppressionSet
 
-	clockOnce  bool // clock summaries computed (clocktaint.go)
-	hotPathSet map[*FuncNode]*hotTrace
+	clockOnce bool // clock summaries computed (clocktaint.go)
 }
 
-// FuncNode is one declared function or method in the module's call graph.
+// FuncNode is one declared function or method of the module.
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	// Calls are statically resolved calls to module functions.
-	Calls []CallEdge
-	// Dynamic are call sites whose callee cannot be resolved statically:
-	// interface method calls and calls through function values.
-	Dynamic []DynCall
-	// External are statically resolved calls to functions outside the
-	// module (the standard library, under this repo's no-dependency rule).
-	External []ExtCall
-
-	// Hotpath marks a //scip:hotpath root: this function and everything
-	// it transitively calls must be allocation-free.
-	Hotpath bool
-	// Coldpath marks a //scip:coldpath boundary: an intentionally
-	// allocating slow path that hot-set traversal does not enter. The
-	// annotation must carry a justification.
-	Coldpath bool
-	// ColdpathJust is the justification text after //scip:coldpath.
-	ColdpathJust string
 	// LockedField, when non-empty, is the mutex field named by a
 	// //scip:locked annotation: the function's callers must hold that
 	// mutex (guardedby.go checks both sides).
@@ -78,44 +59,16 @@ type FuncNode struct {
 // Name renders a short human name: pkg.Func or (*pkg.Recv).Method.
 func (n *FuncNode) Name() string { return shortFuncName(n.Fn) }
 
-// CallEdge is one statically resolved module-internal call.
-type CallEdge struct {
-	Callee *FuncNode
-	Call   *ast.CallExpr
-}
-
-// DynCall is one dynamically dispatched call site.
-type DynCall struct {
-	Call *ast.CallExpr
-	// Desc names the target as well as it can be known: the interface
-	// method ("cache.Policy.Access") or "function value".
-	Desc string
-}
-
-// ExtCall is one statically resolved call that leaves the module.
-type ExtCall struct {
-	Call *ast.CallExpr
-	Fn   *types.Func
-}
-
-// hotTrace records how a function entered the hot set.
-type hotTrace struct {
-	root *FuncNode // the annotated root that reaches it
-	via  *FuncNode // the direct caller on the discovery path (nil at root)
-}
-
 // Annotation tokens recognised in //scip: comments, beyond the
 // per-analyzer suppression tokens. The stale-suppression audit treats
 // these as annotations (they assert an invariant) rather than
 // suppressions (they silence one), so they are never "stale".
 var annotationTokens = map[string]bool{
-	"hotpath":   true,
-	"coldpath":  true,
 	"locked":    true,
 	"guardedby": true,
 }
 
-// NewModule indexes pkgs, builds the call graph and parses annotations.
+// NewModule indexes pkgs' functions and parses annotations.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Packages: pkgs,
@@ -124,7 +77,6 @@ func NewModule(pkgs []*Package) *Module {
 		fields:   make(map[*types.Var]*GuardedField),
 		sups:     make(map[*Package]suppressionSet),
 	}
-	// Pass 1: declare every function so cross-package edges resolve.
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -144,10 +96,6 @@ func NewModule(pkgs []*Package) *Module {
 			}
 		}
 		m.parseGuardedFields(pkg)
-	}
-	// Pass 2: resolve call edges.
-	for _, node := range m.nodes {
-		m.buildEdges(node)
 	}
 	return m
 }
@@ -194,7 +142,7 @@ type SuppressionInfo struct {
 	Line          int
 	Token         string
 	Justification string
-	// Annotation: the token asserts an invariant (hotpath, guardedby, ...)
+	// Annotation: the token asserts an invariant (locked, guardedby)
 	// rather than silencing a finding.
 	Annotation bool
 	// Used: some analyzer consumed the comment. Only meaningful after
@@ -243,17 +191,7 @@ func parseFuncAnnotations(node *FuncNode) {
 		return
 	}
 	for _, c := range node.Decl.Doc.List {
-		tok, rest, ok := directive(c.Text)
-		if !ok {
-			continue
-		}
-		switch tok {
-		case "hotpath":
-			node.Hotpath = true
-		case "coldpath":
-			node.Coldpath = true
-			node.ColdpathJust = rest
-		case "locked":
+		if tok, rest, ok := directive(c.Text); ok && tok == "locked" {
 			field, _, _ := strings.Cut(rest, " ")
 			node.LockedField = field
 		}
@@ -399,39 +337,6 @@ func (m *Module) GuardedFields() []*GuardedField {
 	return out
 }
 
-// HotSet computes (once) the transitive hot set: every function reachable
-// from a //scip:hotpath root through statically resolved calls, stopping
-// at //scip:coldpath boundaries.
-func (m *Module) HotSet() map[*FuncNode]*hotTrace {
-	if m.hotPathSet != nil {
-		return m.hotPathSet
-	}
-	set := make(map[*FuncNode]*hotTrace)
-	var queue []*FuncNode
-	for _, n := range m.nodes {
-		if n.Hotpath {
-			set[n] = &hotTrace{root: n}
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range n.Calls {
-			if e.Callee.Coldpath {
-				continue
-			}
-			if _, seen := set[e.Callee]; seen {
-				continue
-			}
-			set[e.Callee] = &hotTrace{root: set[n].root, via: n}
-			queue = append(queue, e.Callee)
-		}
-	}
-	m.hotPathSet = set
-	return set
-}
-
 // shortFuncName renders fn as pkg.Func or (*pkg.Type).Method, trimming
 // the module path down to the last import-path element.
 func shortFuncName(fn *types.Func) string {
@@ -457,4 +362,42 @@ func shortFuncName(fn *types.Func) string {
 		name = name[i+1:]
 	}
 	return "(" + ptr + name + ")." + fn.Name()
+}
+
+// unwrapCallFun strips parens and generic instantiation indices off a
+// call's Fun expression.
+func unwrapCallFun(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		default:
+			return e
+		}
+	}
+}
+
+// exprString renders a short expression for diagnostics.
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprString(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(x.X) + "[...]"
+	case *ast.StarExpr:
+		return "*" + exprString(x.X)
+	case *ast.ParenExpr:
+		return exprString(x.X)
+	case *ast.CallExpr:
+		return exprString(x.Fun) + "()"
+	case *ast.UnaryExpr:
+		return x.Op.String() + exprString(x.X)
+	}
+	return "expr"
 }

@@ -11,16 +11,15 @@ import (
 // FuzzCallGraph throws arbitrary source at the module indexer: whatever
 // the parser accepts — including ill-typed programs, which leave holes
 // in the types.Info maps exactly the way a broken in-progress tree
-// does — must never panic the call-graph builder, the annotation
-// parser, the hot-set traversal, or the flow analyzers on top. The
-// fuzzed package path ends in internal/core so the path-scoped
-// analyzers (detrand, pkgdoc, clocktaint's sinks) are exercised too.
+// does — must never panic the function index, the annotation parser, or
+// the flow analyzers on top. The fuzzed package path ends in
+// internal/core so the path-scoped analyzers (detrand, clocktaint's
+// sinks) are exercised too.
 func FuzzCallGraph(f *testing.F) {
 	seeds := []string{
-		// Simple static calls and a hotpath root.
+		// Simple static calls.
 		`package p
 
-//scip:hotpath
 func a() int { return b() }
 func b() int { return len(make([]int, 4)) }
 `,
@@ -31,13 +30,12 @@ type I interface{ M(int) int }
 
 type s struct{ fn func(int) int }
 
-//scip:hotpath
 func dyn(i I, st *s, n int) int { return i.M(n) + st.fn(n) }
 `,
-		// Mutual recursion: the hot-set BFS must terminate on cycles.
+		// Mutual recursion: the clock-summary fixpoint must terminate on
+		// cycles.
 		`package p
 
-//scip:hotpath
 func even(n int) bool {
 	if n == 0 {
 		return true
@@ -56,7 +54,6 @@ func odd(n int) bool {
 
 func id[T any](v T) T { return v }
 
-//scip:hotpath
 func g() int { return id(7) }
 `,
 		// Guardedby annotations, lock regions, and a //scip:locked callee.
@@ -126,8 +123,6 @@ var x = func() {}
 			Types: tpkg,
 			Info:  info,
 		}
-		mod := NewModule([]*Package{pkg})
-		mod.HotSet()
-		VetModule(Analyzers(), mod) // diagnostics are fine; panics are not
+		VetModule(Analyzers(), NewModule([]*Package{pkg})) // diagnostics are fine; panics are not
 	})
 }

@@ -3,11 +3,11 @@ package analysis
 import "strings"
 
 // Analyzers returns every registered analyzer in a stable order. The
-// first five are the per-file syntactic checks from scip-vet v1; the
-// last three are the interprocedural, flow-aware checks built on the
-// module call graph (module.go).
+// first four are the per-file syntactic checks from scip-vet v1; the
+// last two are the interprocedural, flow-aware checks built on the
+// module function index (module.go).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Nocopy, Atomicmix, Pkgdoc, Hotalloc, Clocktaint, Guardedby}
+	return []*Analyzer{Detrand, Maporder, Nocopy, Atomicmix, Clocktaint, Guardedby}
 }
 
 // DetrandPaths lists the import-path suffixes of the packages whose
@@ -46,22 +46,17 @@ var ClockSinkPaths = append(append([]string{}, DetrandPaths...),
 // Applies reports whether analyzer a runs over the package at pkgPath.
 // Maporder, Nocopy and Atomicmix guard every package; Detrand is scoped
 // to the deterministic-replay packages (DetrandPaths), because drivers
-// and reporting code read wall clocks by design; Pkgdoc is scoped to
-// internal/ packages — commands document themselves in their main file
-// and are checked by convention, not the analyzer. The flow-aware
-// analyzers (Hotalloc, Clocktaint, Guardedby) run everywhere: their
+// and reporting code read wall clocks by design. The flow-aware
+// analyzers (Clocktaint, Guardedby) run everywhere: their sink paths and
 // annotations decide what is checked.
 func Applies(a *Analyzer, pkgPath string) bool {
-	switch a {
-	case Detrand:
-		for _, suffix := range DetrandPaths {
-			if strings.HasSuffix(pkgPath, suffix) {
-				return true
-			}
-		}
-		return false
-	case Pkgdoc:
-		return strings.Contains(pkgPath, "/internal/")
+	if a != Detrand {
+		return true
 	}
-	return true
+	for _, suffix := range DetrandPaths {
+		if strings.HasSuffix(pkgPath, suffix) {
+			return true
+		}
+	}
+	return false
 }

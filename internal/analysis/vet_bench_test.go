@@ -8,8 +8,8 @@ import (
 // loadModulePkgs loads the repository's own packages the way cmd/scip-vet
 // does. The load (parse + type-check, stdlib from source) dominates a
 // cold vet run and is amortised across iterations here, so the
-// benchmark isolates the analysis cost: module indexing, call-graph
-// construction, summary fixpoints, and every analyzer pass.
+// benchmark isolates the analysis cost: module indexing, summary
+// fixpoints, and every analyzer pass.
 func loadModulePkgs(tb testing.TB) []*Package {
 	tb.Helper()
 	l, err := NewLoader("..")

@@ -135,8 +135,7 @@ func (a *Arena) Alloc() Handle {
 
 // grow appends one zeroed chunk to the directory. Existing chunks stay
 // where they are; only the directory's chunk headers are ever copied.
-//
-//scip:coldpath one chunk per 512 slots, allocated only while the live set reaches a new high
+// It runs once per 512 slots, only while the live set reaches a new high.
 func (a *Arena) grow() {
 	a.dir = append(a.dir, chunk{entries: new([chunkSize]Entry), gens: new([chunkSize]uint32)})
 }

@@ -74,7 +74,6 @@ func (x *Index) Init(hint int) {
 
 // alloc installs a fresh active table of 1<<bits slots.
 func (x *Index) alloc(bits uint8) {
-	//scip:alloc-ok index growth is amortized-rare and absent entirely when Init pre-sizes for the working set
 	x.slots = make([]indexEntry, 1<<bits)
 	for i := range x.slots {
 		x.slots[i].val = None

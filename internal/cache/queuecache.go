@@ -115,13 +115,11 @@ func (c *QueueCache) SetInsertion(ins InsertionPolicy) {
 }
 
 // Access implements Policy.
-//
-//scip:hotpath
 func (c *QueueCache) Access(req Request) bool {
 	h := c.index.Get(req.Key)
 	hit := h != None
 	if c.ins != nil {
-		c.ins.OnAccess(req, hit) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting (core.SCIP)
+		c.ins.OnAccess(req, hit)
 	}
 	if hit {
 		e := c.arena.At(h)
@@ -129,7 +127,7 @@ func (c *QueueCache) Access(req Request) bool {
 		e.Freq++
 		e.LastAccess = req.Time
 		if c.resObs != nil {
-			c.resObs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits)) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
+			c.resObs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits))
 		}
 		c.promote(h, e, req)
 		return true
@@ -150,7 +148,7 @@ func (c *QueueCache) promote(h Handle, e *Entry, req Request) {
 		c.q.MoveToFront(h)
 		return
 	}
-	pos := c.ins.ChoosePromote(req) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
+	pos := c.ins.ChoosePromote(req)
 	c.q.Remove(h)
 	// The promotion starts a fresh residency: Hits restarts so a later
 	// eviction can report whether the promoted object was ever hit again
@@ -180,7 +178,7 @@ func (c *QueueCache) insert(req Request) {
 	e.Freq = 1
 	pos := MRU
 	if c.ins != nil {
-		pos = c.ins.ChooseInsert(req) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
+		pos = c.ins.ChooseInsert(req)
 	}
 	c.place(h, e, pos)
 	c.index.Put(req.Key, h)
@@ -206,7 +204,6 @@ func (c *QueueCache) evictOne() {
 	c.index.Delete(victim.Key)
 	c.evictions++
 	if c.ins != nil {
-		//scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
 		c.ins.OnEvict(EvictInfo{
 			Key:         victim.Key,
 			Size:        victim.Size,
@@ -216,7 +213,7 @@ func (c *QueueCache) evictOne() {
 		})
 	}
 	if c.EvictHook != nil {
-		c.EvictHook(victim) //scip:alloc-ok instrumentation hook (ZRO meters, duel bookkeeping); nil on production serving paths
+		c.EvictHook(victim)
 	}
 	// Recycle after the hooks have seen the victim's final state.
 	c.arena.Free(h)

@@ -94,16 +94,12 @@ func KeyHash(key uint64) uint64 { return mix64(key) }
 // Lookup returns the index of the node owning key: the owner of the
 // first point at or after KeyHash(key), wrapping at the top of the
 // circle.
-//
-//scip:hotpath
 func (r *Ring) Lookup(key uint64) int {
 	return int(r.points[r.firstPoint(KeyHash(key))].node)
 }
 
 // firstPoint returns the index in points of the first point with
 // hash >= h, wrapping to 0 past the end.
-//
-//scip:hotpath
 func (r *Ring) firstPoint(h uint64) int {
 	// Hand-rolled binary search: sort.Search takes a closure, which
 	// escapes on the serving path.
@@ -127,8 +123,6 @@ func (r *Ring) firstPoint(h uint64) int {
 // first. n is clamped to the node count. The caller's dst is reused so
 // the steady-state routing path allocates nothing once dst's capacity
 // reaches n.
-//
-//scip:hotpath
 func (r *Ring) ReplicasInto(key uint64, n int, dst []int) []int {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
@@ -154,8 +148,6 @@ func (r *Ring) Replicas(key uint64, n int) []int {
 
 // containsInt reports whether xs contains x (replica sets are tiny, so a
 // linear scan beats any set structure).
-//
-//scip:hotpath
 func containsInt(xs []int, x int) bool {
 	for _, v := range xs {
 		if v == x {

@@ -51,8 +51,6 @@ func NewSketch(width int) *Sketch {
 
 // Observe counts one access of key and returns the new estimate (the
 // minimum counter across rows after the increment).
-//
-//scip:hotpath
 func (s *Sketch) Observe(key uint64) uint32 {
 	est := ^uint32(0)
 	for i := range s.rows {
@@ -65,8 +63,6 @@ func (s *Sketch) Observe(key uint64) uint32 {
 }
 
 // Estimate returns key's current estimate without counting an access.
-//
-//scip:hotpath
 func (s *Sketch) Estimate(key uint64) uint32 {
 	est := ^uint32(0)
 	for i := range s.rows {

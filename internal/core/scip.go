@@ -370,8 +370,6 @@ func (s *SCIP) context(res cache.Residency) *weightSet {
 // OnAccess implements Algorithm 1's per-request bookkeeping: history-list
 // lookups with weight decay on misses, the per-object §3.2 adjustment, and
 // the periodic learning-rate update (lines 6–13 and 21–22).
-//
-//scip:hotpath
 func (s *SCIP) OnAccess(req cache.Request, hit bool) {
 	s.reqs++
 	s.forcedActive = false
@@ -467,8 +465,6 @@ func (s *SCIP) Uniform() float64 { return s.rng.Float64() }
 // history list. The non-forced decision is score > u with one uniform
 // draw, the same predicate (and the same single draw) as
 // TwoExpert.Select.
-//
-//scip:hotpath
 func (s *SCIP) ChooseInsert(req cache.Request) cache.Position {
 	p, forced := s.InsertScore(req)
 	if forced {
@@ -488,8 +484,6 @@ func (s *SCIP) ChooseInsert(req cache.Request) cache.Position {
 // consults the learned weights — that is where P-ZROs reveal themselves;
 // an object whose residency already began with a promotion is being hit
 // repeatedly and is pinned to MRU. For SCI every promotion is MRU.
-//
-//scip:hotpath
 func (s *SCIP) ChoosePromote(req cache.Request) cache.Position {
 	p, forced := s.PromoteScore(req)
 	if forced {
@@ -506,8 +500,6 @@ func (s *SCIP) ChoosePromote(req cache.Request) cache.Position {
 // that was never hit wasted a full queue traversal — the ZRO (or, for a
 // promoted residency, P-ZRO) emergence event — so the matching context's
 // ω_m additionally decays by evictGain × λ.
-//
-//scip:hotpath
 func (s *SCIP) OnEvict(ev cache.EvictInfo) {
 	if ev.InsertedMRU {
 		s.hm.Add(ev.Key, ev.Size, ev.Residency)
@@ -548,8 +540,6 @@ func (s *SCIP) sizeFactor(size int64) float64 {
 // matching context's ω_l decays by hitGain × λ. Only the first hit of a
 // residency votes, and repeat residencies carry no decision, so each
 // placement decision is validated at most once.
-//
-//scip:hotpath
 func (s *SCIP) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Residency, hits int) {
 	s.pendingRepeatHit = res != cache.ResInserted
 	if hits != 1 || !insertedMRU {

@@ -219,7 +219,6 @@ func (l *LRB) newMeta(key uint64, size int64) *objMeta {
 		*m = objMeta{key: key, size: size, lastSeen: l.seq, storeIdx: -1}
 		return m
 	}
-	//scip:alloc-ok freelist warmup: steady state recycles window-expired metadata
 	return &objMeta{key: key, size: size, lastSeen: l.seq, storeIdx: -1}
 }
 
@@ -235,8 +234,6 @@ func (l *LRB) allocPend() int32 {
 }
 
 // Access implements cache.Policy.
-//
-//scip:hotpath
 func (l *LRB) Access(req cache.Request) bool {
 	l.seq++
 	if l.seq%l.window == 0 {
@@ -245,7 +242,7 @@ func (l *LRB) Access(req cache.Request) bool {
 	m, known := l.meta[req.Key]
 	hit := known && m.cached
 	if l.ins != nil {
-		l.ins.OnAccess(req, hit) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting (core.SCIP)
+		l.ins.OnAccess(req, hit)
 	}
 	// Label any pending training samples for this object, in sampling
 	// order (the chain preserves append order).
@@ -285,9 +282,8 @@ func (l *LRB) Access(req cache.Request) bool {
 	if hit {
 		m.residHits++
 		if obs, ok := l.ins.(cache.ResidencyObserver); ok && l.ins != nil {
-			obs.OnResidentHit(req, !m.demoted, m.res, m.residHits) //scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
+			obs.OnResidentHit(req, !m.demoted, m.res, m.residHits)
 		}
-		//scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
 		if l.ins != nil && l.ins.ChoosePromote(req) == cache.LRU {
 			m.demoted = true
 			m.insertedMRU = false
@@ -314,7 +310,6 @@ func (l *LRB) Access(req cache.Request) bool {
 	m.res = cache.ResInserted
 	m.demoted = false
 	m.insertedMRU = true
-	//scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
 	if l.ins != nil && l.ins.ChooseInsert(req) == cache.LRU {
 		m.demoted = true
 		m.insertedMRU = false
@@ -341,7 +336,7 @@ func (l *LRB) label(feat []float64, dist float64) {
 	if l.fresh >= l.TrainEvery && l.trainX.Rows() >= 512 {
 		l.fresh = 0
 		if l.gbm == nil {
-			l.gbm = &ml.GBM{Squared: true, Trees: 30, Depth: 4, LR: 0.2, MinLeaf: 16} //scip:alloc-ok one-time lazy construction of the persistent model
+			l.gbm = &ml.GBM{Squared: true, Trees: 30, Depth: 4, LR: 0.2, MinLeaf: 16}
 		}
 		// Refitting in place reuses the ensemble, score and histogram
 		// buffers; FitRegression only fails on an empty matrix, which
@@ -388,7 +383,6 @@ func (l *LRB) evictOne() {
 	l.removeCached(victim)
 	l.evictions++
 	if l.ins != nil {
-		//scip:alloc-ok insertion policies carry their own //scip:hotpath vetting
 		l.ins.OnEvict(cache.EvictInfo{
 			Key:         victim.key,
 			Size:        victim.size,

@@ -191,5 +191,5 @@ func (a *AdaptiveRate) restartValue() float64 {
 	if a.Rand == nil {
 		return (a.Min + a.Max) / 2
 	}
-	return a.Min + a.Rand()*(a.Max-a.Min) //scip:alloc-ok Rand is a seeded math/rand closure (allocation-free Float64)
+	return a.Min + a.Rand()*(a.Max-a.Min)
 }

@@ -67,14 +67,12 @@ func (m *GBM) Fit(d *Dataset) error {
 
 // FitRegression trains on raw targets. With the logistic loss targets must
 // be 0/1; with Squared they may be arbitrary. The refit is itself on the
-// LRB hot path (label -> FitRegression every TrainEvery samples), hence
-// hotpath: steady-state refits must reuse the pooled buffers.
-//
-//scip:hotpath
+// LRB hot path (label -> FitRegression every TrainEvery samples), so
+// steady-state refits must reuse the pooled buffers (TestGBMRefitNoAllocs).
 func (m *GBM) FitRegression(X *Matrix, y []float64) error {
 	n := X.Rows()
 	if n == 0 {
-		return errors.New("ml: empty dataset") //scip:alloc-ok error path; the LRB refit loop's >=512-row guard never takes it
+		return errors.New("ml: empty dataset")
 	}
 	m.defaults()
 	m.trees = m.trees[:0]
@@ -124,7 +122,7 @@ func (m *GBM) FitRegression(X *Matrix, y []float64) error {
 // re-stamping the hyperparameters on reuse.
 func (m *GBM) tree(i int) *RegressionTree {
 	if i == len(m.pool) {
-		m.pool = append(m.pool, &RegressionTree{}) //scip:alloc-ok weak-learner pool warmup: refits reuse pooled trees
+		m.pool = append(m.pool, &RegressionTree{})
 	}
 	t := m.pool[i]
 	t.MaxDepth, t.MinLeaf, t.Bins = m.Depth, m.MinLeaf, gbmBins

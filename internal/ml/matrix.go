@@ -77,7 +77,7 @@ func (m *Matrix) TrimFront(n int) {
 // capacity is insufficient. Contents are unspecified.
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n) //scip:alloc-ok grow-to-high-water-mark buffer: reallocates only while the shape grows
+		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -85,7 +85,7 @@ func growFloats(s []float64, n int) []float64 {
 // growInts is growFloats for int slices.
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n) //scip:alloc-ok grow-to-high-water-mark buffer: reallocates only while the shape grows
+		return make([]int, n)
 	}
 	return s[:n]
 }
@@ -93,7 +93,7 @@ func growInts(s []int, n int) []int {
 // growBytes is growFloats for byte slices.
 func growBytes(s []uint8, n int) []uint8 {
 	if cap(s) < n {
-		return make([]uint8, n) //scip:alloc-ok grow-to-high-water-mark buffer: reallocates only while the shape grows
+		return make([]uint8, n)
 	}
 	return s[:n]
 }

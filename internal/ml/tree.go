@@ -171,7 +171,7 @@ func (t *RegressionTree) fit(X *Matrix, y []float64, s *fitScratch, n int) {
 	// that bound up front means no refit can ever grow it, keeping
 	// steady-state retrains strictly allocation-free.
 	if maxNodes := 1<<(t.MaxDepth+1) - 1; cap(t.nodes) < maxNodes {
-		t.nodes = make([]treeNode, 0, maxNodes) //scip:alloc-ok one-time sizing to the depth bound; no refit can grow it
+		t.nodes = make([]treeNode, 0, maxNodes)
 	}
 	t.nodes = t.nodes[:0]
 	t.grow(X, y, s, 0, n, 0)

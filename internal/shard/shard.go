@@ -192,8 +192,6 @@ func ShardBytes(capBytes int64, n, i int) int64 {
 // the lock) — holding it only keeps the direct control-plane methods
 // (Used, Reset, Remove, ...) safe without routing them through the
 // actor, so they keep working even after Close.
-//
-//scip:hotpath
 func (c *Cache) runActor(i int) {
 	defer c.actorWG.Done()
 	s := &c.shards[i]
@@ -201,7 +199,7 @@ func (c *Cache) runActor(i int) {
 		s.mu.Lock()
 		var hits int
 		if m.reqs == nil {
-			if s.p.Access(m.req) { //scip:alloc-ok shard policies carry their own //scip:hotpath vetting
+			if s.p.Access(m.req) {
 				hits = 1
 			}
 			if c.st != nil {
@@ -210,7 +208,7 @@ func (c *Cache) runActor(i int) {
 		} else {
 			var bytesReq, bytesHit int64
 			for j, req := range m.reqs {
-				hit := s.p.Access(req) //scip:alloc-ok shard policies carry their own //scip:hotpath vetting
+				hit := s.p.Access(req)
 				if m.hits != nil {
 					m.hits[j] = hit
 				}
@@ -232,13 +230,12 @@ func (c *Cache) runActor(i int) {
 // observeLocked records a completed access or batch on shard i. Caller
 // holds the shard lock (the gauge reads need it).
 //
-//scip:hotpath
 //scip:locked mu
 func (c *Cache) observeLocked(i int, n, hits, bytesReq, bytesHit int64) {
-	used := c.shards[i].p.Used() //scip:alloc-ok counter read on a vetted policy
+	used := c.shards[i].p.Used()
 	var ev int64
 	if ec := c.evc[i]; ec != nil {
-		ev = ec.Evictions() //scip:alloc-ok counter read on a vetted policy
+		ev = ec.Evictions()
 	}
 	c.st.ObserveBatch(i, n, hits, bytesReq, bytesHit, used, ev)
 }
@@ -291,16 +288,12 @@ func (c *Cache) Stats() *stats.Stats { return c.st }
 // ShardIndex returns the shard the key is routed to. Replay drivers
 // (runner.ReplaySharded) use it to partition a trace by shard so per-shard request order (and therefore
 // every per-shard policy decision) is independent of the worker count.
-//
-//scip:hotpath
 func (c *Cache) ShardIndex(key uint64) int {
 	h := key * 0x9E3779B97F4A7C15
 	return int((h >> 40) & c.mask)
 }
 
 // Access implements cache.Policy; safe for concurrent use.
-//
-//scip:hotpath
 func (c *Cache) Access(req cache.Request) bool {
 	idx := c.ShardIndex(req.Key)
 	if c.mode == ModeActor {
@@ -312,7 +305,7 @@ func (c *Cache) Access(req cache.Request) bool {
 	}
 	s := &c.shards[idx]
 	s.mu.Lock()
-	hit := s.p.Access(req) //scip:alloc-ok shard policies carry their own //scip:hotpath vetting
+	hit := s.p.Access(req)
 	if c.st == nil {
 		s.mu.Unlock()
 		return hit
@@ -335,14 +328,11 @@ func (c *Cache) Access(req cache.Request) bool {
 // byte-identical to len(reqs) serial Access calls. hits, when non-nil,
 // must have len(reqs) elements and receives each request's outcome.
 // AccessBatch returns the batch hit count.
-//
-//scip:hotpath
 func (c *Cache) AccessBatch(idx int, reqs []cache.Request, hits []bool) int {
 	if len(reqs) == 0 {
 		return 0
 	}
 	if hits != nil && len(hits) != len(reqs) {
-		//scip:alloc-ok panic-message formatting on a programming error
 		panic(fmt.Sprintf("shard: AccessBatch hits length %d != reqs length %d", len(hits), len(reqs)))
 	}
 	if c.mode == ModeActor {
@@ -357,7 +347,7 @@ func (c *Cache) AccessBatch(idx int, reqs []cache.Request, hits []bool) int {
 	var bytesReq, bytesHit int64
 	s.mu.Lock()
 	for j, req := range reqs {
-		hit := s.p.Access(req) //scip:alloc-ok shard policies carry their own //scip:hotpath vetting
+		hit := s.p.Access(req)
 		if hits != nil {
 			hits[j] = hit
 		}
