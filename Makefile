@@ -61,8 +61,10 @@ test-race:
 # test-debug runs the data-plane packages with the scipdebug handle guards
 # compiled in (every Arena.At checks range and liveness), plus the figure
 # goldens, so the guards run on real replays rather than only being vetted.
+# internal/registry brings TestSameEnvSameHitStream, which drives every
+# registered policy through the guards.
 test-debug:
-	$(GO) test -tags scipdebug ./internal/cache ./internal/core ./internal/shard ./internal/policies ./internal/replacement ./internal/admission/...
+	$(GO) test -tags scipdebug ./internal/cache ./internal/core ./internal/shard ./internal/policies ./internal/replacement ./internal/admission/... ./internal/registry ./internal/tdc ./internal/zro
 	$(GO) test -tags scipdebug -run '^TestGolden$$' ./internal/exp
 
 # examples builds the five runnable programs under examples/ and runs

@@ -20,7 +20,6 @@ var (
 	_ cache.Policy          = (*FilterCache)(nil)
 	_ cache.Remover         = (*FilterCache)(nil)
 	_ cache.EvictionCounter = (*FilterCache)(nil)
-	_ cache.Resetter        = (*FilterCache)(nil)
 )
 
 // newFilter wraps pipeline p in a filter-mode cache named name.
@@ -89,9 +88,3 @@ func (f *FilterCache) Access(req cache.Request) bool {
 // eviction counter, no EvictHook, no scorer signal — invalidation
 // teaches nothing.
 func (f *FilterCache) Remove(key uint64) bool { return f.inner.Remove(key) }
-
-// Reset implements cache.Resetter.
-func (f *FilterCache) Reset() {
-	f.inner.Reset()
-	f.p.Reset()
-}

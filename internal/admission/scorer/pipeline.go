@@ -53,12 +53,9 @@ type Pipeline struct {
 	name    string
 	scorers []Scorer
 	mix     *mab.MultiExpert
-	initW   []float64
 	rate    *mab.AdaptiveRate
 	tune    bool
 
-	seed     int64
-	rng      *rand.Rand
 	uniform  func() float64
 	interval int
 
@@ -68,7 +65,6 @@ type Pipeline struct {
 var (
 	_ cache.InsertionPolicy   = (*Pipeline)(nil)
 	_ cache.ResidencyObserver = (*Pipeline)(nil)
-	_ cache.Resetter          = (*Pipeline)(nil)
 )
 
 // selectsScorer reports whether cfg gives at least one scorer a
@@ -99,7 +95,6 @@ func newPipeline(capBytes int64, cfg Config) *Pipeline {
 	p := &Pipeline{
 		name:     cfg.Name,
 		tune:     cfg.Tune,
-		seed:     cfg.Seed,
 		interval: cfg.Interval,
 	}
 	var weights []float64
@@ -122,14 +117,21 @@ func newPipeline(capBytes int64, cfg Config) *Pipeline {
 	if cfg.Reuse > 0 {
 		add(newReuseScorer(), cfg.Reuse)
 	}
-	p.initW = weights
 	p.mix = mab.NewMultiExpert(weights)
 	// The tuner's AdaptiveRate gets no PRNG: its restarts fall back to
 	// the deterministic midpoint, so tuning never consumes randomness
 	// and cannot perturb a shared decision stream.
 	p.rate = mab.NewAdaptiveRate(nil)
-	p.rng = rand.New(rand.NewSource(cfg.Seed))
-	p.bindUniform()
+	// The decision draw comes from the first scorer that owns a PRNG
+	// (the zro scorer), so a zro-only mix consumes SCIP's exact stream;
+	// otherwise from the pipeline's own seeded PRNG.
+	p.uniform = rand.New(rand.NewSource(cfg.Seed)).Float64
+	for _, s := range p.scorers {
+		if u, ok := s.(uniformSource); ok {
+			p.uniform = u.Uniform
+			break
+		}
+	}
 	if p.name == "" {
 		names := make([]string, len(p.scorers))
 		for i, s := range p.scorers {
@@ -138,20 +140,6 @@ func newPipeline(capBytes int64, cfg Config) *Pipeline {
 		p.name = "MIX(" + strings.Join(names, "+") + ")"
 	}
 	return p
-}
-
-// bindUniform points the decision draw at the first scorer that owns a
-// PRNG (the zro scorer), so a zro-only mix consumes SCIP's exact stream;
-// otherwise at the pipeline's own seeded PRNG. Rebound after every Reset
-// because the fallback closure captures the current *rand.Rand.
-func (p *Pipeline) bindUniform() {
-	p.uniform = p.rng.Float64
-	for _, s := range p.scorers {
-		if u, ok := s.(uniformSource); ok {
-			p.uniform = u.Uniform
-			break
-		}
-	}
 }
 
 // Name implements cache.InsertionPolicy.
@@ -298,18 +286,4 @@ func (p *Pipeline) OnResidentHit(req cache.Request, insertedMRU bool, res cache.
 	for _, s := range p.scorers {
 		s.OnResidentHit(req, insertedMRU, res, hits)
 	}
-}
-
-// Reset implements cache.Resetter: scorers, mixer weights, tuning rate,
-// PRNG and counters all return to their initial state, so a reset
-// pipeline replays bit-for-bit.
-func (p *Pipeline) Reset() {
-	for _, s := range p.scorers {
-		s.Reset()
-	}
-	p.mix.Reset(p.initW)
-	p.rate = mab.NewAdaptiveRate(nil)
-	p.rng = rand.New(rand.NewSource(p.seed))
-	p.bindUniform()
-	p.reqs, p.hits = 0, 0
 }

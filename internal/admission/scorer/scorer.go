@@ -32,8 +32,6 @@ type Scorer interface {
 	OnAccess(req cache.Request, hit bool)
 	OnEvict(ev cache.EvictInfo)
 	OnResidentHit(req cache.Request, insertedMRU bool, res cache.Residency, hits int)
-	// Reset restores the initial learning state.
-	Reset()
 }
 
 // uniformSource is implemented by scorers that own a PRNG the pipeline
@@ -49,7 +47,6 @@ type baseScorer struct{}
 func (baseScorer) OnAccess(cache.Request, bool)                            {}
 func (baseScorer) OnEvict(cache.EvictInfo)                                 {}
 func (baseScorer) OnResidentHit(cache.Request, bool, cache.Residency, int) {}
-func (baseScorer) Reset()                                                  {}
 
 // ---------------------------------------------------------------------------
 // zro: SCIP's learned bimodal probability.
@@ -79,7 +76,6 @@ func (z *zroScorer) OnEvict(ev cache.EvictInfo)           { z.s.OnEvict(ev) }
 func (z *zroScorer) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Residency, hits int) {
 	z.s.OnResidentHit(req, insertedMRU, res, hits)
 }
-func (z *zroScorer) Reset() { z.s.Reset() }
 
 // ---------------------------------------------------------------------------
 // size: AdaptSize's admission probability.
@@ -129,7 +125,6 @@ func (f *freqScorer) PromoteScore(req cache.Request) (float64, bool) { return f.
 func (f *freqScorer) Score(req cache.Request) float64                { return f.score(req.Key) }
 
 func (f *freqScorer) OnAccess(req cache.Request, hit bool) { f.sk.Add(req.Key) }
-func (f *freqScorer) Reset()                               { f.sk.Reset() }
 
 // ---------------------------------------------------------------------------
 // ghost: History re-reference.
@@ -188,11 +183,6 @@ func (g *ghostScorer) Score(req cache.Request) float64 {
 
 func (g *ghostScorer) OnResidentHit(cache.Request, bool, cache.Residency, int) {}
 
-func (g *ghostScorer) Reset() {
-	g.h.Reset()
-	g.pending = false
-}
-
 // ---------------------------------------------------------------------------
 // reuse: online per-size-class ZRO estimate.
 
@@ -218,4 +208,3 @@ func (r *reuseScorer) PromoteScore(req cache.Request) (float64, bool) {
 func (r *reuseScorer) Score(req cache.Request) float64 { return r.est.Likelihood(req.Size) }
 
 func (r *reuseScorer) OnEvict(ev cache.EvictInfo) { r.est.Observe(ev.Size, ev.EverHit) }
-func (r *reuseScorer) Reset()                     { r.est.Reset() }

@@ -80,29 +80,6 @@ func TestFilterMatchesFrozenAdaptSize(t *testing.T) {
 	}
 }
 
-// TestPipelineResetReplaysBitForBit: a full five-scorer mix replays the
-// same hit sequence after Reset — the determinism contract every policy
-// in the repository honours.
-func TestPipelineResetReplaysBitForBit(t *testing.T) {
-	tr := testTrace(t, 13)
-	p := mustSpec(t, "scorer:zro=0.4,size=0.2,freq=0.2,ghost=0.1,reuse=0.1").New(200_000, 3, 0)
-	run := func() []bool {
-		out := make([]bool, len(tr.Requests))
-		for i, req := range tr.Requests {
-			out[i] = p.Access(req)
-		}
-		return out
-	}
-	first := run()
-	p.(cache.Resetter).Reset()
-	second := run()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("request %d: first run hit=%v, replay hit=%v", i, first[i], second[i])
-		}
-	}
-}
-
 // TestFilterModeBasics: deterministic theta admits small objects and
 // rejects large ones under a size-only mix.
 func TestFilterModeBasics(t *testing.T) {

@@ -67,11 +67,3 @@ func (s *Sketch) Window() int { return s.window }
 
 // Samples returns the accesses recorded since the last aging halving.
 func (s *Sketch) Samples() int { return s.samples }
-
-// Reset zeroes all counters and the sample count.
-func (s *Sketch) Reset() {
-	s.samples = 0
-	for r := range s.rows {
-		clear(s.rows[r])
-	}
-}

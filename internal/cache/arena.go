@@ -74,8 +74,8 @@ func (d chunkDir) at(h Handle) *Entry {
 // handle is freed; after that the slot may be recycled for another entry.
 type Arena struct {
 	dir chunkDir
-	// n counts the slots handed out since the last Reset: every handle
-	// below n is live or on the freelist.
+	// n counts the slots ever handed out: every handle below n is live or
+	// on the freelist.
 	n int32
 	// free1 is the freelist head encoded as handle+1 so the zero value
 	// means "empty" (handle 0 is a valid slot).
@@ -83,9 +83,6 @@ type Arena struct {
 	live  int
 	// nq allocates queue ids; id 0 means "detached".
 	nq int16
-	// epoch increments on Reset so Refs taken before a reset never
-	// validate against recycled slots.
-	epoch uint32
 }
 
 // NewArena returns an arena expecting about hint entries. The hint only
@@ -160,16 +157,6 @@ func (a *Arena) Free(h Handle) {
 	a.live--
 }
 
-// Reset discards every entry and empties the freelist, keeping the chunks
-// for reuse. Queues built on this arena must be cleared by their owners in
-// the same breath; their handles are all invalid afterwards.
-func (a *Arena) Reset() {
-	a.n = 0
-	a.free1 = 0
-	a.live = 0
-	a.epoch++
-}
-
 // NewQueue returns an empty queue linked to this arena. Queue identity is
 // a small id stamped into member entries' owner field, which is how queue
 // membership is checked without pointers.
@@ -181,25 +168,24 @@ func (a *Arena) NewQueue() Queue {
 	return Queue{a: a, id: a.nq, head: None, tail: None}
 }
 
-// Ref is a generation-stamped handle for validity tracking across frees
-// and resets. Refs are a debugging and testing device (the ABA property
-// tests use them); hot paths carry bare Handles.
+// Ref is a generation-stamped handle for validity tracking across frees.
+// Refs are a debugging and testing device (the ABA property tests use
+// them); hot paths carry bare Handles.
 type Ref struct {
-	H     Handle
-	gen   uint32
-	epoch uint32
+	H   Handle
+	gen uint32
 }
 
-// Ref stamps h with its current generation and the arena epoch.
+// Ref stamps h with its current generation.
 func (a *Arena) Ref(h Handle) Ref {
-	return Ref{H: h, gen: a.dir[h>>chunkShift].gens[h&chunkMask], epoch: a.epoch}
+	return Ref{H: h, gen: a.dir[h>>chunkShift].gens[h&chunkMask]}
 }
 
 // Live reports whether r still names the same allocation it was taken
-// from: the arena has not been Reset, the slot has not been freed, and the
-// slot has not been recycled for a different entry (generation match).
+// from: the slot has not been freed, and it has not been recycled for a
+// different entry (generation match).
 func (a *Arena) Live(r Ref) bool {
-	if r.epoch != a.epoch || r.H < 0 || int32(r.H) >= a.n {
+	if r.H < 0 || int32(r.H) >= a.n {
 		return false
 	}
 	c := &a.dir[r.H>>chunkShift]

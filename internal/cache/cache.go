@@ -28,12 +28,6 @@ type Policy interface {
 	Capacity() int64
 }
 
-// Resetter is implemented by policies that can be reset to their initial
-// empty state without reallocating (used by repeated benchmark runs).
-type Resetter interface {
-	Reset()
-}
-
 // Remover is implemented by policies that support external invalidation:
 // removing an object on command (a DELETE from a cache daemon) rather
 // than by capacity pressure. A removal is not an eviction — it does not
@@ -49,8 +43,7 @@ type Remover interface {
 // eviction count. The sharded front uses it to export per-shard eviction
 // counters without a per-eviction callback on the hot path.
 type EvictionCounter interface {
-	// Evictions returns the number of objects evicted since construction
-	// (or the last Reset).
+	// Evictions returns the number of objects evicted since construction.
 	Evictions() int64
 }
 

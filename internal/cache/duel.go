@@ -67,10 +67,3 @@ func (d *DuelMonitor) Verdict() float64 {
 	d.hitA, d.hitB, d.samples = 0, 0, 0
 	return v
 }
-
-// Reset clears the monitors.
-func (d *DuelMonitor) Reset() {
-	d.mru.Reset()
-	d.lip.Reset()
-	d.hitA, d.hitB, d.samples = 0, 0, 0
-}

@@ -55,17 +55,6 @@ func TestDuelMonitorVerdictResetsWindow(t *testing.T) {
 	}
 }
 
-func TestDuelMonitorReset(t *testing.T) {
-	d := NewDuelMonitor(1<<16, 1.0/2, 0)
-	for i := uint64(0); i < 100; i++ {
-		d.Observe(Request{Key: i % 4, Size: 64})
-	}
-	d.Reset()
-	if d.mru.Used() != 0 || d.lip.Used() != 0 {
-		t.Fatal("Reset did not clear ghosts")
-	}
-}
-
 func TestSetInsertionHotSwap(t *testing.T) {
 	c := NewLRU(1000)
 	c.Access(Request{Time: 1, Key: 1, Size: 100})

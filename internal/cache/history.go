@@ -120,10 +120,3 @@ func (h *History) Delete(key uint64) (res Residency, ok bool) {
 	h.arena.Free(hd)
 	return res, true
 }
-
-// Reset empties the list.
-func (h *History) Reset() {
-	h.q.Clear()
-	h.index.Reset()
-	h.arena.Reset()
-}

@@ -116,19 +116,6 @@ func TestHistoryResizeOnRefresh(t *testing.T) {
 	}
 }
 
-func TestHistoryReset(t *testing.T) {
-	h := NewHistory(100)
-	h.Add(1, 10, ResInserted)
-	h.Reset()
-	if h.Len() != 0 || h.Bytes() != 0 || h.Contains(1) {
-		t.Fatal("Reset did not clear history")
-	}
-	h.Add(2, 10, ResInserted)
-	if !h.Contains(2) {
-		t.Fatal("history unusable after Reset")
-	}
-}
-
 func TestHistoryNeverExceedsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := NewHistory(1000)
@@ -171,8 +158,8 @@ func checkHistoryInvariants(t *testing.T, h *History) {
 	}
 }
 
-// TestHistoryPropertyRandomOps drives a History with random Add/Delete/
-// Reset sequences while checking, after every operation, that the byte
+// TestHistoryPropertyRandomOps drives a History with random Add/Delete
+// sequences while checking, after every operation, that the byte
 // budget is never exceeded, the index and the queue agree, and that a
 // Delete immediately after an Add round-trips the residency.
 func TestHistoryPropertyRandomOps(t *testing.T) {
@@ -181,7 +168,7 @@ func TestHistoryPropertyRandomOps(t *testing.T) {
 		h := NewHistory(capBytes)
 		for i := 0; i < 5000; i++ {
 			key := uint64(rng.Intn(200))
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(9); {
 			case op < 6: // Add
 				size := int64(rng.Intn(2000) + 1)
 				res := Residency(rng.Intn(3))
@@ -198,13 +185,11 @@ func TestHistoryPropertyRandomOps(t *testing.T) {
 					// ...and the record is restored for the next ops.
 					h.Add(key, size, res)
 				}
-			case op < 9: // Delete
+			default: // Delete
 				had := h.Contains(key)
 				if _, ok := h.Delete(key); ok != had {
 					t.Fatalf("op %d: Delete(%d) = %v, Contains said %v", i, key, ok, had)
 				}
-			default:
-				h.Reset()
 			}
 			checkHistoryInvariants(t, h)
 		}

@@ -193,16 +193,6 @@ func (x *Index) Delete(key uint64) (Handle, bool) {
 	return None, false
 }
 
-// Reset empties the index, keeping the active table's capacity.
-func (x *Index) Reset() {
-	for i := range x.slots {
-		x.slots[i].val = None
-	}
-	x.n = 0
-	x.old = nil
-	x.oldN, x.migrated = 0, 0
-}
-
 // ForEach calls f for every (key, handle) pair. Iteration order is the
 // table's probe order, not insertion order; it is a test and debugging
 // aid, not a hot-path API.

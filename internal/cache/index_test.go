@@ -70,14 +70,6 @@ func TestIndexVsMapRandomOps(t *testing.T) {
 		}
 	}
 	checkIndexAgainst(t, &x, ref)
-
-	x.Reset()
-	ref = map[uint64]Handle{}
-	checkIndexAgainst(t, &x, ref)
-	x.Put(1, 42)
-	if x.Get(1) != 42 || x.Len() != 1 {
-		t.Fatal("index unusable after Reset")
-	}
 }
 
 // TestIndexMigrationWindow pins behaviour while a frozen table is
@@ -182,7 +174,7 @@ func FuzzIndexVsMap(f *testing.F) {
 // TestArenaRefSurvivesChurn is the handle-validity property test: a Ref
 // taken on a live entry stays Live across unrelated alloc/free churn, dies
 // the moment its slot is freed, and stays dead when the slot is recycled
-// for a different key (the ABA case) or the arena is Reset.
+// for a different key (the ABA case).
 func TestArenaRefSurvivesChurn(t *testing.T) {
 	var a Arena
 	h := a.Alloc()
@@ -224,24 +216,10 @@ func TestArenaRefSurvivesChurn(t *testing.T) {
 	if !a.Live(r2) {
 		t.Fatal("new occupant's ref not live")
 	}
-
-	// Reset invalidates every ref, even for slots that get re-allocated at
-	// generation zero afterwards.
-	a.Reset()
-	if a.Live(r2) {
-		t.Fatal("ref live after Reset")
-	}
-	h3 := a.Alloc()
-	if a.Live(r2) {
-		t.Fatal("pre-Reset ref validates post-Reset slot")
-	}
-	if !a.Live(a.Ref(h3)) {
-		t.Fatal("post-Reset ref not live")
-	}
 }
 
 // TestArenaRefRandomChurn cross-checks Live against a shadow model over a
-// long random alloc/free/reset stream: at every step, each tracked ref's
+// long random alloc/free stream: at every step, each tracked ref's
 // Live answer must match whether its allocation is still the current
 // occupant of its slot.
 func TestArenaRefRandomChurn(t *testing.T) {
@@ -269,12 +247,6 @@ func TestArenaRefRandomChurn(t *testing.T) {
 				if refs[j].alive && refs[j].r.H == h {
 					refs[j].alive = false
 				}
-			}
-		case rng.Intn(200) == 0: // rare reset
-			a.Reset()
-			live = live[:0]
-			for j := range refs {
-				refs[j].alive = false
 			}
 		}
 		if op%500 == 0 {

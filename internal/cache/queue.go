@@ -85,13 +85,6 @@ func (q *Queue) Next(h Handle) Handle { return q.a.dir.at(h).next }
 // Prev returns the handle MRU-ward of h (toward the front), or None.
 func (q *Queue) Prev(h Handle) Handle { return q.a.dir.at(h).prev }
 
-// Clear empties the queue without freeing its entries: the caller either
-// frees them individually or resets the whole arena alongside.
-func (q *Queue) Clear() {
-	q.head, q.tail = None, None
-	q.n, q.bytes = 0, 0
-}
-
 // PushFront inserts h at the MRU end. The entry must not belong to any
 // queue.
 func (q *Queue) PushFront(h Handle) {

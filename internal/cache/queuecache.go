@@ -22,7 +22,7 @@ type QueueCache struct {
 	// construction/SetInsertion time so the per-hit path carries no type
 	// assertion.
 	resObs ResidencyObserver
-	// evictions counts objects evicted since construction or Reset.
+	// evictions counts objects evicted since construction.
 	evictions int64
 
 	// EvictHook, when non-nil, observes every eviction (used by the ZRO
@@ -232,15 +232,4 @@ func (c *QueueCache) Remove(key uint64) bool {
 	c.q.Remove(h)
 	c.arena.Free(h)
 	return true
-}
-
-// Reset implements Resetter.
-func (c *QueueCache) Reset() {
-	c.q.Clear()
-	c.index.Reset()
-	c.arena.Reset()
-	c.evictions = 0
-	if r, ok := c.ins.(Resetter); ok && c.ins != nil {
-		r.Reset()
-	}
 }

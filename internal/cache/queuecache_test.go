@@ -148,18 +148,6 @@ func TestLRUMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestQueueCacheReset(t *testing.T) {
-	c := NewLRU(100)
-	c.Access(req(1, 1, 10))
-	c.Reset()
-	if c.Used() != 0 || c.Len() != 0 || c.Contains(1) {
-		t.Fatal("Reset did not clear the cache")
-	}
-	if c.Access(req(2, 1, 10)) {
-		t.Fatal("hit after Reset")
-	}
-}
-
 // fixedIns always chooses the configured positions, for testing plumbing.
 type fixedIns struct {
 	insert, promote Position
@@ -243,17 +231,6 @@ func TestFreelistEvictHookSeesFinalState(t *testing.T) {
 	}
 	if got[1].hits != 0 {
 		t.Fatalf("recycled entry leaked hit count into next eviction: %+v", got[1])
-	}
-}
-
-func TestFreelistClearedOnReset(t *testing.T) {
-	c := NewLRU(100)
-	c.Access(req(1, 1, 60))
-	c.Access(req(2, 2, 60)) // evicts 1 onto the freelist
-	c.Reset()
-	c.Access(req(3, 3, 60))
-	if c.Used() != 60 || !c.Contains(3) {
-		t.Fatal("insert after Reset broken")
 	}
 }
 

@@ -95,20 +95,11 @@ func (ws *weightSet) pick(size int64) *mab.TwoExpert {
 	return ws.global
 }
 
-func (ws *weightSet) reset(w0 float64) {
-	ws.global.Reset(w0)
-	for i := range ws.class {
-		ws.class[i].Reset(w0)
-		ws.seen[i] = 0
-	}
-}
-
 // Option configures a SCIP instance.
 type Option func(*SCIP)
 
-// WithSeed fixes the PRNG used for bimodal selection and random restarts.
-// The seed is retained so Reset can rewind the PRNG to its initial state
-// and a reset instance replays bit-for-bit.
+// WithSeed fixes the PRNG used for bimodal selection and random restarts,
+// so two instances built with the same options replay bit-for-bit.
 func WithSeed(seed int64) Option {
 	return func(s *SCIP) { s.seed = seed }
 }
@@ -300,9 +291,9 @@ func New(capBytes int64, opts ...Option) *SCIP {
 	if s.proHitGain < 0 {
 		s.proHitGain = DefaultPromoteHitGain
 	}
-	// The PRNG is derived from the stored seed (never an ambient or
-	// hard-coded source) so that New and Reset produce the same stream
-	// and every replay is a pure function of the configuration.
+	// The PRNG is derived from the configured seed (never an ambient or
+	// hard-coded source) so every replay is a pure function of the
+	// configuration.
 	s.rng = rand.New(rand.NewSource(s.seed))
 	hb := int64(s.historyFrac * float64(capBytes))
 	s.hm = cache.NewHistory(hb)
@@ -559,29 +550,6 @@ func (s *SCIP) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Resi
 
 // HistorySizes reports the current byte occupancy of H_m and H_l.
 func (s *SCIP) HistorySizes() (hm, hl int64) { return s.hm.Bytes(), s.hl.Bytes() }
-
-// Reset restores the initial learning state (used between benchmark
-// runs), including the PRNG: a reset instance replays the same decision
-// stream as a freshly constructed one, so back-to-back runs over the
-// same trace are bit-identical.
-func (s *SCIP) Reset() {
-	s.hm.Reset()
-	s.hl.Reset()
-	s.insW.reset(s.initW)
-	if !s.unified {
-		s.proW.reset(s.initW)
-	}
-	s.rng = rand.New(rand.NewSource(s.seed))
-	s.rate = mab.NewAdaptiveRate(s.rng.Float64)
-	s.reqs, s.hits = 0, 0
-	s.lastMissRatio = 0.5
-	s.emaSize = 0
-	s.forcedActive = false
-	s.pendingRepeatHit = false
-	if s.duelists != nil {
-		s.duelists.Reset()
-	}
-}
 
 // NewCache is a convenience constructor for the paper's SCIP-LRU: an LRU
 // victim-selection cache whose insertion and promotion are driven by SCIP.

@@ -68,20 +68,6 @@ func TestWeightSetDecayClamped(t *testing.T) {
 	}
 }
 
-func TestWeightSetReset(t *testing.T) {
-	ws := newWeightSet(0.9)
-	for i := 0; i < classMinObs; i++ {
-		ws.decay(1<<12, 0, 0.3)
-	}
-	ws.reset(0.9)
-	if ws.pick(1<<12) != ws.global {
-		t.Fatal("reset did not clear class observations")
-	}
-	if ws.global.Weight(0) != 0.9 {
-		t.Fatal("reset did not restore weights")
-	}
-}
-
 func TestSizeFactorEconomics(t *testing.T) {
 	s := New(1 << 20)
 	if s.sizeFactor(1<<20) != 1 {

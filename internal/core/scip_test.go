@@ -150,20 +150,6 @@ func TestSCIPromotesMRUAlways(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(10000, WithSeed(9))
-	s.OnEvict(cache.EvictInfo{Key: 1, Size: 100, InsertedMRU: true, EverHit: false})
-	s.OnAccess(req(1, 1, 100), false)
-	s.Reset()
-	if s.MRUWeight() != 0.9 {
-		t.Fatalf("ω_m after Reset = %g", s.MRUWeight())
-	}
-	hm, hl := s.HistorySizes()
-	if hm != 0 || hl != 0 {
-		t.Fatal("history lists survived Reset")
-	}
-}
-
 func TestNewCacheIntegration(t *testing.T) {
 	c := NewCache(300, WithSeed(2))
 	if c.Name() != "SCIP" {

@@ -122,10 +122,7 @@ type LRB struct {
 	buf []*objMeta
 }
 
-var (
-	_ cache.Policy   = (*LRB)(nil)
-	_ cache.Resetter = (*LRB)(nil)
-)
+var _ cache.Policy = (*LRB)(nil)
 
 // New returns an LRB cache of capBytes capacity.
 func New(capBytes int64, opts ...Option) *LRB {
@@ -161,33 +158,6 @@ func (l *LRB) Trained() bool { return l.model != nil }
 
 // Evictions implements cache.EvictionCounter.
 func (l *LRB) Evictions() int64 { return l.evictions }
-
-// Reset implements cache.Resetter: the cache returns to its New state —
-// counters and sequence rewound, the PRNG re-seeded from the stored seed
-// so the decision stream replays identically — while metadata, arena,
-// sampler and training storage are retained for reuse.
-func (l *LRB) Reset() {
-	for _, m := range l.meta {
-		//scip:ordered-ok freelist order only selects which recycled struct backs a later object; every field is reinitialised on reuse
-		l.metaFree = append(l.metaFree, m)
-	}
-	clear(l.meta)
-	clear(l.pend)
-	l.cached = l.cached[:0]
-	l.buf = l.buf[:0]
-	l.pendSlab = l.pendSlab[:0]
-	l.pendFree = l.pendFree[:0]
-	l.expBuf = l.expBuf[:0]
-	l.trainX.Reset(NumFeatures)
-	l.trainY = l.trainY[:0]
-	l.bytes, l.evictions, l.seq = 0, 0, 0
-	l.pendCount, l.fresh = 0, 0
-	l.model = nil // the persistent gbm keeps its buffers for the next fit
-	l.rng.Seed(l.seed + 907)
-	if r, ok := l.ins.(cache.Resetter); ok {
-		r.Reset()
-	}
-}
 
 // fillFeatures writes m's feature vector at the current sequence time
 // into dst (length NumFeatures).

@@ -119,41 +119,6 @@ func (demoteAll) ChoosePromote(cache.Request) cache.Position { return cache.LRU 
 func (demoteAll) OnEvict(cache.EvictInfo)                    {}
 func (demoteAll) OnAccess(cache.Request, bool)               {}
 
-func TestLRBResetReplaysIdenticalStream(t *testing.T) {
-	// Reset must rewind the policy to its New state: replaying the same
-	// trace on a reset instance — whose metadata structs, pending arena
-	// and training matrix are recycled rather than reallocated — has to
-	// reproduce the fresh instance's exact hit/miss stream.
-	tr := testTrace(t, 10, 60_000)
-	replay := func(l *LRB) uint64 {
-		var sig uint64
-		for i, r := range tr.Requests {
-			if l.Access(r) {
-				sig = sig*31 + uint64(i)
-			}
-		}
-		return sig
-	}
-	l := New(100_000, WithSeed(11), WithWindow(1<<12))
-	fresh := replay(l)
-	if !l.Trained() {
-		t.Fatal("model never trained; test exercises nothing")
-	}
-	l.Reset()
-	if l.Trained() {
-		t.Fatal("Reset kept a trained model")
-	}
-	if l.Used() != 0 || l.Evictions() != 0 {
-		t.Fatalf("Reset kept counters: used=%d evictions=%d", l.Used(), l.Evictions())
-	}
-	for round := 1; round <= 2; round++ {
-		if sig := replay(l); sig != fresh {
-			t.Fatalf("reset replay %d diverged: %#x != %#x", round, sig, fresh)
-		}
-		l.Reset()
-	}
-}
-
 func TestLRBAccessAllocsSteadyState(t *testing.T) {
 	// Once warm — metadata map populated, pending arena and training
 	// matrix at their high-water marks, first model fit — the sampled

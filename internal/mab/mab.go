@@ -58,9 +58,6 @@ func (t *TwoExpert) Decay(arm int, lambda float64) {
 	t.w[1] = 1 - w0
 }
 
-// Reset restores the given initial weight for expert 0.
-func (t *TwoExpert) Reset(w0 float64) { *t = *NewTwoExpert(w0) }
-
 // AdaptiveRate is the learning-rate controller of Algorithm 2. Update is
 // called once per learning interval with the interval's average hit rate
 // Π_t; it adjusts λ by the quotient of the hit-rate change and the

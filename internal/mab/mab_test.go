@@ -86,10 +86,6 @@ func TestTwoExpertRepeatedDecayConverges(t *testing.T) {
 	if e.Weight(0) > 0.01 {
 		t.Fatalf("persistent penalty did not converge: w0=%g", e.Weight(0))
 	}
-	e.Reset(0.5)
-	if e.Weight(0) != 0.5 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestAdaptiveRateFirstUpdateIsBaseline(t *testing.T) {

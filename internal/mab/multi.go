@@ -111,9 +111,3 @@ func (m *MultiExpert) normalize() {
 		}
 	}
 }
-
-// Reset restores the given initial weights (normalised).
-func (m *MultiExpert) Reset(init []float64) {
-	copy(m.w, init)
-	m.normalize()
-}

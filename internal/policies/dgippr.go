@@ -164,9 +164,3 @@ func (g *DGIPPR) breed() {
 	}
 	g.pop = next
 }
-
-// Reset implements cache.Resetter.
-func (g *DGIPPR) Reset() {
-	g.q = NewSegQueue()
-	g.reqs, g.hits, g.current = 0, 0, 0
-}

@@ -72,6 +72,3 @@ func (p *PIPP) Access(req cache.Request) bool {
 	p.q.InsertAt(req.Key, req.Size, req.Time, p.InsertSeg)
 	return false
 }
-
-// Reset implements cache.Resetter.
-func (p *PIPP) Reset() { p.q = NewSegQueue() }

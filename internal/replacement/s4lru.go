@@ -166,12 +166,3 @@ func (s *S4LRU) overflow() {
 		s.arena.Free(tail)
 	}
 }
-
-// Reset implements cache.Resetter.
-func (s *S4LRU) Reset() {
-	for i := range s.segs {
-		s.segs[i].Clear()
-	}
-	s.index.Reset()
-	s.arena.Reset()
-}

@@ -141,12 +141,3 @@ func (s *SSLRU) evictOne() {
 	}
 	s.arena.Free(h)
 }
-
-// Reset implements cache.Resetter.
-func (s *SSLRU) Reset() {
-	s.probation.Clear()
-	s.protected.Clear()
-	s.index.Reset()
-	s.arena.Reset()
-	s.classes = [40]int{}
-}

@@ -190,7 +190,7 @@ func ShardBytes(capBytes int64, n, i int) int64 {
 // channel and applies each batch under the slot mutex. The mutex is
 // always uncontended on this path (accessors go through the channel, not
 // the lock) — holding it only keeps the direct control-plane methods
-// (Used, Reset, Remove, ...) safe without routing them through the
+// (Used, Evictions, Remove) safe without routing them through the
 // actor, so they keep working even after Close.
 func (c *Cache) runActor(i int) {
 	defer c.actorWG.Done()
@@ -243,7 +243,7 @@ func (c *Cache) observeLocked(i int, n, hits, bytesReq, bytesHit int64) {
 // Close shuts down the shard owner goroutines of a ModeActor cache and
 // waits for them to drain their queued batches. Callers must quiesce all
 // Access/AccessBatch callers first; accessing a closed actor cache
-// panics. The control-plane methods (Used, Capacity, Evictions, Reset,
+// panics. The control-plane methods (Used, Capacity, Evictions,
 // Remove, Stats) remain usable after Close — they take the shard locks
 // directly. Close is idempotent and a no-op in ModeMutex.
 func (c *Cache) Close() {
@@ -425,22 +425,6 @@ func (c *Cache) Evictions() int64 {
 		s.mu.Unlock()
 	}
 	return total
-}
-
-// Reset resets every shard whose policy supports it, and the attached
-// stats block if any.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		if r, ok := s.p.(cache.Resetter); ok {
-			r.Reset()
-		}
-		s.mu.Unlock()
-	}
-	if c.st != nil {
-		c.st.Reset()
-	}
 }
 
 var (

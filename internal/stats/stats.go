@@ -154,23 +154,6 @@ func (s *Stats) ObserveBatch(i int, n, hits int64, bytesReq, bytesHit, usedBytes
 	c.Evictions.Store(evictions)
 }
 
-// Reset zeroes every counter and histogram bucket.
-func (s *Stats) Reset() {
-	for i := range s.shards {
-		c := &s.shards[i].ShardCounters
-		c.Requests.Store(0)
-		c.Hits.Store(0)
-		c.BytesRequested.Store(0)
-		c.BytesHit.Store(0)
-		c.Evictions.Store(0)
-		c.UsedBytes.Store(0)
-	}
-	for i := range s.lat.buckets {
-		s.lat.buckets[i].Store(0)
-	}
-	s.lat.sum.Store(0)
-}
-
 // ShardSnapshot is a plain-value copy of one shard's counters.
 type ShardSnapshot struct {
 	Requests       int64 `json:"requests"`

@@ -183,20 +183,6 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	s := New(2)
-	s.ObserveAccess(1, 10, true, 10, 1)
-	s.Latency().Observe(time.Microsecond)
-	s.Reset()
-	snap := s.Snapshot()
-	if snap.Totals() != (ShardSnapshot{}) {
-		t.Fatalf("Reset left counters: %+v", snap.Totals())
-	}
-	if snap.LatencySamples() != 0 {
-		t.Fatal("Reset left latency samples")
-	}
-}
-
 // TestConcurrentObserve hammers ObserveAccess and Snapshot from many
 // goroutines; run with -race. The final snapshot must account for every
 // observation exactly once.

@@ -44,7 +44,9 @@ type OnlineEstimator struct {
 // NewOnlineEstimator returns an estimator with the default EWMA step.
 func NewOnlineEstimator() *OnlineEstimator {
 	e := &OnlineEstimator{Alpha: 0.02, Prior: 0.5}
-	e.Reset()
+	for i := range e.est {
+		e.est[i] = e.Prior
+	}
 	return e
 }
 
@@ -78,12 +80,4 @@ func (e *OnlineEstimator) Likelihood(size int64) float64 {
 // to override the prior.
 func (e *OnlineEstimator) Seen(size int64) bool {
 	return e.seen[onlineClass(size)] >= onlineMinObs
-}
-
-// Reset restores the initial no-evidence state.
-func (e *OnlineEstimator) Reset() {
-	for i := range e.est {
-		e.est[i] = e.Prior
-		e.seen[i] = 0
-	}
 }
