@@ -24,20 +24,25 @@ fmt-check:
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet covers both modules, the root and benchmark/, plain and under every
+# VET_TAGS entry. Its copylocks check is what rejects by-value copies of
+# the padded stats blocks, the shard slots and anything else holding sync
+# or sync/atomic state (DESIGN.md §7 "Concurrency").
 vet:
-	$(GO) vet ./...
-	@for tags in $(VET_TAGS); do \
-		echo "vet -tags $$tags"; \
-		$(GO) vet -tags "$$tags" ./... || exit 1; \
+	@for dir in . benchmark; do \
+		for tags in "" $(VET_TAGS); do \
+			echo "vet -C $$dir -tags '$$tags'"; \
+			$(GO) vet -C $$dir -tags "$$tags" ./... || exit 1; \
+		done; \
 	done
 
-# lint runs the repository's own determinism/concurrency analyzers (see
-# internal/analysis and DESIGN.md "Invariants"): the per-file syntactic
-# checks plus the interprocedural clocktaint and guardedby passes,
-# ending with the suppression audit — a stale or unknown //scip: comment
-# fails the run. The data plane's zero allocation is pinned by tests,
-# not by an analyzer (TestHotPathsAllocateNothing and the per-package
-# Allocs pins).
+# lint runs the repository's own determinism and lock-discipline
+# analyzers (see internal/analysis and DESIGN.md "Invariants"): the
+# per-file detrand and maporder plus the interprocedural clocktaint and
+# guardedby passes, ending with the suppression audit — a stale or
+# unknown //scip: comment fails the run. The data plane's zero
+# allocation is pinned by tests, not by an analyzer
+# (TestHotPathsAllocateNothing and the per-package Allocs pins).
 lint:
 	$(GO) run ./cmd/scip-vet ./...
 

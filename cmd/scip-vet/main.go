@@ -2,15 +2,14 @@
 // (internal/analysis) over the module. The per-file syntactic checks —
 // detrand (no ambient randomness or wall-clock reads in
 // deterministic-replay packages), maporder (no map iteration feeding
-// ordered accumulators or output), nocopy (no value copies of types
-// carrying sync or atomic state), atomicmix (no plain access to
-// variables accessed atomically elsewhere) — are joined by the
-// interprocedural checks: clocktaint (no wall-clock-derived value may
-// flow into policy/admission/MAB/LRB decision state through any call
-// chain) and guardedby (//scip:guardedby struct fields must be accessed
-// with their mutex provably held). A final audit diagnoses every
-// //scip:*-ok suppression that no longer silences anything (stale) or
-// names a token no analyzer recognises (unknown).
+// ordered accumulators or output) — are joined by the interprocedural
+// checks: clocktaint (no wall-clock-derived value may flow into
+// policy/admission/MAB/LRB decision state through any call chain) and
+// guardedby (//scip:guardedby struct fields must be accessed with their
+// mutex provably held). Copies of sync and atomic state are go vet's
+// copylocks check (make vet), not scip-vet's. A final audit diagnoses
+// every //scip:*-ok suppression that no longer silences anything
+// (stale) or names a token no analyzer recognises (unknown).
 //
 // Usage:
 //

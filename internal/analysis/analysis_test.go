@@ -18,8 +18,6 @@ func TestFixtures(t *testing.T) {
 	}{
 		{Detrand, "detrand"},
 		{Maporder, "maporder"},
-		{Nocopy, "nocopy"},
-		{Atomicmix, "atomicmix"},
 		// guardedby works from per-package lexical lock regions, so one
 		// package exercises it fully.
 		{Guardedby, "guardedby"},
@@ -109,7 +107,8 @@ func TestLoadPrefixPattern(t *testing.T) {
 }
 
 // TestApplies pins the detrand path scoping: deterministic-replay
-// packages are covered, the analysis framework itself is not.
+// packages are covered, the analysis framework itself is not. Every
+// other analyzer runs in every package.
 func TestApplies(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -122,8 +121,8 @@ func TestApplies(t *testing.T) {
 		{Detrand, "github.com/scip-cache/scip/internal/analysis", false},
 		{Detrand, "github.com/scip-cache/scip/cmd/scip-vet", false},
 		{Maporder, "github.com/scip-cache/scip/internal/analysis", true},
-		{Nocopy, "github.com/scip-cache/scip/cmd/scip-vet", true},
-		{Atomicmix, "github.com/scip-cache/scip/internal/shard", true},
+		{Clocktaint, "github.com/scip-cache/scip/cmd/scip-vet", true},
+		{Guardedby, "github.com/scip-cache/scip/internal/shard", true},
 	}
 	for _, c := range cases {
 		if got := Applies(c.analyzer, c.path); got != c.want {

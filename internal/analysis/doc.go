@@ -9,10 +9,12 @@
 //     reads, map iteration order feeding ordered state — silently breaks
 //     figure reproduction (the PR-1 LRB pruneWindow bug labelled training
 //     samples in map order);
-//   - lock-free concurrency: the sharded front and its stats blocks rely
-//     on cache-line-padded structs and atomic counters that must never be
-//     copied or mixed with plain loads and stores (the PR-1 traceCache
-//     map race).
+//   - lock discipline: state a mutex guards (the per-shard policy slot,
+//     the daemon's body store) must only be touched with that mutex held
+//     (the PR-1 traceCache map race). The lock-free stats blocks need no
+//     analyzer: go vet's copylocks rejects copies of their padded atomic
+//     and mutex-holding structs, and typed atomics cannot be mixed with
+//     plain loads and stores.
 //
 // The cmd/scip-vet driver loads the module, runs every registered
 // analyzer over the requested packages and exits nonzero on any

@@ -3,11 +3,11 @@ package analysis
 import "strings"
 
 // Analyzers returns every registered analyzer in a stable order. The
-// first four are the per-file syntactic checks from scip-vet v1; the
+// first two are the per-file syntactic checks from scip-vet v1; the
 // last two are the interprocedural, flow-aware checks built on the
 // module function index (module.go).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Nocopy, Atomicmix, Clocktaint, Guardedby}
+	return []*Analyzer{Detrand, Maporder, Clocktaint, Guardedby}
 }
 
 // DetrandPaths lists the import-path suffixes of the packages whose
@@ -44,10 +44,10 @@ var ClockSinkPaths = append(append([]string{}, DetrandPaths...),
 )
 
 // Applies reports whether analyzer a runs over the package at pkgPath.
-// Maporder, Nocopy and Atomicmix guard every package; Detrand is scoped
-// to the deterministic-replay packages (DetrandPaths), because drivers
-// and reporting code read wall clocks by design. The flow-aware
-// analyzers (Clocktaint, Guardedby) run everywhere: their sink paths and
+// Maporder guards every package; Detrand is scoped to the
+// deterministic-replay packages (DetrandPaths), because drivers and
+// reporting code read wall clocks by design. The flow-aware analyzers
+// (Clocktaint, Guardedby) run everywhere: their sink paths and
 // annotations decide what is checked.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if a != Detrand {

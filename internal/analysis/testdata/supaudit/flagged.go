@@ -9,6 +9,6 @@ func unknownToken() int {
 }
 
 func staleSuppression() int {
-	y := 2 /*scip:copy-ok justified once, but it silences nothing here*/ // want "stale suppression //scip:copy-ok"
+	y := 2 /*scip:ordered-ok justified once, but it silences nothing here*/ // want "stale suppression //scip:ordered-ok"
 	return y
 }
