@@ -36,17 +36,17 @@ vet:
 		done; \
 	done
 
-# lint runs the repository's own determinism and lock-discipline
-# analyzers (see internal/analysis and DESIGN.md "Invariants"): the
-# per-file detrand and maporder plus the interprocedural clocktaint and
-# guardedby passes, ending with the suppression audit — a stale or
-# unknown //scip: comment fails the run. The data plane's zero
-# allocation is pinned by tests, not by an analyzer
-# (TestHotPathsAllocateNothing and the per-package Allocs pins).
+# lint runs the repository's own determinism analyzers (see
+# internal/analysis and DESIGN.md "Invariants"): the per-file detrand
+# and maporder plus the interprocedural clocktaint pass, ending with the
+# suppression audit — a stale or unknown //scip: comment fails the run.
+# Two invariants are pinned by tests, not by an analyzer: lock
+# discipline by test-race, and the data plane's zero allocation by
+# TestHotPathsAllocateNothing and the per-package Allocs pins.
 lint:
 	$(GO) run ./cmd/scip-vet ./...
 
-# supps prints the //scip: suppression-and-annotation inventory
+# supps prints the //scip: suppression inventory
 # (file:line, token, live/STALE, justification) and exits 1 when any
 # suppression is stale.
 supps:
@@ -60,6 +60,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# test-race also carries lock discipline: the shard, server and cluster
+# race tests drive every mutex-guarded structure concurrently, so a
+# dropped Lock fails here (DESIGN.md §7).
 test-race:
 	$(GO) test -race ./...
 

@@ -3,11 +3,11 @@
 // detrand (no ambient randomness or wall-clock reads in
 // deterministic-replay packages), maporder (no map iteration feeding
 // ordered accumulators or output) — are joined by the interprocedural
-// checks: clocktaint (no wall-clock-derived value may flow into
-// policy/admission/MAB/LRB decision state through any call chain) and
-// guardedby (//scip:guardedby struct fields must be accessed with their
-// mutex provably held). Copies of sync and atomic state are go vet's
-// copylocks check (make vet), not scip-vet's. A final audit diagnoses
+// clocktaint (no wall-clock-derived value may flow into
+// policy/admission/MAB/LRB decision state through any call chain).
+// Lock discipline is held by the race tests (make test-race), and copies
+// of sync and atomic state by go vet's copylocks check (make vet), not
+// by scip-vet. A final audit diagnoses
 // every //scip:*-ok suppression that no longer silences anything
 // (stale) or names a token no analyzer recognises (unknown).
 //
@@ -16,13 +16,13 @@
 //	scip-vet [-run names] [-supps] [packages]
 //
 // Packages default to ./...; a dir/... suffix selects a subtree
-// (e.g. ./internal/...). Note the flow-aware analyzers only see callees
+// (e.g. ./internal/...). Note clocktaint only sees callees
 // inside the loaded set, so CI runs the full module. Diagnostics
 // print as file:line: analyzer: message; the exit status is 1 when any
 // diagnostic is reported and 2 when loading or type-checking fails.
 // -run limits the run to a comma-separated list of analyzer names.
-// -supps prints the suppression-and-annotation inventory (file:line,
-// token, live/STALE, justification) instead of diagnostics.
+// -supps prints the suppression inventory (file:line, token,
+// live/STALE, justification) instead of diagnostics.
 // Intentional exceptions are declared in the source with a
 // //scip:<token> comment carrying a justification (see
 // internal/analysis and DESIGN.md §7).
@@ -119,18 +119,14 @@ func analyzerNames(all []*analysis.Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// printInventory lists every //scip: comment with its status: annotation
-// tokens assert invariants, suppressions are live (consumed by an
-// analyzer this run) or STALE.
+// printInventory lists every //scip: comment with its status: live
+// (consumed by an analyzer this run) or STALE.
 func printInventory(mod *analysis.Module) {
 	inv := mod.SuppressionInventory()
 	stale := 0
 	for _, s := range inv {
 		status := "live"
-		switch {
-		case s.Annotation:
-			status = "annotation"
-		case !s.Used:
+		if !s.Used {
 			status = "STALE"
 			stale++
 		}

@@ -24,7 +24,7 @@ type Analyzer struct {
 }
 
 // Pass carries one analyzer's view of one type-checked package. Mod is
-// the module-wide index (functions, annotations, summaries) shared by
+// the module-wide index (functions, suppressions, summaries) shared by
 // every pass of one vet run; per-file analyzers can ignore it.
 type Pass struct {
 	Analyzer *Analyzer
@@ -167,16 +167,13 @@ func VetModule(analyzers []*Analyzer, mod *Module) []Diagnostic {
 }
 
 // auditSuppressions reports stale and unknown //scip: comments in one
-// package. Annotation tokens (locked, guardedby) assert invariants
-// rather than silencing findings and are exempt from staleness.
+// package. Every //scip: comment is a suppression, so each must name a
+// registered token and, when its analyzer ran, have silenced something.
 func auditSuppressions(pkg *Package, sup suppressionSet, known, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, lines := range sup.byFileLine {
 		for _, sups := range lines {
 			for _, s := range sups {
-				if annotationTokens[s.token] {
-					continue
-				}
 				var msg string
 				switch {
 				case !known[s.token]:

@@ -18,9 +18,6 @@ func TestFixtures(t *testing.T) {
 	}{
 		{Detrand, "detrand"},
 		{Maporder, "maporder"},
-		// guardedby works from per-package lexical lock regions, so one
-		// package exercises it fully.
-		{Guardedby, "guardedby"},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
@@ -122,7 +119,6 @@ func TestApplies(t *testing.T) {
 		{Detrand, "github.com/scip-cache/scip/cmd/scip-vet", false},
 		{Maporder, "github.com/scip-cache/scip/internal/analysis", true},
 		{Clocktaint, "github.com/scip-cache/scip/cmd/scip-vet", true},
-		{Guardedby, "github.com/scip-cache/scip/internal/shard", true},
 	}
 	for _, c := range cases {
 		if got := Applies(c.analyzer, c.path); got != c.want {

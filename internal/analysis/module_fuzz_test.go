@@ -11,8 +11,8 @@ import (
 // FuzzCallGraph throws arbitrary source at the module indexer: whatever
 // the parser accepts — including ill-typed programs, which leave holes
 // in the types.Info maps exactly the way a broken in-progress tree
-// does — must never panic the function index, the annotation parser, or
-// the flow analyzers on top. The fuzzed package path ends in
+// does — must never panic the function index, the suppression scan, or
+// the flow analyzer on top. The fuzzed package path ends in
 // internal/core so the path-scoped analyzers (detrand, clocktaint's
 // sinks) are exercised too.
 func FuzzCallGraph(f *testing.F) {
@@ -55,25 +55,6 @@ func odd(n int) bool {
 func id[T any](v T) T { return v }
 
 func g() int { return id(7) }
-`,
-		// Guardedby annotations, lock regions, and a //scip:locked callee.
-		`package p
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int //scip:guardedby mu
-}
-
-//scip:locked mu
-func (s *S) bump() { s.n++ }
-
-func use(s *S) {
-	s.mu.Lock()
-	s.bump()
-	s.mu.Unlock()
-}
 `,
 		// Clock reads (imports unresolved under the nil importer: the
 		// analyzers must tolerate missing type info).

@@ -4,10 +4,10 @@ import "strings"
 
 // Analyzers returns every registered analyzer in a stable order. The
 // first two are the per-file syntactic checks from scip-vet v1; the
-// last two are the interprocedural, flow-aware checks built on the
-// module function index (module.go).
+// last is the interprocedural, flow-aware check built on the module
+// function index (module.go).
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Clocktaint, Guardedby}
+	return []*Analyzer{Detrand, Maporder, Clocktaint}
 }
 
 // DetrandPaths lists the import-path suffixes of the packages whose
@@ -46,9 +46,8 @@ var ClockSinkPaths = append(append([]string{}, DetrandPaths...),
 // Applies reports whether analyzer a runs over the package at pkgPath.
 // Maporder guards every package; Detrand is scoped to the
 // deterministic-replay packages (DetrandPaths), because drivers and
-// reporting code read wall clocks by design. The flow-aware analyzers
-// (Clocktaint, Guardedby) run everywhere: their sink paths and
-// annotations decide what is checked.
+// reporting code read wall clocks by design. The flow-aware Clocktaint
+// runs everywhere: its sink paths decide what is checked.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if a != Detrand {
 		return true

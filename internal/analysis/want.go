@@ -143,7 +143,7 @@ func CheckFixture(r Reporter, a *Analyzer, dir string) {
 // "fixture/<base>" maps to root, "fixture/<base>/<rel>" to root/<rel>,
 // and anything else falls through to the shared stdlib source importer.
 // Sub-packages let fixtures exercise cross-package call edges and the
-// path-suffix scoping of the flow analyzers (a directory named
+// path-suffix scoping of clocktaint (a directory named
 // internal/cache inside a fixture IS a clocktaint sink package).
 type fixtureModule struct {
 	root   string

@@ -100,7 +100,7 @@ type HotKeys struct {
 	min    uint32
 
 	mu      sync.Mutex
-	members []hotEntry //scip:guardedby mu
+	members []hotEntry // guarded by mu
 }
 
 // NewHotKeys returns a tracker admitting at most k hot keys, each with a

@@ -151,22 +151,58 @@ func TestHotKeysDeterminism(t *testing.T) {
 	}
 }
 
-// TestHotKeysConcurrent exercises the tracker under -race; membership
-// is timing-dependent here, so only invariants are asserted.
+// TestHotKeysConcurrent exercises the tracker under -race: Observe
+// writers run while one goroutine each calls Hot, Len and Members until
+// the writers finish. A reader that mixed the three would order itself
+// after the writers at each lock and hide an unlocked read. The 256 keys
+// overflow the 64-member set, so members are added and displaced while
+// the readers run. Membership is timing-dependent here, so only
+// invariants are asserted.
 func TestHotKeysConcurrent(t *testing.T) {
-	h := NewHotKeys(4, 8, 512)
+	const k = 64
+	h := NewHotKeys(k, 8, 512)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var n int
+				switch r {
+				case 0:
+					h.Hot(uint64(i % 256))
+				case 1:
+					n = h.Len()
+				default:
+					n = len(h.Members())
+				}
+				if n > k {
+					t.Errorf("hot set overflowed k while readers ran: %d members", n)
+					return
+				}
+			}
+		}(r)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				h.Observe(uint64(i % 16))
+				h.Observe(uint64(i % 256))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := h.Len(); n > 4 {
+	close(stop)
+	readers.Wait()
+	if n := h.Len(); n > k {
 		t.Errorf("hot set overflowed k: %d members", n)
 	}
 	if n := len(h.Members()); n == 0 {

@@ -282,6 +282,44 @@ func TestBodyStoreBodiesAreImmutable(t *testing.T) {
 	}
 }
 
+// TestBodyStoreConcurrentUse runs get, adopt and delete from four
+// goroutines over one small key set in a store too small to hold it, so
+// lookups, refreshes, evictions and deletes interleave on the same
+// entries; run with -race to check the store's locking. Afterwards the
+// byte count, the index and the recency list must still agree.
+func TestBodyStoreConcurrentUse(t *testing.T) {
+	st := newBodyStore(256)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				key := uint64((g*5 + i) % 16)
+				switch i % 3 {
+				case 0:
+					st.get(key)
+				case 1:
+					st.adopt(key, make([]byte, 16+key))
+				default:
+					st.delete(key)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var held int64
+	n := 0
+	for e := st.head; e != nil; e = e.next {
+		held += int64(len(e.body))
+		n++
+	}
+	if held != st.used || n != len(st.m) || st.used > st.capBytes {
+		t.Fatalf("store inconsistent: used %d, list holds %d bytes in %d entries, index %d, cap %d",
+			st.used, held, n, len(st.m), st.capBytes)
+	}
+}
+
 // TestBodyStoreOversizeRefreshDropsOldBody: refreshing a key with a body
 // larger than the store cannot keep the new body, and must not keep the
 // old one either — the next hit would serve superseded content.

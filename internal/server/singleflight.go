@@ -28,7 +28,7 @@ type flight struct {
 // bookkeeping never contends across shards.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[uint64]*flight //scip:guardedby mu
+	m  map[uint64]*flight // guarded by mu
 }
 
 // do runs fn for key, sharing the execution with concurrent callers.

