@@ -24,7 +24,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,7 +53,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	nodeList := splitNodes(*nodes)
+	nodeList := cluster.SplitNodes(*nodes)
 	if len(nodeList) == 0 {
 		fail(fmt.Errorf("-nodes is required (comma-separated scip-serve base URLs)"))
 	}
@@ -103,17 +102,6 @@ func main() {
 	total, failovers, unroutable := rt.Requests()
 	fmt.Printf("scip-route: routed %d requests (%d failovers, %d unroutable), bye\n",
 		total, failovers, unroutable)
-}
-
-// splitNodes splits a comma-separated node list, trimming blanks.
-func splitNodes(s string) []string {
-	var out []string
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, strings.TrimRight(n, "/"))
-		}
-	}
-	return out
 }
 
 // reportLoop prints one router status line per interval.

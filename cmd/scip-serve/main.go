@@ -9,7 +9,7 @@
 // Usage:
 //
 //	scip-serve [-addr :8344] [-policy SCIP] [-cache 256MiB] [-shards 8] [-seed 1]
-//	    [-mode mutex|actor] [-depth N] [-nolat]
+//	    [-mode mutex|actor] [-depth N]
 //	    [-origin URL] [-origin-timeout 2s] [-origin-retries 2] [-origin-backoff 50ms]
 //	    [-origin-latency 0] [-serve-stale] [-max-body 1MiB] [-drain 10s] [-interval 10s]
 //	    [-peers URL,URL,... -self URL] [-peer-vnodes 64] [-peer-fanout 1]
@@ -53,7 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "policy seed (shard i gets seed+i)")
 	modeFlag := flag.String("mode", "mutex", "shard concurrency mode: mutex or actor (DESIGN.md §10)")
 	depth := flag.Int("depth", 0, "actor mailbox depth with -mode actor (0 = shard package default)")
-	nolat := flag.Bool("nolat", false, "skip per-request access latency timing (statusz/metrics report zero latency)")
 	originURL := flag.String("origin", "", "upstream origin base URL (empty: deterministic synthetic origin)")
 	originTimeout := flag.Duration("origin-timeout", 2*time.Second, "per-attempt origin fetch timeout")
 	originRetries := flag.Int("origin-retries", 2, "origin fetch retries after the first failure")
@@ -96,7 +95,6 @@ func main() {
 		Seed:          *seed,
 		Mode:          mode,
 		ActorDepth:    *depth,
-		NoLatency:     *nolat,
 		OriginTimeout: *originTimeout,
 		OriginRetries: *originRetries,
 		OriginBackoff: *originBackoff,
@@ -109,13 +107,7 @@ func main() {
 		cfg.Origin = &server.SyntheticOrigin{Latency: *originLatency}
 	}
 	if *peers != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, strings.TrimRight(p, "/"))
-			}
-		}
-		pc, err := cluster.NewPeerClient(peerList, strings.TrimRight(*self, "/"), *peerVNodes, *peerFanout, nil)
+		pc, err := cluster.NewPeerClient(cluster.SplitNodes(*peers), strings.TrimRight(*self, "/"), *peerVNodes, *peerFanout, nil)
 		if err != nil {
 			fail(fmt.Errorf("bad -peers/-self: %w", err))
 		}

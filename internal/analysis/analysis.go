@@ -105,23 +105,6 @@ func runWith(a *Analyzer, pkg *Package, mod *Module) []Diagnostic {
 	return out
 }
 
-// RunAll executes every analyzer that applies to pkg (see Applies) and
-// merges the diagnostics in file/line order. The package is analyzed as
-// a one-package module; the driver and the repo self-vet use VetModule,
-// which also audits suppressions.
-func RunAll(analyzers []*Analyzer, pkg *Package) []Diagnostic {
-	mod := NewModule([]*Package{pkg})
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if !Applies(a, pkg.Path) {
-			continue
-		}
-		out = append(out, runWith(a, pkg, mod)...)
-	}
-	sortDiags(out)
-	return out
-}
-
 // AuditName labels the suppression-audit diagnostics (stale and unknown
 // //scip: tokens). The audit is not itself suppressible.
 const AuditName = "supaudit"

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
+
+	"github.com/scip-cache/scip/internal/httpx"
 )
 
 // ErrPeerMiss reports that no queried peer held the object's body. The
@@ -44,9 +45,8 @@ type PeerClient struct {
 // (which must appear in nodes; the list and vnodes must match the
 // router's so both sides agree on ring positions). fanout is how many
 // distinct successors to ask per fetch (default 1). client defaults to
-// one with a connection pool sized like RouterConfig's default (32 idle
-// connections per peer; http.DefaultClient keeps 2 and redials under any
-// concurrency); per-attempt timeouts are the server's concern.
+// httpx.NewClient's pooled one, like RouterConfig's; per-attempt timeouts
+// are the server's concern.
 func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http.Client) (*PeerClient, error) {
 	ring, err := NewRing(nodes, vnodes)
 	if err != nil {
@@ -68,10 +68,7 @@ func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http
 		fanout = len(nodes) - 1
 	}
 	if client == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 32
-		t.MaxIdleConns = 32 * len(nodes)
-		client = &http.Client{Transport: t}
+		client = httpx.NewClient(len(nodes))
 	}
 	return &PeerClient{
 		ring:   ring,
@@ -127,40 +124,16 @@ func (p *PeerClient) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 	return nil, 0, lastErr
 }
 
-// exactReadMax bounds the declared length fetchPeer allocates before any
-// byte has arrived, so a lying Content-Length cannot make one fetch
-// allocate gigabytes; longer bodies are read as they arrive.
-const exactReadMax = 64 << 20
-
-// fetchPeer performs one GET {base}/peer/{key}. A body of declared
-// length is read into a buffer of exactly that length: the server adopts
-// the returned slice into a body store that counts len, not cap.
+// fetchPeer performs one GET {base}/peer/{key}; a 404 is ErrPeerMiss.
+// A body of declared length arrives in a buffer of exactly that length
+// (see httpx.Fetch).
 func (p *PeerClient) fetchPeer(ctx context.Context, base string, key uint64) ([]byte, error) {
-	url := base + "/peer/" + strconv.FormatUint(key, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
+	body, err := httpx.Fetch(ctx, p.client, base+"/peer/"+strconv.FormatUint(key, 10))
+	if se, ok := err.(*httpx.StatusError); ok {
+		if se.Code == http.StatusNotFound {
+			return nil, fmt.Errorf("%w (peer %s)", ErrPeerMiss, base)
+		}
+		return nil, fmt.Errorf("peer %s: %w", base, err)
 	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%w (peer %s)", ErrPeerMiss, base)
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("peer %s: %s", base, resp.Status)
-	}
-	n := resp.ContentLength
-	if n < 0 || n > exactReadMax {
-		return io.ReadAll(resp.Body)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return body, err
 }

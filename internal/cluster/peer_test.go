@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -18,7 +19,8 @@ import (
 // TestPeerFetchReadsExactLength: a peer body arrives with its length
 // declared, and is read into a buffer of exactly that length — the
 // asking node adopts the slice into a body store that counts len, not
-// cap.
+// cap — and a key the peer holds no body for (its /peer answers 404) is
+// ErrPeerMiss, which sends the asking node on to the origin.
 func TestPeerFetchReadsExactLength(t *testing.T) {
 	const size = 5000
 	peer := startFleetNode(t, server.Config{Policy: "LRU", CacheBytes: 1 << 20, Shards: 2}, nil)
@@ -47,11 +49,15 @@ func TestPeerFetchReadsExactLength(t *testing.T) {
 	if cap(body) != len(body) {
 		t.Errorf("cap %d, len %d: the read left slack", cap(body), len(body))
 	}
+	if body, _, err := pc.Fetch(context.Background(), 8, size); body != nil || !errors.Is(err, ErrPeerMiss) {
+		t.Errorf("uncached key: %d bytes, err %v, want ErrPeerMiss", len(body), err)
+	}
 }
 
 // TestPeerClientKeepsConnections: a PeerClient built without a client
-// reuses its connections: 400 fetches, 8 at a time, open at most 8; http.DefaultClient, which keeps 2 idle connections per host,
-// redials for most of them.
+// reuses its connections: 400 fetches, 8 at a time, open at most 8;
+// http.DefaultClient, which keeps 2 idle connections per host, redials
+// for most of them.
 func TestPeerClientKeepsConnections(t *testing.T) {
 	body := bytes.Repeat([]byte("p"), 1000)
 	const rounds, callers = 50, 8

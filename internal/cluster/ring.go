@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Ring is a consistent-hash ring over node identities: each node owns
@@ -33,6 +34,20 @@ type Ring struct {
 type ringPoint struct {
 	hash uint64
 	node int32
+}
+
+// SplitNodes parses a comma-separated node list (scip-route -nodes,
+// scip-serve -peers): entries are trimmed, blank ones dropped and
+// trailing slashes removed, so a node URL is one ring identity however
+// the operator typed it.
+func SplitNodes(s string) []string {
+	var out []string
+	for _, n := range strings.Split(s, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			out = append(out, strings.TrimRight(n, "/"))
+		}
+	}
+	return out
 }
 
 // NewRing builds a ring over the given node identities (typically base

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -252,6 +253,27 @@ func TestRingDeterminism(t *testing.T) {
 	for key := uint64(0); key < 10000; key++ {
 		if a.Lookup(key) != b.Lookup(key) {
 			t.Fatalf("key %d: identical rings disagree", key)
+		}
+	}
+}
+
+// TestSplitNodes pins the -nodes and -peers parsing: entries are trimmed,
+// blank entries dropped, and trailing slashes removed so a node URL is
+// one ring identity however the operator typed it.
+func TestSplitNodes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{" , ,", nil},
+		{"http://a:1", []string{"http://a:1"}},
+		{"http://a:1,http://b:2", []string{"http://a:1", "http://b:2"}},
+		{" http://a:1 ,, http://b:2 ", []string{"http://a:1", "http://b:2"}},
+		{"http://a:1/,http://b:2//", []string{"http://a:1", "http://b:2"}},
+	} {
+		if got := SplitNodes(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("SplitNodes(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

@@ -3,16 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/scip-cache/scip/internal/httpx"
 	"github.com/scip-cache/scip/internal/stats"
 )
 
@@ -95,10 +94,7 @@ func (cfg RouterConfig) withDefaults() RouterConfig {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 32,
-			MaxIdleConns:        32 * len(cfg.Nodes),
-		}}
+		cfg.Client = httpx.NewClient(len(cfg.Nodes))
 	}
 	return cfg
 }
@@ -122,10 +118,12 @@ type Router struct {
 	// (round-robin over the set, offset by one atomic counter).
 	seq atomic.Uint64
 
+	// shell counts in-flight requests and responses by status class,
+	// and pools each request's scope with its routeScratch.
+	shell httpx.Shell[routeScratch]
+
 	// Routing-path counters (CLUSTER.md carries the catalogue).
-	inflight           atomic.Int64
 	requestsByMethod   [3]atomic.Int64 // get, put, delete
-	responsesByClass   [6]atomic.Int64
 	failovers          atomic.Int64
 	noNodeErrors       atomic.Int64
 	replicatedReads    atomic.Int64
@@ -134,8 +132,6 @@ type Router struct {
 	nodeRequests       []atomic.Int64
 	nodeErrors         []atomic.Int64
 	lat                stats.Histogram
-
-	scopes sync.Pool
 }
 
 // method indices for requestsByMethod.
@@ -163,15 +159,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		nodeRequests: make([]atomic.Int64, len(cfg.Nodes)),
 		nodeErrors:   make([]atomic.Int64, len(cfg.Nodes)),
 	}
-	rt.scopes.New = func() any {
-		return &routeScope{
-			url:   make([]byte, 0, 256),
-			body:  make([]byte, 0, 4096),
-			buf:   make([]byte, 32<<10),
-			cands: make([]int, 0, len(cfg.Nodes)),
-			order: make([]int, 0, len(cfg.Nodes)),
-		}
-	}
 	return rt, nil
 }
 
@@ -198,35 +185,20 @@ func (rt *Router) Latency() (buckets [stats.NumLatencyBuckets]int64, sumNanos in
 	return rt.lat.Snapshot()
 }
 
-// routeScope is the pooled per-request arena (the PR-6 reqScope pattern
-// applied to the routing tier): URL scratch, PUT body buffer, the
-// response copy buffer and the candidate-order scratch all live for
-// exactly one request and are recycled afterwards, so the steady-state
-// proxy path allocates only what net/http itself needs. It doubles as
-// the status-recording ResponseWriter for the response-class counters.
-type routeScope struct {
-	w      http.ResponseWriter
-	status int
-	url    []byte
-	body   []byte
-	buf    []byte
-	cands  []int
-	order  []int
+// routeScratch is the router's per-request scratch, pooled with the
+// request's scope: URL bytes, the response copy buffer and the
+// candidate-order slices live for exactly one request and are recycled
+// afterwards, so the steady-state proxy path allocates only what
+// net/http itself needs.
+type routeScratch struct {
+	url   []byte
+	buf   []byte
+	cands []int
+	order []int
 }
 
-func (sc *routeScope) Header() http.Header { return sc.w.Header() }
-
-func (sc *routeScope) Write(p []byte) (int, error) {
-	if sc.status == 0 {
-		sc.status = http.StatusOK
-	}
-	return sc.w.Write(p)
-}
-
-func (sc *routeScope) WriteHeader(code int) {
-	sc.status = code
-	sc.w.WriteHeader(code)
-}
+// scope is a routed request's pooled scope; its Scratch is a routeScratch.
+type scope = httpx.Scope[routeScratch]
 
 // Handler returns the router's HTTP handler:
 //
@@ -246,33 +218,11 @@ func (rt *Router) Handler() http.Handler {
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /statusz", rt.handleStatusz)
-	return rt.instrument(mux)
-}
-
-// instrument wraps the mux with in-flight tracking, response-class
-// counting, proxy latency and the pooled per-request scope.
-func (rt *Router) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.inflight.Add(1)
-		sc := rt.scopes.Get().(*routeScope)
-		sc.w, sc.status = w, 0
-		startT := time.Now() //scip:wallclock-ok proxy-latency metering, never a routing decision input
-		next.ServeHTTP(sc, r)
-		rt.lat.Observe(time.Since(startT)) //scip:wallclock-ok proxy-latency metering, never a routing decision input
-		if class := sc.status / 100; class >= 1 && class <= 5 {
-			rt.responsesByClass[class].Add(1)
-		}
-		sc.w = nil
-		rt.scopes.Put(sc)
-		rt.inflight.Add(-1)
-	})
-}
-
-// scopeOf recovers the request's routeScope from the ResponseWriter the
-// instrument wrapper installed.
-func scopeOf(w http.ResponseWriter) *routeScope {
-	sc, _ := w.(*routeScope)
-	return sc
+	return rt.shell.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now() //scip:wallclock-ok proxy-latency metering, never a routing decision input
+		mux.ServeHTTP(w, r)
+		rt.lat.Observe(time.Since(start)) //scip:wallclock-ok proxy-latency metering, never a routing decision input
+	}))
 }
 
 // routeKey parses the request key.
@@ -285,10 +235,11 @@ func routeKey(r *http.Request) (uint64, error) {
 // Replicas entries rotated by the round-robin sequence when the key is
 // hot and replication is on (spreading hot reads across the replica
 // set). rotate is false for writes — they always prefer the owner.
-func (rt *Router) candidates(sc *routeScope, key uint64, rotate bool) []int {
-	sc.cands = rt.ring.ReplicasInto(key, len(rt.cfg.Nodes), sc.cands)
-	sc.order = sc.order[:0]
-	n := len(sc.cands)
+func (rt *Router) candidates(sc *scope, key uint64, rotate bool) []int {
+	x := &sc.Scratch
+	x.cands = rt.ring.ReplicasInto(key, len(rt.cfg.Nodes), x.cands)
+	x.order = x.order[:0]
+	n := len(x.cands)
 	rep := rt.cfg.Replicas
 	if rep > n {
 		rep = n
@@ -296,13 +247,13 @@ func (rt *Router) candidates(sc *routeScope, key uint64, rotate bool) []int {
 	if rotate && rep > 1 {
 		off := int(rt.seq.Add(1) % uint64(rep))
 		for i := 0; i < rep; i++ {
-			sc.order = append(sc.order, sc.cands[(off+i)%rep])
+			x.order = append(x.order, x.cands[(off+i)%rep])
 		}
-		sc.order = append(sc.order, sc.cands[rep:]...)
+		x.order = append(x.order, x.cands[rep:]...)
 	} else {
-		sc.order = append(sc.order, sc.cands...)
+		x.order = append(x.order, x.cands...)
 	}
-	return sc.order
+	return x.order
 }
 
 // proxyHeaders are the response headers forwarded from node to client,
@@ -313,13 +264,13 @@ var proxyHeaders = [...]string{
 }
 
 // tryNode sends one attempt of method for key to node i: the per-attempt
-// timeout, the URL assembled in sc.url (the client's query forwarded),
+// timeout, the URL assembled in the scratch (the client's query forwarded),
 // body as the payload. A transport failure (connect, timeout) is counted
 // against the node and returned without touching the client connection,
 // so the caller can fail over; any HTTP response — including the node's
 // own errors — counts as success, and is forwarded verbatim to the client
 // when forward is set, drained and dropped otherwise.
-func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string, key uint64, body []byte, forward bool) error {
+func (rt *Router) tryNode(r *http.Request, sc *scope, i int, method string, key uint64, body []byte, forward bool) error {
 	rt.nodeRequests[i].Add(1)
 	ctx := r.Context()
 	if rt.cfg.NodeTimeout > 0 {
@@ -327,18 +278,19 @@ func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string,
 		ctx, cancel = context.WithTimeout(ctx, rt.cfg.NodeTimeout)
 		defer cancel()
 	}
-	sc.url = append(sc.url[:0], rt.cfg.Nodes[i]...)
-	sc.url = append(sc.url, "/obj/"...)
-	sc.url = strconv.AppendUint(sc.url, key, 10)
+	x := &sc.Scratch
+	x.url = append(x.url[:0], rt.cfg.Nodes[i]...)
+	x.url = append(x.url, "/obj/"...)
+	x.url = strconv.AppendUint(x.url, key, 10)
 	if rq := r.URL.RawQuery; rq != "" {
-		sc.url = append(sc.url, '?')
-		sc.url = append(sc.url, rq...)
+		x.url = append(x.url, '?')
+		x.url = append(x.url, rq...)
 	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, string(sc.url), rd)
+	req, err := http.NewRequestWithContext(ctx, method, string(x.url), rd)
 	if err != nil {
 		return err
 	}
@@ -362,16 +314,19 @@ func (rt *Router) tryNode(r *http.Request, sc *routeScope, i int, method string,
 	}
 	h.Set("X-Route-Node", rt.cfg.Nodes[i])
 	sc.WriteHeader(resp.StatusCode)
-	io.CopyBuffer(sc, resp.Body, sc.buf)
+	if x.buf == nil {
+		x.buf = make([]byte, 32<<10)
+	}
+	io.CopyBuffer(sc, resp.Body, x.buf)
 	return nil
 }
 
 // fireAndForget issues a replica write (PUT/DELETE fan-out) whose
 // response is discarded; only transport failures count as errors. Despite
 // the name it is synchronous — it returns once the node has answered —
-// and must stay so: body is the pooled sc.body, which the next request
-// overwrites as soon as this handler returns.
-func (rt *Router) fireAndForget(r *http.Request, sc *routeScope, i int, method string, key uint64, body []byte) {
+// and must stay so: body is the scope's pooled request body, which the
+// next request overwrites as soon as this handler returns.
+func (rt *Router) fireAndForget(r *http.Request, sc *scope, i int, method string, key uint64, body []byte) {
 	if err := rt.tryNode(r, sc, i, method, key, body, false); err != nil {
 		rt.replicaWriteErrors.Add(1)
 	}
@@ -380,7 +335,7 @@ func (rt *Router) fireAndForget(r *http.Request, sc *routeScope, i int, method s
 // proxyWalk tries each candidate in order, skipping down nodes while an
 // up one remains, failing over on transport errors, and answering 502
 // when every attempt fails.
-func (rt *Router) proxyWalk(r *http.Request, sc *routeScope, order []int, method string, key uint64, body []byte) {
+func (rt *Router) proxyWalk(r *http.Request, sc *scope, order []int, method string, key uint64, body []byte) {
 	attempted := false
 	var lastErr error
 	for _, i := range order {
@@ -421,7 +376,7 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requestsByMethod[mGet].Add(1)
-	sc := scopeOf(w)
+	sc := httpx.ScopeOf[routeScratch](w)
 	hot := false
 	if rt.cfg.Replicate {
 		hot = rt.hot.Observe(key)
@@ -441,28 +396,11 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requestsByMethod[mPut].Add(1)
-	sc := scopeOf(w)
-	sc.body = sc.body[:0]
-	lr := io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1)
-	for {
-		if len(sc.body) == cap(sc.body) {
-			sc.body = append(sc.body, 0)[:len(sc.body)]
-		}
-		n, rerr := lr.Read(sc.body[len(sc.body):cap(sc.body)])
-		sc.body = sc.body[:len(sc.body)+n]
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			http.Error(w, "body: "+rerr.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if int64(len(sc.body)) > rt.cfg.MaxBodyBytes {
-		http.Error(w, "body exceeds router cap", http.StatusRequestEntityTooLarge)
+	sc := httpx.ScopeOf[routeScratch](w)
+	body, ok := sc.Body(r, rt.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	body := sc.body
 	if len(body) == 0 {
 		body = nil
 	}
@@ -497,7 +435,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requestsByMethod[mDelete].Add(1)
-	sc := scopeOf(w)
+	sc := httpx.ScopeOf[routeScratch](w)
 	order := rt.candidates(sc, key, false)
 	if rt.cfg.Replicate {
 		// Invalidation must reach every node that may hold a copy: the
@@ -519,55 +457,41 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP scip_route_%s %s\n# TYPE scip_route_%s counter\nscip_route_%s %d\n",
-			name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP scip_route_requests_total Object requests received, by method.\n")
-	fmt.Fprintf(w, "# TYPE scip_route_requests_total counter\n")
+	w.Header().Set("Content-Type", stats.ContentType)
+	p := stats.NewPromWriter(w)
+	p.Family("scip_route_requests_total", "counter", "Object requests received, by method.")
 	for i, m := range [...]string{"get", "put", "delete"} {
-		fmt.Fprintf(w, "scip_route_requests_total{method=%q} %d\n", m, rt.requestsByMethod[i].Load())
+		p.Labelled("scip_route_requests_total", "method", m, rt.requestsByMethod[i].Load())
 	}
-	fmt.Fprintf(w, "# HELP scip_route_http_responses_total HTTP responses by status class.\n")
-	fmt.Fprintf(w, "# TYPE scip_route_http_responses_total counter\n")
-	for class := 1; class <= 5; class++ {
-		fmt.Fprintf(w, "scip_route_http_responses_total{class=\"%dxx\"} %d\n",
-			class, rt.responsesByClass[class].Load())
-	}
-	fmt.Fprintf(w, "# HELP scip_route_node_requests_total Proxy attempts per node.\n")
-	fmt.Fprintf(w, "# TYPE scip_route_node_requests_total counter\n")
-	for i, n := range rt.cfg.Nodes {
-		fmt.Fprintf(w, "scip_route_node_requests_total{node=%q} %d\n", n, rt.nodeRequests[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP scip_route_node_errors_total Transport failures per node.\n")
-	fmt.Fprintf(w, "# TYPE scip_route_node_errors_total counter\n")
-	for i, n := range rt.cfg.Nodes {
-		fmt.Fprintf(w, "scip_route_node_errors_total{node=%q} %d\n", n, rt.nodeErrors[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP scip_route_node_up Node health (1 = up, 0 = down).\n")
-	fmt.Fprintf(w, "# TYPE scip_route_node_up gauge\n")
-	for i, n := range rt.cfg.Nodes {
-		up := 0
-		if rt.reg.Up(i) {
-			up = 1
+	rt.shell.WriteResponses(p, "scip_route_http_responses_total")
+	perNode := func(name, typ, help string, v func(i int) int64) {
+		p.Family(name, typ, help)
+		for i, n := range rt.cfg.Nodes {
+			p.Labelled(name, "node", n, v(i))
 		}
-		fmt.Fprintf(w, "scip_route_node_up{node=%q} %d\n", n, up)
 	}
+	perNode("scip_route_node_requests_total", "counter", "Proxy attempts per node.",
+		func(i int) int64 { return rt.nodeRequests[i].Load() })
+	perNode("scip_route_node_errors_total", "counter", "Transport failures per node.",
+		func(i int) int64 { return rt.nodeErrors[i].Load() })
+	perNode("scip_route_node_up", "gauge", "Node health (1 = up, 0 = down).", func(i int) int64 {
+		if rt.reg.Up(i) {
+			return 1
+		}
+		return 0
+	})
+	counter := func(name, help string, v int64) { p.Metric("scip_route_"+name, "counter", help, v) }
 	counter("failovers_total", "Requests retried on a ring successor after a node failure.", rt.failovers.Load())
 	counter("unroutable_total", "Requests that exhausted every candidate node.", rt.noNodeErrors.Load())
 	counter("replicated_reads_total", "Hot-key reads load-balanced across a replica set.", rt.replicatedReads.Load())
 	counter("fanout_writes_total", "Writes/invalidations fanned to a replica set.", rt.fanoutWrites.Load())
 	counter("replica_write_errors_total", "Failed replica-side fan-out writes.", rt.replicaWriteErrors.Load())
-	fmt.Fprintf(w, "# HELP scip_route_hot_keys Current hot-set size.\n# TYPE scip_route_hot_keys gauge\nscip_route_hot_keys %d\n",
-		rt.hot.Len())
-	fmt.Fprintf(w, "# HELP scip_route_inflight_requests Requests currently being routed.\n# TYPE scip_route_inflight_requests gauge\nscip_route_inflight_requests %d\n",
-		rt.inflight.Load())
-	fmt.Fprintf(w, "# HELP scip_route_uptime_seconds Seconds since the router started.\n# TYPE scip_route_uptime_seconds gauge\nscip_route_uptime_seconds %s\n",
+	p.Metric("scip_route_hot_keys", "gauge", "Current hot-set size.", rt.hot.Len())
+	p.Metric("scip_route_inflight_requests", "gauge", "Requests currently being routed.", rt.shell.Inflight())
+	p.Metric("scip_route_uptime_seconds", "gauge", "Seconds since the router started.",
 		strconv.FormatFloat(time.Since(rt.start).Seconds(), 'f', 3, 64)) //scip:wallclock-ok uptime gauge for /metrics, never a routing input
 	buckets, sum := rt.lat.Snapshot()
-	stats.WriteHistogramPrometheus(w, "scip_route_proxy_latency_seconds",
-		"End-to-end routed request latency.", buckets, sum)
+	p.Histogram("scip_route_proxy_latency_seconds", "End-to-end routed request latency.", buckets, sum)
 }
 
 func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
@@ -580,7 +504,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		reqs += rt.requestsByMethod[i].Load()
 	}
 	fmt.Fprintf(w, "requests:   %d (failovers %d, unroutable %d, inflight %d)\n",
-		reqs, rt.failovers.Load(), rt.noNodeErrors.Load(), rt.inflight.Load())
+		reqs, rt.failovers.Load(), rt.noNodeErrors.Load(), rt.shell.Inflight())
 	fmt.Fprintf(w, "hot keys:   %d/%d tracked (min estimate %d); %d replicated reads, %d fan-out writes\n",
 		rt.hot.Len(), rt.cfg.HotK, rt.cfg.HotMin, rt.replicatedReads.Load(), rt.fanoutWrites.Load())
 	for i, n := range rt.cfg.Nodes {
@@ -593,45 +517,19 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// Serve accepts connections on l until ctx is cancelled, running the
-// background health loop alongside, then shuts down gracefully: the
-// listener closes immediately, in-flight requests drain for up to the
-// drain timeout (0 = wait indefinitely). Same contract as server.Serve
-// so the two binaries wire identically.
+// Serve serves the router on l until ctx is cancelled, with the
+// background health loop running alongside, then drains in-flight
+// requests for up to drain (see httpx.Serve). Same contract as
+// server.Serve so the two binaries wire identically.
 func (rt *Router) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	go rt.reg.Watch(hctx, rt.cfg.HealthInterval)
-	hs := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx := context.Background()
-	if drain > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, drain)
-		defer cancel()
-	}
-	err := hs.Shutdown(sctx)
-	if serveErr := <-errc; !errors.Is(serveErr, http.ErrServerClosed) {
-		return serveErr
-	}
-	return err
+	return httpx.Serve(ctx, l, rt.Handler(), drain, rt.watch)
 }
 
-// ListenAndServe resolves addr and calls Serve. ready, when non-nil,
-// receives the bound address once the listener is up.
+// ListenAndServe serves the router on addr; ready, when non-nil,
+// receives the bound address (see httpx.ListenAndServe).
 func (rt *Router) ListenAndServe(ctx context.Context, addr string, drain time.Duration, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return rt.Serve(ctx, l, drain)
+	return httpx.ListenAndServe(ctx, addr, rt.Handler(), drain, ready, rt.watch)
 }
+
+// watch is the health loop: Registry.Watch at the configured interval.
+func (rt *Router) watch(ctx context.Context) { rt.reg.Watch(ctx, rt.cfg.HealthInterval) }

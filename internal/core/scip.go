@@ -174,14 +174,6 @@ func WithHitGain(gain float64) Option {
 	return func(s *SCIP) { s.hitGain = gain }
 }
 
-// WithPromoteGains overrides the promotion context's evidence gains
-// (defaults: DefaultPromoteEvictGain, DefaultPromoteHitGain). The promotion context
-// weighs wasted promotions against validated ones over a different
-// population (hit objects), so its balance can be tuned independently.
-func WithPromoteGains(evictGain, hitGain float64) Option {
-	return func(s *SCIP) { s.proEvictGain, s.proHitGain = evictGain, hitGain }
-}
-
 // ForEnhancement configures SCIP as an enhancement component inside a
 // host replacement algorithm that already performs informed victim
 // selection (LRU-K, LRB — the paper's Figure 12). The dueling monitors
@@ -213,23 +205,21 @@ func WithDueling(gain float64) Option {
 // SCIP implements cache.InsertionPolicy per Algorithm 1. One instance
 // drives one cache; it is not safe for concurrent use.
 type SCIP struct {
-	name         string
-	hm, hl       *cache.History
-	insW         *weightSet // ω_m/ω_l for missing objects
-	proW         *weightSet // ω_m/ω_l for hit objects (== insW if unified)
-	rate         *mab.AdaptiveRate
-	seed         int64
-	rng          *rand.Rand
-	interval     int
-	historyFrac  float64
-	initW        float64
-	promoteMRU   bool
-	unified      bool
-	evictGain    float64
-	hitGain      float64
-	proEvictGain float64 // -1: use evictGain
-	proHitGain   float64 // -1: use hitGain
-	force        ForceMode
+	name        string
+	hm, hl      *cache.History
+	insW        *weightSet // ω_m/ω_l for missing objects
+	proW        *weightSet // ω_m/ω_l for hit objects (== insW if unified)
+	rate        *mab.AdaptiveRate
+	seed        int64
+	rng         *rand.Rand
+	interval    int
+	historyFrac float64
+	initW       float64
+	promoteMRU  bool
+	unified     bool
+	evictGain   float64
+	hitGain     float64
+	force       ForceMode
 
 	duelGain  float64
 	duelists  *cache.DuelMonitor
@@ -276,20 +266,12 @@ func New(capBytes int64, opts ...Option) *SCIP {
 		initW:         0.9,
 		evictGain:     DefaultEvictGain,
 		hitGain:       DefaultHitGain,
-		proEvictGain:  -1,
-		proHitGain:    -1,
 		force:         ForceRescue,
 		lastMissRatio: 0.5,
 		duelGain:      DefaultDuelGain,
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.proEvictGain < 0 {
-		s.proEvictGain = DefaultPromoteEvictGain
-	}
-	if s.proHitGain < 0 {
-		s.proHitGain = DefaultPromoteHitGain
 	}
 	// The PRNG is derived from the configured seed (never an ambient or
 	// hard-coded source) so every replay is a pure function of the
@@ -496,7 +478,7 @@ func (s *SCIP) OnEvict(ev cache.EvictInfo) {
 		s.hm.Add(ev.Key, ev.Size, ev.Residency)
 		gain := s.evictGain
 		if ev.Residency == cache.ResFirstHit {
-			gain = s.proEvictGain
+			gain = DefaultPromoteEvictGain
 		}
 		if !ev.EverHit && gain > 0 {
 			if w := s.context(ev.Residency); w != nil {
@@ -538,7 +520,7 @@ func (s *SCIP) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Resi
 	}
 	gain := s.hitGain
 	if res == cache.ResFirstHit {
-		gain = s.proHitGain
+		gain = DefaultPromoteHitGain
 	}
 	if gain <= 0 {
 		return

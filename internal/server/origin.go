@@ -4,10 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"github.com/scip-cache/scip/internal/httpx"
 )
 
 // Origin is the daemon's upstream: where object bodies come from on a
@@ -113,40 +114,26 @@ type HTTPOrigin struct {
 	// Base is the upstream URL prefix; the decimal key is appended as a
 	// path element.
 	Base string
-	// Client is the HTTP client to use (default defaultOriginClient).
+	// Client is the HTTP client to use (default: one with a pooled
+	// transport, shared by every HTTPOrigin without a Client).
 	Client *http.Client
 }
 
-// defaultOriginClient serves every HTTPOrigin without a Client. Its pool
-// keeps 32 idle connections per upstream, like RouterConfig's default
-// transport: http.DefaultClient keeps 2 and redials under any concurrency.
-var defaultOriginClient = func() *http.Client {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConnsPerHost = 32
-	return &http.Client{Transport: t}
-}()
+// defaultOriginClient serves every HTTPOrigin without a Client.
+var defaultOriginClient = httpx.NewClient(1)
 
-// Fetch implements Origin.
+// Fetch implements Origin. A body of declared length arrives in a buffer
+// of exactly that length (see httpx.Fetch).
 func (o *HTTPOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte, int64, error) {
 	client := o.Client
 	if client == nil {
 		client = defaultOriginClient
 	}
 	url := o.Base + "/" + strconv.FormatUint(key, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, 0, err
+	body, err := httpx.Fetch(ctx, client, url)
+	if _, ok := err.(*httpx.StatusError); ok {
+		return nil, 0, fmt.Errorf("origin %s: %w", url, err)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, 0, fmt.Errorf("origin %s: %s", url, resp.Status)
-	}
-	body, err := readExact(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -154,25 +141,4 @@ func (o *HTTPOrigin) Fetch(ctx context.Context, key uint64, size int64) ([]byte,
 		size = int64(len(body))
 	}
 	return body, size, nil
-}
-
-// exactReadMax bounds the declared length readExact allocates before any
-// byte has arrived, so a lying Content-Length cannot make one fetch
-// allocate gigabytes; longer bodies are read as they arrive.
-const exactReadMax = 64 << 20
-
-// readExact reads resp's body into a buffer of exactly its declared
-// length, so a body the store adopts carries no spare capacity beyond
-// the len its byte accounting counts. Unknown (and implausibly large)
-// lengths fall back to io.ReadAll.
-func readExact(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
-	if n < 0 || n > exactReadMax {
-		return io.ReadAll(resp.Body)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }

@@ -46,7 +46,7 @@ func (b *replayBody) Read(p []byte) (int, error) {
 func (b *replayBody) Close() error { return nil }
 
 // TestServeAllocs pins what the deployed serving path allocates per
-// request: Server.Handler() — mux, instrument wrapper and handler —
+// request: Server.Handler() — the httpx.Shell wrapper, mux and handler —
 // against a header map that starts empty on every request, which is what
 // net/http provides and what the benchmark's server.allocs_per_hit
 // measures. The ceilings are the values measured on go1.24: a GET hit
@@ -55,7 +55,7 @@ func (b *replayBody) Close() error { return nil }
 // path-value slice; a PUT refresh the two header slices, the mux's, and
 // the one copy of the body the store keeps — stored bodies are immutable,
 // so a refresh installs a new slice instead of overwriting the old one a
-// concurrent hit may still be writing out. The pooled reqScope keeps
+// concurrent hit may still be writing out. The pooled httpx.Scope keeps
 // status capture and the request-body read buffer out of that count, and
 // a hit writes the stored slice itself, so the response body costs none.
 func TestServeAllocs(t *testing.T) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"github.com/scip-cache/scip/internal/cache"
+	"github.com/scip-cache/scip/internal/httpx"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/stats"
 )
@@ -39,10 +39,6 @@ type Config struct {
 	// ActorDepth bounds each actor's mailbox in ModeActor (0 = shard
 	// package default).
 	ActorDepth int
-	// NoLatency disables the per-request latency histogram, removing the
-	// serving path's only two clock reads; /statusz and /metrics then
-	// report zero latency.
-	NoLatency bool
 
 	// Origin supplies object bodies on a miss (default: a zero-latency
 	// SyntheticOrigin).
@@ -141,21 +137,23 @@ type Server struct {
 	// header never formats on the serving path.
 	shardStr []string
 
+	// shell counts in-flight requests and responses by status class,
+	// and pools each request's scope.
+	shell httpx.Shell[struct{}]
+
 	// Serving-path counters (see OPERATIONS.md for the catalogue).
-	inflight         atomic.Int64
-	originFetches    atomic.Int64
-	originErrors     atomic.Int64
-	originRetries    atomic.Int64
-	coalescedWaits   atomic.Int64
-	staleServes      atomic.Int64
-	bodyRefetches    atomic.Int64
-	peerFetches      atomic.Int64
-	peerErrors       atomic.Int64
-	peerRetries      atomic.Int64
-	peerFills        atomic.Int64
-	peerServes       atomic.Int64
-	peerMisses       atomic.Int64
-	responsesByClass [6]atomic.Int64 // index = status/100
+	originFetches  atomic.Int64
+	originErrors   atomic.Int64
+	originRetries  atomic.Int64
+	coalescedWaits atomic.Int64
+	staleServes    atomic.Int64
+	bodyRefetches  atomic.Int64
+	peerFetches    atomic.Int64
+	peerErrors     atomic.Int64
+	peerRetries    atomic.Int64
+	peerFills      atomic.Int64
+	peerServes     atomic.Int64
+	peerMisses     atomic.Int64
 }
 
 // New validates cfg, builds the sharded cache with stats attached and
@@ -223,25 +221,7 @@ func (s *Server) Handler() http.Handler {
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	return s.instrument(mux)
-}
-
-// instrument wraps the mux with in-flight tracking and response-class
-// counting: every request runs against a pooled reqScope instead of a
-// freshly allocated status recorder and body buffer.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
-		sc := scopePool.Get().(*reqScope)
-		sc.reset(w)
-		next.ServeHTTP(sc, r)
-		if class := sc.status / 100; class >= 1 && class <= 5 {
-			s.responsesByClass[class].Add(1)
-		}
-		sc.w = nil
-		scopePool.Put(sc)
-		s.inflight.Add(-1)
-	})
+	return s.shell.Wrap(mux)
 }
 
 // reqMeta extracts key and the optional size/t query parameters. The
@@ -411,12 +391,8 @@ func (s *Server) finishWithError(w http.ResponseWriter, shardIdx int, key uint64
 
 // access performs the one policy access of an object request under the
 // shard lock. The daemon is open-loop — requests arrive whenever clients
-// send them — so it pays two clock reads per request to time the access;
-// Config.NoLatency trades the histogram away to eliminate them.
+// send them — so it pays two clock reads per request to time the access.
 func (s *Server) access(key uint64, size, t int64) bool {
-	if s.cfg.NoLatency {
-		return s.cache.Access(cache.Request{Time: t, Key: key, Size: size})
-	}
 	start := time.Now()
 	hit := s.cache.Access(cache.Request{Time: t, Key: key, Size: size})
 	s.st.Latency().Observe(time.Since(start))
@@ -429,9 +405,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := scopeOf(w).readBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
+	body, ok := httpx.ScopeOf[struct{}](w).Body(r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	if size < 0 {
@@ -478,7 +453,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", stats.ContentType)
 	if err := stats.WritePrometheus(w, s.st.Snapshot(), "scip"); err != nil {
 		return
 	}
@@ -487,14 +462,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // writeServerMetrics appends the serving-path series to the exposition.
 func (s *Server) writeServerMetrics(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP scip_server_%s %s\n# TYPE scip_server_%s counter\nscip_server_%s %d\n",
-			name, help, name, name, v)
-	}
-	gauge := func(name, help string, v string) {
-		fmt.Fprintf(w, "# HELP scip_server_%s %s\n# TYPE scip_server_%s gauge\nscip_server_%s %s\n",
-			name, help, name, name, v)
-	}
+	p := stats.NewPromWriter(w)
+	counter := func(name, help string, v int64) { p.Metric("scip_server_"+name, "counter", help, v) }
 	counter("origin_fetches_total", "Origin fetch attempts.", s.originFetches.Load())
 	counter("origin_errors_total", "Failed origin fetch attempts.", s.originErrors.Load())
 	counter("origin_retries_total", "Origin fetch retries.", s.originRetries.Load())
@@ -507,19 +476,14 @@ func (s *Server) writeServerMetrics(w io.Writer) {
 	counter("peer_fills_total", "Misses whose body came from a peer instead of the origin.", s.peerFills.Load())
 	counter("peer_serves_total", "Inbound /peer requests answered with a stored body.", s.peerServes.Load())
 	counter("peer_misses_total", "Inbound /peer requests answered 404 (no body stored).", s.peerMisses.Load())
-	fmt.Fprintf(w, "# HELP scip_server_http_responses_total HTTP responses by status class.\n")
-	fmt.Fprintf(w, "# TYPE scip_server_http_responses_total counter\n")
-	for class := 1; class <= 5; class++ {
-		fmt.Fprintf(w, "scip_server_http_responses_total{class=\"%dxx\"} %d\n",
-			class, s.responsesByClass[class].Load())
-	}
-	gauge("inflight_requests", "Requests currently being served.", strconv.FormatInt(s.inflight.Load(), 10))
-	gauge("uptime_seconds", "Seconds since the daemon started.",
+	s.shell.WriteResponses(p, "scip_server_http_responses_total")
+	p.Metric("scip_server_inflight_requests", "gauge", "Requests currently being served.", s.shell.Inflight())
+	p.Metric("scip_server_uptime_seconds", "gauge", "Seconds since the daemon started.",
 		strconv.FormatFloat(time.Since(s.start).Seconds(), 'f', 3, 64))
 	// GC series: with the pointer-free cache core, heap-scan bytes and
 	// pause totals must stay flat as the resident set grows — these
 	// gauges are how a deployment checks that invariant live.
-	stats.WriteGCPrometheus(w, stats.ReadGC(), "scip_server")
+	p.GC(stats.ReadGC(), "scip_server")
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
@@ -548,49 +512,21 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "cluster:    peer-fill %s: %d peer fetches (%d fills, %d errors, %d retries); served %d peer reads (%d peer misses)\n",
 		peerFill, s.peerFetches.Load(), s.peerFills.Load(), s.peerErrors.Load(),
 		s.peerRetries.Load(), s.peerServes.Load(), s.peerMisses.Load())
-	fmt.Fprintf(w, "inflight:   %d (goroutines %d)\n", s.inflight.Load(), runtime.NumGoroutine())
+	fmt.Fprintf(w, "inflight:   %d (goroutines %d)\n", s.shell.Inflight(), runtime.NumGoroutine())
 	gc := stats.ReadGC()
 	fmt.Fprintf(w, "gc:         %d cycles, pause %s, heap-scan %.1f MiB, cpu %.4f%%\n",
 		gc.NumGC, gc.PauseTotal.Round(time.Microsecond),
 		float64(gc.HeapScanBytes)/(1<<20), gc.CPUFraction*100)
 }
 
-// Serve accepts connections on l until ctx is cancelled, then shuts
-// down gracefully: the listener closes immediately, in-flight requests
-// drain for up to the drain timeout (0 = wait indefinitely), and only
-// then does Serve return. It returns nil after a clean drain.
+// Serve serves the daemon on l until ctx is cancelled, then drains
+// in-flight requests for up to drain (see httpx.Serve).
 func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx := context.Background()
-	if drain > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, drain)
-		defer cancel()
-	}
-	err := hs.Shutdown(sctx)
-	if serveErr := <-errc; !errors.Is(serveErr, http.ErrServerClosed) {
-		return serveErr
-	}
-	return err
+	return httpx.Serve(ctx, l, s.Handler(), drain)
 }
 
-// ListenAndServe resolves addr and calls Serve. ready, when non-nil,
-// receives the bound address once the listener is up (tests and callers
-// binding port 0 use it).
+// ListenAndServe serves the daemon on addr; ready, when non-nil,
+// receives the bound address (see httpx.ListenAndServe).
 func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Duration, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return s.Serve(ctx, l, drain)
+	return httpx.ListenAndServe(ctx, addr, s.Handler(), drain, ready)
 }

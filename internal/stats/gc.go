@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/metrics"
 	"time"
@@ -51,28 +50,15 @@ func ReadGC() GCSnapshot {
 	return s
 }
 
-// WriteGCPrometheus renders gc in the Prometheus text exposition format
-// under namespace_gc_* (the daemon passes "scip_server").
-func WriteGCPrometheus(w io.Writer, gc GCSnapshot, namespace string) error {
-	series := []struct {
-		name, typ, help, value string
-	}{
-		{"gc_cycles_total", "counter", "Completed GC cycles.",
-			fmt.Sprintf("%d", gc.NumGC)},
-		{"gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.",
-			fmt.Sprintf("%.9f", gc.PauseTotal.Seconds())},
-		{"gc_heap_scan_bytes", "gauge", "Scannable (pointer-bearing) heap bytes; flat in resident objects with the pointer-free cache core.",
-			fmt.Sprintf("%d", gc.HeapScanBytes)},
-		{"gc_cpu_fraction", "gauge", "Fraction of available CPU consumed by the GC since start.",
-			fmt.Sprintf("%g", gc.CPUFraction)},
-		{"gc_heap_objects", "gauge", "Live heap objects at the last sweep.",
-			fmt.Sprintf("%d", gc.HeapObjects)},
-	}
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n%s_%s %s\n",
-			namespace, s.name, s.help, namespace, s.name, s.typ, namespace, s.name, s.value); err != nil {
-			return err
-		}
-	}
-	return nil
+// GC writes gc's series as namespace_gc_* families (the daemon passes
+// "scip_server").
+func (p *PromWriter) GC(gc GCSnapshot, namespace string) {
+	p.Metric(namespace+"_gc_cycles_total", "counter", "Completed GC cycles.", gc.NumGC)
+	p.Metric(namespace+"_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.",
+		fmt.Sprintf("%.9f", gc.PauseTotal.Seconds()))
+	p.Metric(namespace+"_gc_heap_scan_bytes", "gauge", "Scannable (pointer-bearing) heap bytes; flat in resident objects with the pointer-free cache core.",
+		gc.HeapScanBytes)
+	p.Metric(namespace+"_gc_cpu_fraction", "gauge", "Fraction of available CPU consumed by the GC since start.",
+		gc.CPUFraction)
+	p.Metric(namespace+"_gc_heap_objects", "gauge", "Live heap objects at the last sweep.", gc.HeapObjects)
 }

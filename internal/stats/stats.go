@@ -87,7 +87,7 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Snapshot copies the histogram's current buckets and nanosecond sum
 // with one atomic load each. Standalone Histogram users (the router's
-// proxy-latency histogram) pair it with WriteHistogramPrometheus;
+// proxy-latency histogram) pair it with PromWriter.Histogram;
 // Stats.Snapshot embeds the same values in its Snapshot struct.
 func (h *Histogram) Snapshot() (buckets [NumLatencyBuckets]int64, sumNanos int64) {
 	for i := range h.buckets {
@@ -110,9 +110,6 @@ func New(nShards int) *Stats {
 	}
 	return &Stats{shards: make([]paddedCounters, nShards)}
 }
-
-// ShardCount returns the number of per-shard counter blocks.
-func (s *Stats) ShardCount() int { return len(s.shards) }
 
 // Shard returns shard i's counter block.
 func (s *Stats) Shard(i int) *ShardCounters { return &s.shards[i].ShardCounters }

@@ -75,9 +75,3 @@ func (e *OnlineEstimator) Likelihood(size int64) float64 {
 	}
 	return e.est[c]
 }
-
-// Seen reports whether the size's class has accumulated enough evidence
-// to override the prior.
-func (e *OnlineEstimator) Seen(size int64) bool {
-	return e.seen[onlineClass(size)] >= onlineMinObs
-}
