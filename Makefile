@@ -38,8 +38,7 @@ vet:
 
 # lint runs the repository's own determinism analyzers (see
 # internal/analysis and DESIGN.md "Invariants"): the per-file detrand
-# and maporder plus the interprocedural clocktaint pass, ending with the
-# suppression audit — a stale or unknown //scip: comment fails the run.
+# and maporder, ending with the suppression audit — a stale or unknown //scip: comment fails the run.
 # Two invariants are pinned by tests, not by an analyzer: lock
 # discipline by test-race, and the data plane's zero allocation by
 # TestHotPathsAllocateNothing and the per-package Allocs pins.
@@ -98,8 +97,8 @@ golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
 # Short fuzz passes over all nine Fuzz* targets: the analysis
-# fixture-comment parser, the module indexer (arbitrary parseable
-# source must never panic it or the flow analyzers), scip-serve's query
+# fixture-comment parser, VetModule (arbitrary parseable source must
+# never panic the analyzers or the suppression audit), scip-serve's query
 # scanner (diffed against url.ParseQuery), the cache's open-addressing
 # index (diffed against a plain map) and ghost history (structural
 # invariants after every operation), the three trace readers (CSV,
@@ -108,7 +107,7 @@ golden-equiv:
 # trace).
 fuzz:
 	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzParseWant$$' -fuzztime 30s
-	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzCallGraph$$' -fuzztime 30s
+	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzVetModule$$' -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzIndexVsMap$$' -fuzztime 10s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 10s

@@ -109,7 +109,6 @@ func main() {
 		selected = append(selected, r)
 	}
 	report := benchReport{
-		//scip:wallclock-ok BENCH.json metadata: records when the figures were generated, never feeds a decision
 		GeneratedUnix: time.Now().Unix(),
 		Scale:         *scale,
 		Seeds:         *seeds,
@@ -118,21 +117,21 @@ func main() {
 		Workers:       runner.Workers(cfg.Workers),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 	}
-	total := time.Now() //scip:wallclock-ok BENCH.json metering: wall time of the whole figure run
+	total := time.Now()
 	for _, r := range selected {
-		start := time.Now() //scip:wallclock-ok BENCH.json metering: wall time per experiment
+		start := time.Now()
 		fmt.Printf("== %s: %s\n", r.Name, r.Title)
 		if err := r.Run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.Name, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start) //scip:wallclock-ok BENCH.json metering: wall time per experiment
+		elapsed := time.Since(start)
 		fmt.Printf("== %s done in %s\n\n", r.Name, elapsed.Round(time.Millisecond))
 		report.Experiments = append(report.Experiments, experimentTime{
 			Name: r.Name, Title: r.Title, Seconds: elapsed.Seconds(),
 		})
 	}
-	report.TotalSeconds = time.Since(total).Seconds() //scip:wallclock-ok BENCH.json metering: wall time of the whole figure run
+	report.TotalSeconds = time.Since(total).Seconds()
 	if *jsonPath != "" {
 		if err := sim.WriteJSON(*jsonPath, report); err != nil {
 			fmt.Fprintln(os.Stderr, err)

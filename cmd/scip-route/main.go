@@ -109,7 +109,7 @@ func reportLoop(ctx context.Context, rt *cluster.Router, interval time.Duration)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	var prevTotal int64
-	prevT := time.Now() //scip:wallclock-ok console metering: interval report timestamps, never a routing decision input
+	prevT := time.Now()
 	for {
 		select {
 		case <-ctx.Done():

@@ -163,7 +163,7 @@ func originName(url string) string {
 func reportLoop(ctx context.Context, s *server.Server, interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	start := time.Now() //scip:wallclock-ok console metering: interval report timestamps, never a cache decision
+	start := time.Now()
 	prev := s.Stats().Snapshot()
 	prevT := start
 	for {

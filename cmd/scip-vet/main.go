@@ -1,25 +1,21 @@
 // Command scip-vet runs the repository's own static analyzers
-// (internal/analysis) over the module. The per-file syntactic checks —
-// detrand (no ambient randomness or wall-clock reads in
-// deterministic-replay packages), maporder (no map iteration feeding
-// ordered accumulators or output) — are joined by the interprocedural
-// clocktaint (no wall-clock-derived value may flow into
-// policy/admission/MAB/LRB decision state through any call chain).
-// Lock discipline is held by the race tests (make test-race), and copies
-// of sync and atomic state by go vet's copylocks check (make vet), not
-// by scip-vet. A final audit diagnoses
-// every //scip:*-ok suppression that no longer silences anything
-// (stale) or names a token no analyzer recognises (unknown).
+// (internal/analysis) over the module: detrand (no ambient randomness or
+// wall-clock reads in internal packages; internal/server is exempt, it
+// times accesses by design) and maporder (no map iteration feeding
+// ordered accumulators or output). A final audit diagnoses every
+// //scip:*-ok suppression that no longer silences anything (stale) or
+// names a token no analyzer recognises (unknown). Lock discipline is
+// held by the race tests (make test-race), and copies of sync and atomic
+// state by go vet's copylocks check (make vet), not by scip-vet.
 //
 // Usage:
 //
 //	scip-vet [-run names] [-supps] [packages]
 //
 // Packages default to ./...; a dir/... suffix selects a subtree
-// (e.g. ./internal/...). Note clocktaint only sees callees
-// inside the loaded set, so CI runs the full module. Diagnostics
-// print as file:line: analyzer: message; the exit status is 1 when any
-// diagnostic is reported and 2 when loading or type-checking fails.
+// (e.g. ./internal/...). Diagnostics print as file:line: analyzer:
+// message; the exit status is 1 when any diagnostic is reported and 2
+// when loading or type-checking fails.
 // -run limits the run to a comma-separated list of analyzer names.
 // -supps prints the suppression inventory (file:line, token,
 // live/STALE, justification) instead of diagnostics.
@@ -42,7 +38,7 @@ func main() {
 	supps := flag.Bool("supps", false, "print the //scip: suppression inventory instead of diagnostics")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: scip-vet [-run names] [-supps] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism and concurrency analyzers.\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism analyzers and the suppression audit.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -71,7 +71,6 @@ func (q *TwoQ) Access(req cache.Request) bool {
 	if h := q.index.Get(req.Key); h != cache.None {
 		e := q.arena.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		if e.Class == twoQAm {
 			q.am.MoveToFront(h)
 		}
@@ -86,8 +85,6 @@ func (q *TwoQ) Access(req cache.Request) bool {
 	e := q.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	if _, wasOut := q.ghost().Delete(req.Key); wasOut {
 		// Re-referenced after probation: admit to the long-term queue.
 		e.Class = twoQAm
@@ -231,7 +228,6 @@ func (t *TinyLFU) Access(req cache.Request) bool {
 	if h := t.index.Get(req.Key); h != cache.None {
 		e := t.arena.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		if e.Class == tlfuWindow {
 			t.window.MoveToFront(h)
 		} else {
@@ -246,8 +242,6 @@ func (t *TinyLFU) Access(req cache.Request) bool {
 	e := t.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	e.Class = tlfuWindow
 	t.window.PushFront(h)
 	t.index.Put(req.Key, h)

@@ -23,17 +23,13 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// Pass carries one analyzer's view of one type-checked package. Mod is
-// the module-wide index (functions, suppressions, summaries) shared by
-// every pass of one vet run; per-file analyzers can ignore it.
+// Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	Mod      *Module
-	P        *Package
 
 	diags []Diagnostic
 }
@@ -65,18 +61,11 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // ObjectOf resolves an identifier to its object, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Info.ObjectOf(id) }
 
-// Run executes the analyzer over pkg (as a one-package module) and
-// returns the surviving diagnostics: findings on lines covered by a
-// justified suppression comment are dropped, and suppression comments
-// without a justification are themselves reported (an exception must say
-// why it is safe). Interprocedural analyzers see only pkg-internal call
-// edges under Run; use VetModule for the module-wide view.
-func Run(a *Analyzer, pkg *Package) []Diagnostic {
-	return runWith(a, pkg, NewModule([]*Package{pkg}))
-}
-
-// runWith executes one analyzer over one package of mod, applying mod's
-// shared suppression set for the package.
+// runWith executes one analyzer over one package of mod and returns the
+// surviving diagnostics: findings on lines covered by a justified
+// suppression comment in mod's shared set are dropped, and suppression
+// comments without a justification are themselves reported (an
+// exception must say why it is safe).
 func runWith(a *Analyzer, pkg *Package, mod *Module) []Diagnostic {
 	pass := &Pass{
 		Analyzer: a,
@@ -84,8 +73,6 @@ func runWith(a *Analyzer, pkg *Package, mod *Module) []Diagnostic {
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Mod:      mod,
-		P:        pkg,
 	}
 	a.Run(pass)
 	sup := mod.Sups(pkg)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestFixtures runs every analyzer over its testdata package and checks
+// TestFixtures runs each analyzer over its testdata package and checks
 // the diagnostics against the // want comments. Each fixture package
 // carries a flagged file (findings expected), a clean file (silence
 // expected) and a suppressed file (justified //scip: comments silence,
@@ -22,29 +22,26 @@ func TestFixtures(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
 			t.Parallel()
-			CheckFixture(t, c.analyzer, filepath.Join("testdata", c.dir))
+			CheckFixture(t, []*Analyzer{c.analyzer}, filepath.Join("testdata", c.dir))
 		})
 	}
 }
 
-// TestModuleFixtures runs the interprocedural analyzers over multi-file
-// (and multi-package) fixture trees through the module-wide VetModule
-// entry point: taint flows into a sink sub-package, and the suppression
-// audit itself.
+// TestModuleFixtures runs the suppression audit, which sees every
+// analyzer's used-marking, over its fixture.
 func TestModuleFixtures(t *testing.T) {
 	cases := []struct {
 		analyzers []*Analyzer
 		dir       string
 	}{
-		{[]*Analyzer{Clocktaint}, "clocktaint"},
-		// The audit runs after any VetModule invocation; the full analyzer
-		// set makes every registered token count as "ran".
+		// The full analyzer set makes every registered token count as
+		// "ran".
 		{Analyzers(), "supaudit"},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
 			t.Parallel()
-			CheckFixtureModule(t, c.analyzers, filepath.Join("testdata", c.dir))
+			CheckFixture(t, c.analyzers, filepath.Join("testdata", c.dir))
 		})
 	}
 }
@@ -53,8 +50,7 @@ func TestModuleFixtures(t *testing.T) {
 // asserts zero diagnostics: the tree must stay vet-clean, every
 // intentional exception must carry a justified suppression comment, and
 // no suppression may be stale. The module-wide VetModule entry point
-// matters here — the interprocedural analyzers need cross-package call
-// edges, and the suppression audit needs the shared used-marking.
+// matters here: the suppression audit needs the shared used-marking.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
@@ -103,9 +99,10 @@ func TestLoadPrefixPattern(t *testing.T) {
 	}
 }
 
-// TestApplies pins the detrand path scoping: deterministic-replay
-// packages are covered, the analysis framework itself is not. Every
-// other analyzer runs in every package.
+// TestApplies pins the detrand path scoping: every internal package is
+// covered (the analysis framework itself included) except the HTTP
+// server, which reads the clock by design, and drivers are not covered.
+// Maporder runs in every package.
 func TestApplies(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -115,10 +112,21 @@ func TestApplies(t *testing.T) {
 		{Detrand, "github.com/scip-cache/scip/internal/core", true},
 		{Detrand, "github.com/scip-cache/scip/internal/mab", true},
 		{Detrand, "github.com/scip-cache/scip/internal/exp", true},
-		{Detrand, "github.com/scip-cache/scip/internal/analysis", false},
+		{Detrand, "github.com/scip-cache/scip/internal/cache", true},
+		{Detrand, "github.com/scip-cache/scip/internal/policies", true},
+		{Detrand, "github.com/scip-cache/scip/internal/admission", true},
+		{Detrand, "github.com/scip-cache/scip/internal/shard", true},
+		{Detrand, "github.com/scip-cache/scip/internal/registry", true},
+		{Detrand, "github.com/scip-cache/scip/internal/runner", true},
+		{Detrand, "github.com/scip-cache/scip/internal/tdc", true},
+		{Detrand, "github.com/scip-cache/scip/internal/belady", true},
+		{Detrand, "github.com/scip-cache/scip/internal/trace", true},
+		{Detrand, "github.com/scip-cache/scip/internal/httpx", true},
+		{Detrand, "github.com/scip-cache/scip/internal/stats", true},
+		{Detrand, "github.com/scip-cache/scip/internal/analysis", true},
+		{Detrand, "github.com/scip-cache/scip/internal/server", false},
 		{Detrand, "github.com/scip-cache/scip/cmd/scip-vet", false},
 		{Maporder, "github.com/scip-cache/scip/internal/analysis", true},
-		{Clocktaint, "github.com/scip-cache/scip/cmd/scip-vet", true},
 	}
 	for _, c := range cases {
 		if got := Applies(c.analyzer, c.path); got != c.want {

@@ -7,11 +7,11 @@ import (
 )
 
 // Detrand enforces seeded determinism in the replay/learning path:
-// packages whose outputs must be a pure function of their inputs and
-// seeds (internal/core, internal/mab, internal/exp, internal/sim — see
-// DetrandPaths) may not draw from the process-global math/rand RNG, read
-// the wall clock, or build an RNG from a hard-coded seed literal that is
-// not threaded from configuration.
+// every internal package except DetrandExempt — the packages whose
+// outputs must be a pure function of their inputs and seeds — may not
+// draw from the process-global math/rand RNG, read the wall clock, or
+// build an RNG from a hard-coded seed literal that is not threaded from
+// configuration.
 //
 // Rationale: SCIP's MAB sampling (Algorithm 1) and the hill climber's
 // random restarts (Algorithm 2) are replayed bit-for-bit across runs and

@@ -8,6 +8,12 @@
 // feeding ordered state — silently breaks figure reproduction (an early
 // LRB pruneWindow bug labelled training samples in map order).
 //
+// Two per-file checks do this: detrand (no ambient randomness or
+// wall-clock reads in any internal package but the HTTP server) and
+// maporder (no map iteration feeding ordered state or output). That the
+// server's clock reads never reach a cache decision is held end to end
+// by the server's replay-equivalence test, not by an analyzer.
+//
 // Lock discipline needs no analyzer: the race tests drive every locked
 // structure from concurrent goroutines under go test -race, and go vet's
 // copylocks rejects copies of mutex and atomic state.

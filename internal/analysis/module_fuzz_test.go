@@ -8,14 +8,13 @@ import (
 	"testing"
 )
 
-// FuzzCallGraph throws arbitrary source at the module indexer: whatever
-// the parser accepts — including ill-typed programs, which leave holes
-// in the types.Info maps exactly the way a broken in-progress tree
-// does — must never panic the function index, the suppression scan, or
-// the flow analyzer on top. The fuzzed package path ends in
-// internal/core so the path-scoped analyzers (detrand, clocktaint's
-// sinks) are exercised too.
-func FuzzCallGraph(f *testing.F) {
+// FuzzVetModule throws arbitrary source at VetModule: whatever the
+// parser accepts — including ill-typed programs, which leave holes in
+// the types.Info maps exactly the way a broken in-progress tree does —
+// must never panic an analyzer, the suppression scan or the audit. The
+// fuzzed package path ends in internal/core so the path-scoped detrand
+// is exercised too.
+func FuzzVetModule(f *testing.F) {
 	seeds := []string{
 		// Simple static calls.
 		`package p
@@ -32,8 +31,7 @@ type s struct{ fn func(int) int }
 
 func dyn(i I, st *s, n int) int { return i.M(n) + st.fn(n) }
 `,
-		// Mutual recursion: the clock-summary fixpoint must terminate on
-		// cycles.
+		// Mutual recursion.
 		`package p
 
 func even(n int) bool {
@@ -49,7 +47,7 @@ func odd(n int) bool {
 	return even(n - 1)
 }
 `,
-		// Generics: instantiated calls still resolve to the generic decl.
+		// Generics: instantiated calls.
 		`package p
 
 func id[T any](v T) T { return v }

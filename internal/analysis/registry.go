@@ -2,60 +2,29 @@ package analysis
 
 import "strings"
 
-// Analyzers returns every registered analyzer in a stable order. The
-// first two are the per-file syntactic checks from scip-vet v1; the
-// last is the interprocedural, flow-aware check built on the module
-// function index (module.go).
+// Analyzers returns every registered analyzer in a stable order. Both
+// are per-file syntactic checks; the suppression audit runs after them
+// in VetModule.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Clocktaint}
+	return []*Analyzer{Detrand, Maporder}
 }
 
-// DetrandPaths lists the import-path suffixes of the packages whose
-// behaviour must be a pure function of their inputs and seeds: the
-// SCIP/MAB learning core, the experiment harness whose tables must
-// reproduce byte-for-byte, and the replay engine. Trace generation and
-// the learned baselines are seed-threaded too and are held to the same
-// bar. Drivers (cmd/...) legitimately read clocks for reporting and are
-// not listed.
-var DetrandPaths = []string{
-	"internal/core",
-	"internal/mab",
-	"internal/exp",
-	"internal/sim",
-	"internal/gen",
-	"internal/lrb",
-	"internal/ml",
-	"internal/replacement",
-	"internal/admission/scorer",
-	"internal/zro",
-	"internal/cluster",
-}
-
-// ClockSinkPaths lists the import-path suffixes of the packages holding
-// deterministic decision state for the clocktaint analyzer: everything
-// detrand already guards, plus the cache/policy layers that detrand
-// exempts (they host the policies and must not absorb wall-clock values
-// through any call chain even though drivers time them from outside).
-var ClockSinkPaths = append(append([]string{}, DetrandPaths...),
-	"internal/cache",
-	"internal/policies",
-	"internal/admission",
-	"internal/shard",
-)
+// DetrandExempt is the one internal package detrand skips: the HTTP
+// server reads the wall clock by design, for access timing, uptime and
+// timers. Every other internal package — the SCIP/MAB learning core, the
+// policies and the cache they run on, the replay and experiment engines,
+// and any package added later — must be a pure function of its inputs
+// and seeds. Drivers (cmd/..., examples/...) read clocks for reporting
+// and are not internal packages.
+const DetrandExempt = "internal/server"
 
 // Applies reports whether analyzer a runs over the package at pkgPath.
-// Maporder guards every package; Detrand is scoped to the
-// deterministic-replay packages (DetrandPaths), because drivers and
-// reporting code read wall clocks by design. The flow-aware Clocktaint
-// runs everywhere: its sink paths decide what is checked.
+// Maporder guards every package; Detrand runs on every internal package
+// except DetrandExempt.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if a != Detrand {
 		return true
 	}
-	for _, suffix := range DetrandPaths {
-		if strings.HasSuffix(pkgPath, suffix) {
-			return true
-		}
-	}
-	return false
+	p := "/" + pkgPath
+	return strings.Contains(p+"/", "/internal/") && !strings.HasSuffix(p, "/"+DetrandExempt)
 }

@@ -8,8 +8,8 @@ import (
 // loadModulePkgs loads the repository's own packages the way cmd/scip-vet
 // does. The load (parse + type-check, stdlib from source) dominates a
 // cold vet run and is amortised across iterations here, so the
-// benchmark isolates the analysis cost: module indexing, summary
-// fixpoints, and every analyzer pass.
+// benchmark isolates the analysis cost: every analyzer pass and the
+// suppression audit.
 func loadModulePkgs(tb testing.TB) []*Package {
 	tb.Helper()
 	l, err := NewLoader("..")
@@ -23,8 +23,8 @@ func loadModulePkgs(tb testing.TB) []*Package {
 	return pkgs
 }
 
-// BenchmarkVetModule measures one full interprocedural vet pass over
-// the repository (module index + all analyzers + suppression audit).
+// BenchmarkVetModule measures one full vet pass over the repository
+// (all analyzers + suppression audit).
 func BenchmarkVetModule(b *testing.B) {
 	pkgs := loadModulePkgs(b)
 	b.ResetTimer()
@@ -37,12 +37,12 @@ func BenchmarkVetModule(b *testing.B) {
 }
 
 // TestVetModuleBudget keeps the analysis phase inside an interactive
-// budget: `make lint` runs scip-vet on every build, so a regression
-// that makes the fixpoints quadratic in practice (e.g. a summary that
-// never stabilises and reruns per package) must fail loudly, not slide
-// into a minute-long lint. The bound is deliberately generous — an
-// order of magnitude over the observed cost — so slow CI hardware does
-// not flake it.
+// budget: `make lint` runs scip-vet on every build, so a regression that
+// makes an analyzer or the suppression audit superlinear in the module
+// (e.g. rescanning every package's comments per finding) must fail
+// loudly, not slide into a minute-long lint. The bound is deliberately
+// generous — an order of magnitude over the observed cost — so slow CI
+// hardware does not flake it.
 func TestVetModuleBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module")
@@ -51,6 +51,6 @@ func TestVetModuleBudget(t *testing.T) {
 	start := time.Now()
 	VetModule(Analyzers(), NewModule(pkgs))
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("VetModule over the repository took %v; budget is 30s — a summary fixpoint is likely diverging", elapsed)
+		t.Errorf("VetModule over the repository took %v; budget is 30s", elapsed)
 	}
 }

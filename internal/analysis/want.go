@@ -5,7 +5,6 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -125,151 +124,48 @@ func fixtureEnv() (*token.FileSet, types.Importer) {
 	return fixtureFset, fixtureImporter
 }
 
-// CheckFixture type-checks the fixture package in dir, runs analyzer a
-// over it (including suppression handling, so fixtures can assert that
-// //scip: comments silence findings) and verifies the diagnostics
-// against the want comments.
-func CheckFixture(r Reporter, a *Analyzer, dir string) {
+// CheckFixture type-checks the fixture package in dir as
+// fixture/internal/<dir base> — an internal package, so the path-scoped
+// detrand covers it — runs the analyzers over it through VetModule, the
+// driver's own entry point (suppression handling and the
+// stale-suppression audit included, so fixtures can assert that //scip:
+// comments silence findings), and verifies the diagnostics against the
+// want comments.
+func CheckFixture(r Reporter, analyzers []*Analyzer, dir string) {
 	fset, imp := fixtureEnv()
-	pkg, err := CheckDir(fset, dir, "fixture/"+filepath.Base(dir), imp)
+	pkg, err := CheckDir(fset, dir, "fixture/internal/"+filepath.Base(dir), imp)
 	if err != nil {
 		r.Errorf("loading fixture %s: %v", dir, err)
 		return
 	}
-	checkWants(r, dir, fset, []*Package{pkg}, Run(a, pkg))
+	checkWants(r, dir, fset, pkg, VetModule(analyzers, NewModule([]*Package{pkg})))
 }
 
-// fixtureModule resolves imports inside one multi-package fixture tree:
-// "fixture/<base>" maps to root, "fixture/<base>/<rel>" to root/<rel>,
-// and anything else falls through to the shared stdlib source importer.
-// Sub-packages let fixtures exercise cross-package call edges and the
-// path-suffix scoping of clocktaint (a directory named
-// internal/cache inside a fixture IS a clocktaint sink package).
-type fixtureModule struct {
-	root   string
-	prefix string
-	fset   *token.FileSet
-	std    types.Importer
-	pkgs   map[string]*Package
-}
-
-func (m *fixtureModule) Import(path string) (*types.Package, error) {
-	if path == m.prefix || strings.HasPrefix(path, m.prefix+"/") {
-		pkg, err := m.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return m.std.Import(path)
-}
-
-func (m *fixtureModule) load(path string) (*Package, error) {
-	if pkg, ok := m.pkgs[path]; ok {
-		return pkg, nil
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, m.prefix), "/")
-	pkg, err := CheckDir(m.fset, filepath.Join(m.root, filepath.FromSlash(rel)), path, m)
-	if err != nil {
-		return nil, err
-	}
-	m.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// CheckFixtureModule loads every package under root (root itself plus
-// any subdirectories with Go files) as one fixture module, runs the
-// analyzers module-wide through VetModule — cross-package call edges,
-// shared suppressions and the stale-suppression audit included — and
-// verifies the merged diagnostics against the want comments of all
-// files.
-func CheckFixtureModule(r Reporter, analyzers []*Analyzer, root string) {
-	fset, imp := fixtureEnv()
-	fm := &fixtureModule{
-		root:   root,
-		prefix: "fixture/" + filepath.Base(root),
-		fset:   fset,
-		std:    imp,
-		pkgs:   make(map[string]*Package),
-	}
-	dirs, err := fixtureDirs(root)
-	if err != nil {
-		r.Errorf("scanning fixture %s: %v", root, err)
-		return
-	}
-	var pkgs []*Package
-	for _, rel := range dirs {
-		path := fm.prefix
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := fm.load(path)
-		if err != nil {
-			r.Errorf("loading fixture package %s: %v", path, err)
-			return
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if len(pkgs) == 0 {
-		r.Errorf("fixture %s holds no Go packages", root)
-		return
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	checkWants(r, root, fset, pkgs, VetModule(analyzers, NewModule(pkgs)))
-}
-
-// fixtureDirs lists the directories under root holding Go source,
-// relative to root, in sorted order.
-func fixtureDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		ok, err := hasGoFiles(path)
-		if err != nil {
-			return err
-		}
-		if ok {
-			rel, err := filepath.Rel(root, path)
-			if err != nil {
-				return err
-			}
-			dirs = append(dirs, rel)
-		}
-		return nil
-	})
-	sort.Strings(dirs)
-	return dirs, err
-}
-
-// checkWants verifies diagnostics against the want comments of the
-// packages' files: every expectation must be matched by a diagnostic on
-// its line, and every diagnostic must be expected.
-func checkWants(r Reporter, dir string, fset *token.FileSet, pkgs []*Package, diags []Diagnostic) {
+// checkWants verifies diagnostics against the want comments of pkg's
+// files: every expectation must be matched by a diagnostic on its line,
+// and every diagnostic must be expected.
+func checkWants(r Reporter, dir string, fset *token.FileSet, pkg *Package, diags []Diagnostic) {
 	type key struct {
 		file string
 		line int
 	}
 	wants := make(map[key][]string)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					pats, ok, err := ParseWant(text)
-					if err != nil {
-						pos := fset.Position(c.Pos())
-						r.Errorf("%s:%d: %v", pos.Filename, pos.Line, err)
-						continue
-					}
-					if !ok {
-						continue
-					}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := strings.TrimPrefix(c.Text, "//")
+				pats, ok, err := ParseWant(text)
+				if err != nil {
 					pos := fset.Position(c.Pos())
-					k := key{pos.Filename, pos.Line}
-					wants[k] = append(wants[k], pats...)
+					r.Errorf("%s:%d: %v", pos.Filename, pos.Line, err)
+					continue
 				}
+				if !ok {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				k := key{pos.Filename, pos.Line}
+				wants[k] = append(wants[k], pats...)
 			}
 		}
 	}

@@ -3,8 +3,9 @@ package cache
 // Request is a single object access in a trace.
 type Request struct {
 	// Time is a monotonically non-decreasing logical timestamp. The
-	// synthetic generators emit seconds; the algorithms only rely on
-	// ordering and differences.
+	// synthetic generators emit seconds. It orders traces (trace I/O
+	// rejects a decreasing one) and drives the TDC deployment timeline;
+	// no policy reads it, so a cache decision never depends on it.
 	Time int64
 	// Key identifies the object.
 	Key uint64

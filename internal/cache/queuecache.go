@@ -125,7 +125,6 @@ func (c *QueueCache) Access(req Request) bool {
 		e := c.arena.At(h)
 		e.Hits++
 		e.Freq++
-		e.LastAccess = req.Time
 		if c.resObs != nil {
 			c.resObs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits))
 		}
@@ -173,8 +172,6 @@ func (c *QueueCache) insert(req Request) {
 	e := c.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	e.Freq = 1
 	pos := MRU
 	if c.ins != nil {

@@ -84,14 +84,14 @@ func TestQueueCacheEntryMetadata(t *testing.T) {
 	c := NewLRU(100)
 	c.Access(req(5, 1, 10))
 	e := c.Entry(1)
-	if e == nil || e.InsertTime != 5 || e.Freq != 1 || e.Hits != 0 {
+	if e == nil || e.Freq != 1 || e.Hits != 0 {
 		t.Fatalf("unexpected metadata after insert: %+v", e)
 	}
 	if !e.InsertedMRU {
 		t.Fatal("plain LRU insert should be MRU-marked")
 	}
 	c.Access(req(9, 1, 10))
-	if e.Hits != 1 || e.Freq != 2 || e.LastAccess != 9 {
+	if e.Hits != 1 || e.Freq != 2 {
 		t.Fatalf("unexpected metadata after hit: %+v", e)
 	}
 }
@@ -204,8 +204,7 @@ func TestFreelistReusesEvictedEntry(t *testing.T) {
 	if reused != first {
 		t.Fatal("miss after eviction did not reuse the freed entry")
 	}
-	if reused.Key != 3 || reused.Size != 60 || reused.InsertTime != 3 ||
-		reused.LastAccess != 3 || reused.Hits != 0 || reused.Freq != 1 ||
+	if reused.Key != 3 || reused.Size != 60 || reused.Hits != 0 || reused.Freq != 1 ||
 		reused.Score != 0 || reused.Class != 0 || reused.Residency != ResInserted {
 		t.Fatalf("recycled entry not fully reset: %+v", reused)
 	}

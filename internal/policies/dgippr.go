@@ -95,7 +95,6 @@ func (g *DGIPPR) Access(req cache.Request) bool {
 	if h := g.q.Get(req.Key); h != cache.None {
 		e := g.q.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		g.hits++
 		switch c.promote {
 		case promoUp1:
@@ -115,7 +114,7 @@ func (g *DGIPPR) Access(req cache.Request) bool {
 	for g.q.Bytes()+req.Size > g.cap {
 		g.q.EvictBack()
 	}
-	g.q.InsertAt(req.Key, req.Size, req.Time, c.insertSeg)
+	g.q.InsertAt(req.Key, req.Size, c.insertSeg)
 	return false
 }
 

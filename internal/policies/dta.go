@@ -38,7 +38,6 @@ type DTA struct {
 	// Pending features of currently-resident objects, keyed by object.
 	pending map[uint64][dtaFeatures]float64
 
-	now int64
 	req int
 }
 
@@ -88,7 +87,6 @@ func (d *DTA) OnAccess(req cache.Request, hit bool) {
 	}
 	d.freq[req.Key]++
 	d.lastSeen[req.Key] = int64(d.req)
-	d.now = req.Time
 }
 
 // OnEvict implements cache.InsertionPolicy: an eviction without reuse

@@ -57,7 +57,6 @@ func (p *PIPP) Access(req cache.Request) bool {
 	if h := p.q.Get(req.Key); h != cache.None {
 		e := p.q.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		if p.rng.Float64() < p.PromoteProb {
 			p.q.StepUp(h)
 		}
@@ -69,6 +68,6 @@ func (p *PIPP) Access(req cache.Request) bool {
 	for p.q.Bytes()+req.Size > p.cap {
 		p.q.EvictBack()
 	}
-	p.q.InsertAt(req.Key, req.Size, req.Time, p.InsertSeg)
+	p.q.InsertAt(req.Key, req.Size, p.InsertSeg)
 	return false
 }

@@ -215,7 +215,7 @@ func TestDTATrainsAndPredicts(t *testing.T) {
 func TestSegQueueOrderAndBalance(t *testing.T) {
 	q := NewSegQueue()
 	for i := 0; i < 64; i++ {
-		q.InsertAt(uint64(i), 100, 0, 0)
+		q.InsertAt(uint64(i), 100, 0)
 	}
 	if q.Len() != 64 || q.Bytes() != 6400 {
 		t.Fatalf("Len=%d Bytes=%d", q.Len(), q.Bytes())
@@ -241,7 +241,7 @@ func TestSegQueueOrderAndBalance(t *testing.T) {
 func TestSegQueueStepUp(t *testing.T) {
 	q := NewSegQueue()
 	for i := 0; i < 16; i++ {
-		q.InsertAt(uint64(i), 100, 0, 0)
+		q.InsertAt(uint64(i), 100, 0)
 	}
 	h := q.Get(3)
 	before := position(q, 3)
@@ -269,8 +269,8 @@ func position(q *SegQueue, key uint64) int {
 
 func TestSegQueueInsertAtClamps(t *testing.T) {
 	q := NewSegQueue()
-	q.InsertAt(1, 10, 0, -5)
-	q.InsertAt(2, 10, 0, 99)
+	q.InsertAt(1, 10, -5)
+	q.InsertAt(2, 10, 99)
 	if q.Len() != 2 {
 		t.Fatal("clamped inserts failed")
 	}
@@ -286,10 +286,10 @@ func TestSegQueueInsertAtClamps(t *testing.T) {
 	// With a realistic population, a seg-0 insert outlives a seg-7 insert.
 	q2 := NewSegQueue()
 	for i := 0; i < 64; i++ {
-		q2.InsertAt(uint64(100+i), 100, 0, 3)
+		q2.InsertAt(uint64(100+i), 100, 3)
 	}
-	q2.InsertAt(1, 100, 0, -5) // clamped to 0 (MRU)
-	q2.InsertAt(2, 100, 0, 99) // clamped to 7 (LRU)
+	q2.InsertAt(1, 100, -5) // clamped to 0 (MRU)
+	q2.InsertAt(2, 100, 99) // clamped to 7 (LRU)
 	if position(q2, 1) > position(q2, 2) {
 		t.Fatal("MRU-clamped insert should sit above LRU-clamped insert")
 	}

@@ -45,7 +45,7 @@ func (s *SegQueue) At(h cache.Handle) *cache.Entry { return s.arena.At(h) }
 // InsertAt records a new object at the front of segment seg (clamped to
 // the valid range) and returns its handle. The key must not already be
 // present.
-func (s *SegQueue) InsertAt(key uint64, size, now int64, seg int) cache.Handle {
+func (s *SegQueue) InsertAt(key uint64, size int64, seg int) cache.Handle {
 	if seg < 0 {
 		seg = 0
 	}
@@ -56,8 +56,6 @@ func (s *SegQueue) InsertAt(key uint64, size, now int64, seg int) cache.Handle {
 	e := s.arena.At(h)
 	e.Key = key
 	e.Size = size
-	e.InsertTime = now
-	e.LastAccess = now
 	e.Class = int32(seg)
 	s.segs[seg].PushFront(h)
 	s.index.Put(key, h)

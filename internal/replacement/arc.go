@@ -56,7 +56,6 @@ func (a *ARC) Access(req cache.Request) bool {
 		// Case I: hit in T1 or T2 — move to MRU of T2.
 		e := a.arena.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		if e.Class == arcT1 {
 			a.t1.Remove(h)
 			e.Class = arcT2
@@ -99,8 +98,6 @@ func (a *ARC) insert(req cache.Request, class int) {
 	e := a.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	e.Class = int32(class)
 	a.index.Put(req.Key, h)
 	if class == arcT1 {

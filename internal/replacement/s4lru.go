@@ -72,7 +72,6 @@ func (s *S4LRU) Access(req cache.Request) bool {
 	if hit {
 		e := s.arena.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		if obs, ok := s.ins.(cache.ResidencyObserver); ok && s.ins != nil {
 			obs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits))
 		}
@@ -105,8 +104,6 @@ func (s *S4LRU) Access(req cache.Request) bool {
 	e := s.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	e.Class = 0
 	e.InsertedMRU = true
 	if s.ins != nil && s.ins.ChooseInsert(req) == cache.LRU {

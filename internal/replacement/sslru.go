@@ -69,7 +69,6 @@ func (s *SSLRU) Access(req cache.Request) bool {
 	if h := s.index.Get(req.Key); h != cache.None {
 		e := s.arena.At(h)
 		e.Hits++
-		e.LastAccess = req.Time
 		c := s.class(req.Size)
 		if s.classes[c] < 16 {
 			s.classes[c]++
@@ -92,8 +91,6 @@ func (s *SSLRU) Access(req cache.Request) bool {
 	e := s.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.InsertTime = req.Time
-	e.LastAccess = req.Time
 	e.Class = segProbation
 	s.index.Put(req.Key, h)
 	// The smart admission: classes with no observed reuse enter at the

@@ -177,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		st:      c.EnableStats(),
 		flights: make([]flightGroup, c.Shards()),
 		bodies:  make([]*bodyStore, c.Shards()),
-		start:   time.Now(), //scip:wallclock-ok uptime metadata for /metrics and /statusz, never a cache decision
+		start:   time.Now(),
 	}
 	// Each shard's body store is bounded by its shard's policy capacity.
 	for i := range s.bodies {
