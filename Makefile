@@ -12,7 +12,7 @@ GO ?= go
 # must be listed here so `make vet` covers it.
 VET_TAGS ?= scipdebug
 
-.PHONY: check fmt-check vet lint supps build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load
+.PHONY: check fmt-check vet lint supps build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load size
 
 check: fmt-check vet lint build test test-race test-debug examples docs-check golden-equiv
 
@@ -140,3 +140,9 @@ bench-figures:
 # runner.ReplaySharded must leave byte-identical per-shard counters.
 load:
 	$(GO) test -race -count=1 -run '^(TestModeInvariance|TestWorkerCountInvariance)$$' ./internal/runner
+
+# size prints the program's size as ROADMAP.md counts it: non-test Go
+# lines outside benchmark/ and testdata/. Each change states the count
+# before and after.
+size:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l

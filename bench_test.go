@@ -125,15 +125,20 @@ func BenchmarkQueuePushEvict(b *testing.B) {
 		e.Size = 1
 		handles[i] = h
 	}
+	// queued tracks membership by handle; a fresh arena hands out 0..1023.
+	queued := make([]bool, len(handles))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := handles[i%1024]
-		if a.At(h).InQueue() {
+		if queued[h] {
 			q.Remove(h)
 		}
 		q.PushFront(h)
+		queued[h] = true
 		if q.Len() > 512 {
-			q.Remove(q.Back())
+			back := q.Back()
+			q.Remove(back)
+			queued[back] = false
 		}
 	}
 }

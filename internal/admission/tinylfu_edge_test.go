@@ -22,7 +22,7 @@ func checkTinyLFU(t *testing.T, tl *TinyLFU) {
 	for _, q := range []*cache.Queue{&tl.window, &tl.main} {
 		for h := q.Front(); h != cache.None; h = q.Next(h) {
 			count++
-			e := q.At(h)
+			e := tl.arena.At(h)
 			bytes += e.Size
 			if tl.index.Get(e.Key) != h {
 				t.Fatalf("queued entry %d missing from index", e.Key)

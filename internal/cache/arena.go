@@ -37,19 +37,10 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
-// chunk is one directory slot: a fixed block of entries and their
-// generation counters. The generations sit in their own 2 KiB block
-// rather than beside the entries because one 34 KiB struct would fall off
-// the 32 KiB size class and be rounded up to 40 KiB of pages. Both blocks
-// are pointer-free; the two pointers here are the only GC-visible part
-// of the arena.
+// chunk is one directory slot: a pointer to a fixed, pointer-free block
+// of 512 entries. That pointer is the only GC-visible part of the arena.
 type chunk struct {
 	entries *[chunkSize]Entry
-	// gens counts, per slot, how many times the slot has been freed. It
-	// backs Ref validity checks and lives outside Entry so the hot
-	// entries stay at one cache line each; it is only touched on Alloc
-	// of a fresh slot, on Free and by Ref/Live.
-	gens *[chunkSize]uint32
 }
 
 // chunkDir is an arena's chunk directory. Queue splices copy it into a
@@ -80,7 +71,6 @@ type Arena struct {
 	// free1 is the freelist head encoded as handle+1 so the zero value
 	// means "empty" (handle 0 is a valid slot).
 	free1 int32
-	live  int
 	// nq allocates queue ids; id 0 means "detached".
 	nq int16
 }
@@ -91,9 +81,6 @@ func NewArena(hint int) *Arena {
 	return &Arena{dir: make(chunkDir, 0, (hint+chunkMask)>>chunkShift)}
 }
 
-// Len returns the number of live (allocated, not freed) entries.
-func (a *Arena) Len() int { return a.live }
-
 // At returns the entry for h. The pointer stays valid until h is freed.
 func (a *Arena) At(h Handle) *Entry {
 	if handleChecks {
@@ -103,16 +90,14 @@ func (a *Arena) At(h Handle) *Entry {
 }
 
 // Alloc takes a slot from the freelist, or the next never-used slot when
-// the freelist is empty, and returns its handle. The slot's policy fields
-// are zeroed; a recycled slot keeps its generation so stale Refs to the
-// previous occupant remain detectably dead.
+// the freelist is empty, and returns its handle. The entry comes back
+// zeroed and detached, whether the slot is recycled or fresh.
 func (a *Arena) Alloc() Handle {
 	if a.free1 != 0 {
 		h := Handle(a.free1 - 1)
 		e := a.dir.at(h)
 		a.free1 = int32(e.next) + 1
 		*e = Entry{prev: None, next: None}
-		a.live++
 		return h
 	}
 	if a.n == maxArenaEntries {
@@ -123,10 +108,7 @@ func (a *Arena) Alloc() Handle {
 		a.grow()
 	}
 	a.n++
-	c := &a.dir[h>>chunkShift]
-	c.entries[h&chunkMask] = Entry{prev: None, next: None}
-	c.gens[h&chunkMask] = 0
-	a.live++
+	*a.dir.at(h) = Entry{prev: None, next: None}
 	return h
 }
 
@@ -134,27 +116,25 @@ func (a *Arena) Alloc() Handle {
 // where they are; only the directory's chunk headers are ever copied.
 // It runs once per 512 slots, only while the live set reaches a new high.
 func (a *Arena) grow() {
-	a.dir = append(a.dir, chunk{entries: new([chunkSize]Entry), gens: new([chunkSize]uint32)})
+	a.dir = append(a.dir, chunk{entries: new([chunkSize]Entry)})
 }
 
 // Free returns h's slot to the freelist. The entry must be detached from
-// any queue. Freeing bumps the slot's generation, so Refs taken before the
-// free report dead.
+// any queue. It is marked ownerFree, so a second Free, a queue insert or
+// (under scipdebug) an At of the stale handle panics until Alloc hands
+// the slot out again.
 func (a *Arena) Free(h Handle) {
-	c := &a.dir[h>>chunkShift]
-	e := &c.entries[h&chunkMask]
+	e := a.dir.at(h)
 	if e.owner != 0 {
 		if e.owner == ownerFree {
 			panic("cache: double Free of entry")
 		}
 		panic("cache: Free of entry still in a queue")
 	}
-	c.gens[h&chunkMask]++
 	e.owner = ownerFree
 	e.prev = None
 	e.next = Handle(a.free1 - 1)
 	a.free1 = int32(h) + 1
-	a.live--
 }
 
 // NewQueue returns an empty queue linked to this arena. Queue identity is
@@ -166,30 +146,6 @@ func (a *Arena) NewQueue() Queue {
 	}
 	a.nq++
 	return Queue{a: a, id: a.nq, head: None, tail: None}
-}
-
-// Ref is a generation-stamped handle for validity tracking across frees.
-// Refs are a debugging and testing device (the ABA property tests use
-// them); hot paths carry bare Handles.
-type Ref struct {
-	H   Handle
-	gen uint32
-}
-
-// Ref stamps h with its current generation.
-func (a *Arena) Ref(h Handle) Ref {
-	return Ref{H: h, gen: a.dir[h>>chunkShift].gens[h&chunkMask]}
-}
-
-// Live reports whether r still names the same allocation it was taken
-// from: the slot has not been freed, and it has not been recycled for a
-// different entry (generation match).
-func (a *Arena) Live(r Ref) bool {
-	if r.H < 0 || int32(r.H) >= a.n {
-		return false
-	}
-	c := &a.dir[r.H>>chunkShift]
-	return c.gens[r.H&chunkMask] == r.gen && c.entries[r.H&chunkMask].owner != ownerFree
 }
 
 // checkLive panics on out-of-range or freed handles. Compiled in only

@@ -144,7 +144,7 @@ func checkHistoryInvariants(t *testing.T, h *History) {
 	n := 0
 	for hd := h.q.Front(); hd != None; hd = h.q.Next(hd) {
 		n++
-		e := h.q.At(hd)
+		e := h.arena.At(hd)
 		bytes += e.Size
 		if ih := h.index.Get(e.Key); ih != hd {
 			t.Fatalf("queue entry %d not (or wrongly) indexed", e.Key)

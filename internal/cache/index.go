@@ -193,22 +193,6 @@ func (x *Index) Delete(key uint64) (Handle, bool) {
 	return None, false
 }
 
-// ForEach calls f for every (key, handle) pair. Iteration order is the
-// table's probe order, not insertion order; it is a test and debugging
-// aid, not a hot-path API.
-func (x *Index) ForEach(f func(key uint64, h Handle)) {
-	for i := range x.slots {
-		if v := x.slots[i].val; v != None {
-			f(x.slots[i].key, v)
-		}
-	}
-	for i := range x.old {
-		if v := x.old[i].val; v != None && v != tombstone {
-			f(x.old[i].key, v)
-		}
-	}
-}
-
 // oldProbe finds key's slot in the frozen table, skipping tombstones.
 func (x *Index) oldProbe(key uint64) (uint64, bool) {
 	mask := uint64(len(x.old)) - 1

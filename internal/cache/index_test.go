@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// checkIndexAgainst compares every observable of x with a reference map:
-// Len, Get for every reference key, and ForEach coverage.
+// checkIndexAgainst compares x with a reference map: Len, Get for every
+// reference key, and the live slots of both tables, which must hold each
+// reference key exactly once and nothing else.
 func checkIndexAgainst(t *testing.T, x *Index, ref map[uint64]Handle) {
 	t.Helper()
 	if x.Len() != len(ref) {
@@ -18,18 +19,23 @@ func checkIndexAgainst(t *testing.T, x *Index, ref map[uint64]Handle) {
 		}
 	}
 	seen := make(map[uint64]Handle, len(ref))
-	x.ForEach(func(k uint64, h Handle) {
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("ForEach yielded key %d twice (%d, %d)", k, prev, h)
+	for _, table := range [][]indexEntry{x.slots, x.old} {
+		for _, s := range table {
+			if s.val == None || s.val == tombstone {
+				continue
+			}
+			if prev, dup := seen[s.key]; dup {
+				t.Fatalf("key %d held twice (%d, %d)", s.key, prev, s.val)
+			}
+			seen[s.key] = s.val
 		}
-		seen[k] = h
-	})
+	}
 	if len(seen) != len(ref) {
-		t.Fatalf("ForEach yielded %d keys, ref has %d", len(seen), len(ref))
+		t.Fatalf("tables hold %d keys, ref has %d", len(seen), len(ref))
 	}
 	for k, v := range seen {
 		if ref[k] != v {
-			t.Fatalf("ForEach yielded %d=%d, ref %d", k, v, ref[k])
+			t.Fatalf("tables hold %d=%d, ref %d", k, v, ref[k])
 		}
 	}
 }
@@ -169,95 +175,4 @@ func FuzzIndexVsMap(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestArenaRefSurvivesChurn is the handle-validity property test: a Ref
-// taken on a live entry stays Live across unrelated alloc/free churn, dies
-// the moment its slot is freed, and stays dead when the slot is recycled
-// for a different key (the ABA case).
-func TestArenaRefSurvivesChurn(t *testing.T) {
-	var a Arena
-	h := a.Alloc()
-	a.At(h).Key = 1
-	r := a.Ref(h)
-	if !a.Live(r) {
-		t.Fatal("fresh ref not live")
-	}
-
-	// Unrelated churn — including arena growth — must not kill the ref.
-	others := make([]Handle, 0, 64)
-	for i := 0; i < 64; i++ {
-		others = append(others, a.Alloc())
-	}
-	for _, o := range others {
-		a.Free(o)
-	}
-	if !a.Live(r) {
-		t.Fatal("ref died from unrelated churn")
-	}
-
-	// Freeing the slot kills the ref.
-	a.Free(h)
-	if a.Live(r) {
-		t.Fatal("ref live after Free")
-	}
-
-	// ABA: the freelist hands the same slot to a new entry; the old ref
-	// must not validate against the recycled occupant.
-	h2 := a.Alloc()
-	if h2 != h {
-		t.Fatalf("freelist did not recycle slot %d (got %d)", h, h2)
-	}
-	a.At(h2).Key = 2
-	if a.Live(r) {
-		t.Fatal("stale ref validates recycled slot (ABA)")
-	}
-	r2 := a.Ref(h2)
-	if !a.Live(r2) {
-		t.Fatal("new occupant's ref not live")
-	}
-}
-
-// TestArenaRefRandomChurn cross-checks Live against a shadow model over a
-// long random alloc/free stream: at every step, each tracked ref's
-// Live answer must match whether its allocation is still the current
-// occupant of its slot.
-func TestArenaRefRandomChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var a Arena
-	type tracked struct {
-		r     Ref
-		alive bool
-	}
-	var refs []tracked
-	var live []Handle
-	for op := 0; op < 10_000; op++ {
-		switch {
-		case len(live) == 0 || rng.Intn(3) == 0: // alloc
-			h := a.Alloc()
-			live = append(live, h)
-			refs = append(refs, tracked{r: a.Ref(h), alive: true})
-		case rng.Intn(2) == 0: // free a random live entry
-			i := rng.Intn(len(live))
-			h := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			a.Free(h)
-			for j := range refs {
-				if refs[j].alive && refs[j].r.H == h {
-					refs[j].alive = false
-				}
-			}
-		}
-		if op%500 == 0 {
-			for j := range refs {
-				if got := a.Live(refs[j].r); got != refs[j].alive {
-					t.Fatalf("op %d: Live(ref %d) = %v, want %v", op, j, got, refs[j].alive)
-				}
-			}
-		}
-	}
-	if a.Len() != len(live) {
-		t.Fatalf("arena Len = %d, model %d", a.Len(), len(live))
-	}
 }

@@ -42,13 +42,10 @@ type Entry struct {
 	Residency Residency
 }
 
-// InQueue reports whether the entry is currently linked into a queue.
-func (e *Entry) InQueue() bool { return e.owner > 0 }
-
 // Queue is an intrusive doubly-linked list of arena entries with byte
 // accounting. The front is the MRU end, the back is the LRU end. All
-// operations are O(1) and take handles; use At (or the arena's At) to
-// reach the entry behind a handle.
+// operations are O(1) and take handles; use the arena's At to reach the
+// entry behind a handle.
 //
 // Queues are created by Arena.NewQueue and operate only on handles from
 // that arena; the zero value is not usable.
@@ -59,9 +56,6 @@ type Queue struct {
 	n          int
 	bytes      int64
 }
-
-// Arena returns the arena this queue links entries in.
-func (q *Queue) Arena() *Arena { return q.a }
 
 // Len returns the number of entries.
 func (q *Queue) Len() int { return q.n }
@@ -75,15 +69,8 @@ func (q *Queue) Front() Handle { return q.head }
 // Back returns the LRU entry's handle, or None when empty.
 func (q *Queue) Back() Handle { return q.tail }
 
-// At returns the entry for h. Like Arena.At's, the pointer stays valid
-// until h is freed.
-func (q *Queue) At(h Handle) *Entry { return q.a.At(h) }
-
 // Next returns the handle LRU-ward of h (toward the back), or None.
 func (q *Queue) Next(h Handle) Handle { return q.a.dir.at(h).next }
-
-// Prev returns the handle MRU-ward of h (toward the front), or None.
-func (q *Queue) Prev(h Handle) Handle { return q.a.dir.at(h).prev }
 
 // PushFront inserts h at the MRU end. The entry must not belong to any
 // queue.
@@ -148,31 +135,6 @@ func (q *Queue) InsertBefore(h, mark Handle) {
 		q.head = h
 	}
 	m.prev = h
-	q.n++
-	q.bytes += e.Size
-}
-
-// InsertAfter inserts h immediately LRU-ward of mark. mark must belong to
-// q and h must be detached.
-func (q *Queue) InsertAfter(h, mark Handle) {
-	dir := q.a.dir
-	m := dir.at(mark)
-	if m.owner != q.id {
-		panic("cache: InsertAfter mark not in queue")
-	}
-	e := dir.at(h)
-	if e.owner != 0 {
-		panic("cache: InsertAfter of entry already in a queue")
-	}
-	e.owner = q.id
-	e.prev = mark
-	e.next = m.next
-	if m.next != None {
-		dir.at(m.next).prev = h
-	} else {
-		q.tail = h
-	}
-	m.next = h
 	q.n++
 	q.bytes += e.Size
 }

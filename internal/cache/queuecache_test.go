@@ -173,8 +173,8 @@ func TestInsertionPolicyPlumbing(t *testing.T) {
 	}
 	c.Access(req(2, 2, 40)) // 2 also at LRU end, so order front->back: 1,2
 	c.Access(req(3, 1, 40)) // hit 1, promoted to LRU end
-	if q := c.Queue(); q.At(q.Back()).Key != 1 {
-		t.Fatalf("promoted-to-LRU entry not at back, back=%d", q.At(q.Back()).Key)
+	if q := c.Queue(); c.arena.At(q.Back()).Key != 1 {
+		t.Fatalf("promoted-to-LRU entry not at back, back=%d", c.arena.At(q.Back()).Key)
 	}
 	c.Access(req(4, 3, 40)) // miss: evicts 1 (back)
 	if c.Contains(1) {

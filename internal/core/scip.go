@@ -120,13 +120,6 @@ func WithHistoryFraction(frac float64) Option {
 	return func(s *SCIP) { s.historyFrac = frac }
 }
 
-// WithInitialMRUWeight sets the starting ω_m for both contexts
-// (default 0.9: optimistic MRU, so the learning transient does not thrash
-// workloads where plain LRU is already near-optimal).
-func WithInitialMRUWeight(w float64) Option {
-	return func(s *SCIP) { s.initW = w }
-}
-
 // WithPromoteMRU disables the learned promotion path: hit objects are
 // always re-inserted at the MRU position. This turns SCIP into SCI
 // (Algorithm 3), the paper's ablation.

@@ -118,7 +118,7 @@ func TestUnifiedModelSharesWeights(t *testing.T) {
 }
 
 func TestRepeatHitsPinnedToMRU(t *testing.T) {
-	s := New(1<<20, WithSeed(5), WithInitialMRUWeight(0.01))
+	s := New(1<<20, WithSeed(5), initialMRUWeight(0.01))
 	// Simulate the observer being told this is a repeat residency.
 	s.OnResidentHit(cache.Request{Key: 1, Size: 10}, true, cache.ResFirstHit, 1)
 	if s.ChoosePromote(cache.Request{Key: 1, Size: 10}) != cache.MRU {
@@ -127,7 +127,7 @@ func TestRepeatHitsPinnedToMRU(t *testing.T) {
 }
 
 func TestFirstHitGambleUsesPromoteWeights(t *testing.T) {
-	s := New(1<<20, WithSeed(5), WithInitialMRUWeight(0.01))
+	s := New(1<<20, WithSeed(5), initialMRUWeight(0.01))
 	s.OnResidentHit(cache.Request{Key: 1, Size: 10}, true, cache.ResInserted, 1)
 	lru := 0
 	for i := 0; i < 100; i++ {

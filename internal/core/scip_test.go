@@ -9,6 +9,12 @@ import (
 	"github.com/scip-cache/scip/internal/sim"
 )
 
+// initialMRUWeight starts both contexts' ω_m at w instead of the 0.9
+// default, so a test can pin the selector to one arm.
+func initialMRUWeight(w float64) Option {
+	return func(s *SCIP) { s.initW = w }
+}
+
 func req(t int64, key uint64, size int64) cache.Request {
 	return cache.Request{Time: t, Key: key, Size: size}
 }
@@ -120,13 +126,13 @@ func TestLearningRateUpdatesAtInterval(t *testing.T) {
 }
 
 func TestSelectRespectsWeights(t *testing.T) {
-	s := New(10000, WithSeed(42), WithInitialMRUWeight(1))
+	s := New(10000, WithSeed(42), initialMRUWeight(1))
 	for i := 0; i < 100; i++ {
 		if s.ChooseInsert(req(0, 1, 1)) != cache.MRU {
 			t.Fatal("ω_m=1 must always insert MRU")
 		}
 	}
-	s2 := New(10000, WithSeed(42), WithInitialMRUWeight(0))
+	s2 := New(10000, WithSeed(42), initialMRUWeight(0))
 	for i := 0; i < 100; i++ {
 		if s2.ChooseInsert(req(0, 1, 1)) != cache.LRU {
 			t.Fatal("ω_m=0 must always insert LRU")
@@ -135,7 +141,7 @@ func TestSelectRespectsWeights(t *testing.T) {
 }
 
 func TestSCIPromotesMRUAlways(t *testing.T) {
-	s := NewSCI(10000, WithSeed(5), WithInitialMRUWeight(0))
+	s := NewSCI(10000, WithSeed(5), initialMRUWeight(0))
 	if s.Name() != "SCI" {
 		t.Fatalf("Name = %q, want SCI", s.Name())
 	}

@@ -79,10 +79,6 @@ func getTrace(p gen.Profile, scale float64, seed int64) (*trace.Trace, error) {
 	})
 }
 
-// ClearTraceCache drops memoised traces (benchmarks call this between
-// scales to bound memory).
-func ClearTraceCache() { traceCache.Clear() }
-
 // runJobs evaluates independent experiment cells on the config's worker
 // pool and returns their results in submission order, which is what keeps
 // parallel table output byte-identical to the serial run: jobs only

@@ -99,7 +99,7 @@ func TestScaledInterval(t *testing.T) {
 }
 
 func TestTraceCacheMemoises(t *testing.T) {
-	ClearTraceCache()
+	traceCache.Clear()
 	a, err := getTrace("CDN-T", 0.0005, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +111,13 @@ func TestTraceCacheMemoises(t *testing.T) {
 	if a != b {
 		t.Fatal("trace not memoised")
 	}
-	ClearTraceCache()
+	traceCache.Clear()
 	c, err := getTrace("CDN-T", 0.0005, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == c {
-		t.Fatal("ClearTraceCache did not clear")
+		t.Fatal("traceCache.Clear did not clear")
 	}
 }
 

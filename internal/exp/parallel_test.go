@@ -23,7 +23,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			run := func(workers int) string {
 				// Fresh memo per run so the parallel path regenerates its
 				// own traces through the singleflight.
-				ClearTraceCache()
+				traceCache.Clear()
 				var out bytes.Buffer
 				cfg := Config{Scale: 0.0008, Seeds: []int64{1}, Out: &out, Quick: true, Workers: workers}
 				if err := r.Run(cfg); err != nil {

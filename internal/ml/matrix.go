@@ -16,17 +16,6 @@ type Matrix struct {
 	Cols int
 }
 
-// MatrixFromRows copies rows into a fresh Matrix. Rows must be uniform
-// width (enforced by the Dataset-construction call sites; ragged input
-// panics on the copy bounds).
-func MatrixFromRows(rows [][]float64) Matrix {
-	var m Matrix
-	for _, r := range rows {
-		m.AppendRow(r)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int {
 	if m.Cols == 0 {

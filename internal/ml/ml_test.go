@@ -91,7 +91,7 @@ func TestDatasetValidate(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Fatal("ragged matrix accepted")
 	}
-	d2 := &Dataset{X: MatrixFromRows([][]float64{{1, 2}}), Y: []float64{0, 1}}
+	d2 := &Dataset{X: Matrix{Data: []float64{1, 2}, Cols: 2}, Y: []float64{0, 1}}
 	if err := d2.Validate(); err == nil {
 		t.Fatal("row/label mismatch accepted")
 	}
@@ -114,7 +114,7 @@ func TestSplitPartitions(t *testing.T) {
 }
 
 func TestStandardize(t *testing.T) {
-	d := &Dataset{X: MatrixFromRows([][]float64{{1, 10}, {3, 20}, {5, 30}}), Y: []float64{0, 1, 0}}
+	d := &Dataset{X: Matrix{Data: []float64{1, 10, 3, 20, 5, 30}, Cols: 2}, Y: []float64{0, 1, 0}}
 	mean, std := d.Standardize()
 	if math.Abs(mean[0]-3) > 1e-9 || math.Abs(mean[1]-20) > 1e-9 {
 		t.Fatalf("means %v", mean)
@@ -136,7 +136,7 @@ func TestStandardize(t *testing.T) {
 }
 
 func TestStandardizeConstantFeature(t *testing.T) {
-	d := &Dataset{X: MatrixFromRows([][]float64{{7}, {7}}), Y: []float64{0, 1}}
+	d := &Dataset{X: Matrix{Data: []float64{7, 7}, Cols: 1}, Y: []float64{0, 1}}
 	_, std := d.Standardize()
 	if std[0] != 1 {
 		t.Fatalf("constant feature std = %g, want fallback 1", std[0])
@@ -166,7 +166,7 @@ func TestLinRegRecoverCoefficients(t *testing.T) {
 }
 
 func TestTreePredictsConstantRegions(t *testing.T) {
-	X := MatrixFromRows([][]float64{{0}, {1}, {2}, {3}, {10}, {11}, {12}, {13}})
+	X := Matrix{Data: []float64{0, 1, 2, 3, 10, 11, 12, 13}, Cols: 1}
 	y := []float64{1, 1, 1, 1, 5, 5, 5, 5}
 	tr := &RegressionTree{MaxDepth: 2, MinLeaf: 1}
 	tr.Fit(&X, y)

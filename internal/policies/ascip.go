@@ -47,9 +47,6 @@ func NewASCIP(capBytes int64) *ASCIP {
 // Name implements cache.InsertionPolicy.
 func (a *ASCIP) Name() string { return "ASC-IP" }
 
-// Threshold exposes the current size threshold for tests.
-func (a *ASCIP) Threshold() float64 { return a.threshold }
-
 // OnAccess implements cache.InsertionPolicy: a miss on a ghost-listed
 // object means the threshold demoted a reusable size; raise it.
 func (a *ASCIP) OnAccess(req cache.Request, hit bool) {

@@ -79,12 +79,6 @@ func (g *DGIPPR) Capacity() int64 { return g.cap }
 // Used implements cache.Policy.
 func (g *DGIPPR) Used() int64 { return g.q.Bytes() }
 
-// Chromosome exposes the active parameter vector for tests.
-func (g *DGIPPR) Chromosome() (insertSeg int, promote int) {
-	c := g.pop[g.current]
-	return c.insertSeg, int(c.promote)
-}
-
 // Access implements cache.Policy.
 func (g *DGIPPR) Access(req cache.Request) bool {
 	g.reqs++

@@ -70,6 +70,3 @@ func (d *DIP) ChoosePromote(cache.Request) cache.Position { return cache.MRU }
 
 // OnEvict implements cache.InsertionPolicy.
 func (d *DIP) OnEvict(cache.EvictInfo) {}
-
-// PSEL exposes the selector state for tests.
-func (d *DIP) PSEL() int { return d.psel }

@@ -154,20 +154,20 @@ func TestDAAIPClassCounters(t *testing.T) {
 
 func TestASCIPThresholdAdapts(t *testing.T) {
 	a := NewASCIP(1 << 20)
-	t0 := a.Threshold()
+	t0 := a.threshold
 	// Large never-hit MRU evictions pull the threshold down.
 	for i := 0; i < 50; i++ {
 		a.OnEvict(cache.EvictInfo{Key: uint64(i), Size: 1 << 15, InsertedMRU: true, EverHit: false})
 	}
-	if a.Threshold() >= t0 {
-		t.Fatalf("threshold did not drop: %g -> %g", t0, a.Threshold())
+	if a.threshold >= t0 {
+		t.Fatalf("threshold did not drop: %g -> %g", t0, a.threshold)
 	}
-	down := a.Threshold()
+	down := a.threshold
 	// Ghost hits push it back up.
 	a.OnEvict(cache.EvictInfo{Key: 7, Size: 1 << 15, InsertedMRU: false})
 	a.OnAccess(req(0, 7, 1<<15), false)
-	if a.Threshold() <= down {
-		t.Fatalf("threshold did not rise after ghost hit: %g", a.Threshold())
+	if a.threshold <= down {
+		t.Fatalf("threshold did not rise after ghost hit: %g", a.threshold)
 	}
 	// Objects over the threshold insert at LRU.
 	aa := NewASCIP(1 << 20)
@@ -327,7 +327,6 @@ func TestDGIPPREvolves(t *testing.T) {
 	g := NewDGIPPR(200_000, 2)
 	g.Epoch = 500
 	reqs := testTrace(t, 5)
-	gen0Ins, gen0Pro := g.Chromosome()
 	for _, r := range reqs {
 		g.Access(r)
 	}
@@ -336,8 +335,6 @@ func TestDGIPPREvolves(t *testing.T) {
 	if g.reqs != len(reqs) {
 		t.Fatalf("request counter %d, want %d", g.reqs, len(reqs))
 	}
-	_ = gen0Ins
-	_ = gen0Pro
 	if g.Used() > g.Capacity() {
 		t.Fatal("capacity violated")
 	}

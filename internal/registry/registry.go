@@ -66,9 +66,6 @@ var table = []entry{
 	{name: "SS-LRU", aliases: []string{"SSLRU"}, build: func(e Env) cache.Policy { return replacement.NewSSLRU(e.Capacity) }},
 	{name: "GDSF", build: func(e Env) cache.Policy { return replacement.NewGDSF(e.Capacity) }},
 	{name: "LHD", build: func(e Env) cache.Policy { return replacement.NewLHD(e.Capacity, e.Seed) }},
-	{name: "ARC", build: func(e Env) cache.Policy { return replacement.NewARC(e.Capacity) }},
-	{name: "LIRS", build: func(e Env) cache.Policy { return replacement.NewLIRS(e.Capacity) }},
-	{name: "LeCaR", build: func(e Env) cache.Policy { return replacement.NewLeCaR(e.Capacity, e.Seed) }},
 	{name: "CACHEUS", build: func(e Env) cache.Policy { return replacement.NewCACHEUS(e.Capacity, e.Seed) }},
 	{name: "GL-Cache", aliases: []string{"GLCACHE"}, build: func(e Env) cache.Policy { return replacement.NewGLCache(e.Capacity) }},
 	{name: "LRB", build: func(e Env) cache.Policy { return lrb.New(e.Capacity, lrb.WithSeed(e.Seed)) }},

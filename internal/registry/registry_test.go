@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/gen"
+	"github.com/scip-cache/scip/internal/trace"
 )
 
 // TestCanonicalNames: every name, in any case, and every alias resolves
@@ -82,5 +84,29 @@ func TestLookupErrors(t *testing.T) {
 	}
 	if _, err := Lookup("belady", nil); err == nil || !strings.Contains(err.Error(), "needs a trace") {
 		t.Errorf("Belady without a trace: err = %v", err)
+	}
+}
+
+// TestRemoverSupport pins which registered policies support invalidation
+// (cache.Remover): scip-serve answers DELETE from exactly this set and 501
+// for every other name. The set is the one OPERATIONS.md's DELETE
+// paragraph lists; a policy that gains or loses Remove must update both.
+func TestRemoverSupport(t *testing.T) {
+	removers := map[string]bool{
+		"SCIP": true, "SCI": true, "LRU": true,
+		"LIP": true, "BIP": true, "DIP": true, "DTA": true, "SHiP": true, "DAAIP": true, "ASC-IP": true,
+		"2Q": true, "TinyLFU": true, "AdaptSize": true,
+		"scorer:zro=1": true,
+	}
+	tr := &trace.Trace{Requests: []cache.Request{{Key: 1, Size: 1}}}
+	env := Env{Capacity: 1 << 20, Seed: 1}
+	for _, name := range append(Names(), "scorer:zro=1") {
+		build, err := Lookup(name, tr)
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", name, err)
+		}
+		if _, ok := build(env).(cache.Remover); ok != removers[name] {
+			t.Errorf("%s: implements cache.Remover = %v, want %v", name, ok, removers[name])
+		}
 	}
 }

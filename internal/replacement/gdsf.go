@@ -53,9 +53,6 @@ func (g *GDSF) Capacity() int64 { return g.cap }
 // Used implements cache.Policy.
 func (g *GDSF) Used() int64 { return g.used }
 
-// Inflation exposes L for tests.
-func (g *GDSF) Inflation() float64 { return g.l }
-
 // Access implements cache.Policy.
 func (g *GDSF) Access(req cache.Request) bool {
 	if e, ok := g.index[req.Key]; ok {

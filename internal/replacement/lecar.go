@@ -38,13 +38,9 @@ func (h *lfuHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = 
 // object is found in an expert's ghost list, that expert's past eviction
 // was a mistake and its weight decays multiplicatively. CACHEUS
 // (Rodriguez et al., FAST'21) builds on the same frame with an adaptive
-// learning rate; NewCACHEUS configures that variant (the adaptive rate is
-// the Algorithm-2-style controller shared with SCIP).
+// learning rate, the Algorithm-2-style controller shared with SCIP; that
+// variant is the only one built here (NewCACHEUS).
 type LeCaR struct {
-	// Lambda is the fixed learning rate (LeCaR default 0.45).
-	Lambda float64
-
-	name     string
 	cap      int64
 	seq      int64
 	arena    cache.Arena
@@ -57,8 +53,6 @@ type LeCaR struct {
 	ghostLFU *cache.History
 	rng      *rand.Rand
 
-	// adaptive enables the CACHEUS-style learning-rate controller.
-	adaptive bool
 	rate     *mab.AdaptiveRate
 	hits     int
 	reqs     int
@@ -67,11 +61,10 @@ type LeCaR struct {
 
 var _ cache.Policy = (*LeCaR)(nil)
 
-// NewLeCaR returns a LeCaR cache.
-func NewLeCaR(capBytes int64, seed int64) *LeCaR {
+// NewCACHEUS returns the CACHEUS variant: LeCaR's expert frame with an
+// adaptive learning rate driven by the interval hit rate.
+func NewCACHEUS(capBytes int64, seed int64) *LeCaR {
 	l := &LeCaR{
-		Lambda:   0.45,
-		name:     "LeCaR",
 		cap:      capBytes,
 		index:    make(map[uint64]*lecarEntry),
 		wLRU:     0.5,
@@ -81,21 +74,12 @@ func NewLeCaR(capBytes int64, seed int64) *LeCaR {
 		interval: 1 << 14,
 	}
 	l.q = l.arena.NewQueue()
+	l.rate = mab.NewAdaptiveRate(l.rng.Float64)
 	return l
 }
 
-// NewCACHEUS returns the CACHEUS variant: LeCaR's expert frame with an
-// adaptive learning rate driven by the interval hit rate.
-func NewCACHEUS(capBytes int64, seed int64) *LeCaR {
-	c := NewLeCaR(capBytes, seed)
-	c.name = "CACHEUS"
-	c.adaptive = true
-	c.rate = mab.NewAdaptiveRate(c.rng.Float64)
-	return c
-}
-
 // Name implements cache.Policy.
-func (l *LeCaR) Name() string { return l.name }
+func (l *LeCaR) Name() string { return "CACHEUS" }
 
 // Capacity implements cache.Policy.
 func (l *LeCaR) Capacity() int64 { return l.cap }
@@ -103,21 +87,11 @@ func (l *LeCaR) Capacity() int64 { return l.cap }
 // Used implements cache.Policy.
 func (l *LeCaR) Used() int64 { return l.bytes }
 
-// WeightLRU exposes the LRU expert's weight for tests.
-func (l *LeCaR) WeightLRU() float64 { return l.wLRU }
-
-func (l *LeCaR) lambda() float64 {
-	if l.adaptive {
-		return l.rate.Lambda
-	}
-	return l.Lambda
-}
-
 // Access implements cache.Policy.
 func (l *LeCaR) Access(req cache.Request) bool {
 	l.seq++
 	l.reqs++
-	if l.adaptive && l.reqs%l.interval == 0 {
+	if l.reqs%l.interval == 0 {
 		l.rate.Update(float64(l.hits) / float64(l.interval))
 		l.hits = 0
 	}
@@ -154,12 +128,12 @@ func (l *LeCaR) Access(req cache.Request) bool {
 }
 
 func (l *LeCaR) decayLRU() {
-	w := l.wLRU * math.Exp(-l.lambda())
+	w := l.wLRU * math.Exp(-l.rate.Lambda)
 	l.wLRU = w / (w + (1 - l.wLRU))
 }
 
 func (l *LeCaR) decayLFU() {
-	f := (1 - l.wLRU) * math.Exp(-l.lambda())
+	f := (1 - l.wLRU) * math.Exp(-l.rate.Lambda)
 	l.wLRU = l.wLRU / (l.wLRU + f)
 }
 

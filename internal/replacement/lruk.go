@@ -35,7 +35,6 @@ type LRUK struct {
 
 	name  string
 	cap   int64
-	now   int64
 	seq   int64
 	store *Store[*lrukEntry]
 	buf   []*lrukEntry
@@ -93,13 +92,12 @@ func (l *LRUK) kDistance(e *lrukEntry) int64 {
 // Access implements cache.Policy.
 func (l *LRUK) Access(req cache.Request) bool {
 	l.seq++
-	l.now = l.seq
 	e, hit := l.store.Get(req.Key)
 	if l.ins != nil {
 		l.ins.OnAccess(req, hit)
 	}
 	if hit {
-		e.times = append(e.times, l.now)
+		e.times = append(e.times, l.seq)
 		if len(e.times) > l.K {
 			e.times = e.times[1:]
 		}
@@ -126,7 +124,7 @@ func (l *LRUK) Access(req cache.Request) bool {
 	for l.store.Bytes()+req.Size > l.cap {
 		l.evictOne()
 	}
-	ne := &lrukEntry{key: req.Key, size: req.Size, times: []int64{l.now}, res: cache.ResInserted}
+	ne := &lrukEntry{key: req.Key, size: req.Size, times: []int64{l.seq}, res: cache.ResInserted}
 	if l.ins != nil && l.ins.ChooseInsert(req) == cache.LRU {
 		ne.demoted = true
 	}
