@@ -1,8 +1,8 @@
 # Standard verify loop for the repository. `make check` is what CI (and
-# every PR) should run: formatting (with simplification), vet, the
-# repository's own scip-vet analyzers, build, tests, the race detector
-# over the concurrent experiment engine and sharded front, and the data
-# plane under the scipdebug handle guards.
+# every PR) should run: formatting (with simplification), vet, build,
+# tests (which carry the determinism fences, DESIGN.md §7), the race
+# detector over the concurrent experiment engine and sharded front, and
+# the data plane under the scipdebug handle guards.
 
 GO ?= go
 
@@ -12,9 +12,9 @@ GO ?= go
 # must be listed here so `make vet` covers it.
 VET_TAGS ?= scipdebug
 
-.PHONY: check fmt-check vet lint supps build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load size
+.PHONY: check fmt-check vet build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load size
 
-check: fmt-check vet lint build test test-race test-debug examples docs-check golden-equiv
+check: fmt-check vet build test test-race test-debug examples docs-check golden-equiv
 
 # gofmt -s also demands the simplified forms (composite-literal elision,
 # range cleanups), not just canonical spacing.
@@ -35,21 +35,6 @@ vet:
 			$(GO) vet -C $$dir -tags "$$tags" ./... || exit 1; \
 		done; \
 	done
-
-# lint runs the repository's own determinism analyzers (see
-# internal/analysis and DESIGN.md "Invariants"): the per-file detrand
-# and maporder, ending with the suppression audit — a stale or unknown //scip: comment fails the run.
-# Two invariants are pinned by tests, not by an analyzer: lock
-# discipline by test-race, and the data plane's zero allocation by
-# TestHotPathsAllocateNothing and the per-package Allocs pins.
-lint:
-	$(GO) run ./cmd/scip-vet ./...
-
-# supps prints the //scip: suppression inventory
-# (file:line, token, live/STALE, justification) and exits 1 when any
-# suppression is stale.
-supps:
-	$(GO) run ./cmd/scip-vet -supps ./...
 
 build:
 	$(GO) build ./...
@@ -96,9 +81,7 @@ docs-check:
 golden-equiv:
 	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
-# Short fuzz passes over all nine Fuzz* targets: the analysis
-# fixture-comment parser, VetModule (arbitrary parseable source must
-# never panic the analyzers or the suppression audit), scip-serve's query
+# Short fuzz passes over all seven Fuzz* targets: scip-serve's query
 # scanner (diffed against url.ParseQuery), the cache's open-addressing
 # index (diffed against a plain map) and ghost history (structural
 # invariants after every operation), the three trace readers (CSV,
@@ -106,8 +89,6 @@ golden-equiv:
 # generator (any config Validate accepts must generate a well-formed
 # trace).
 fuzz:
-	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzParseWant$$' -fuzztime 30s
-	$(GO) test ./internal/analysis/ -run '^$$' -fuzz '^FuzzVetModule$$' -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzIndexVsMap$$' -fuzztime 10s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 10s

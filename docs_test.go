@@ -2,6 +2,7 @@ package scip_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -81,6 +82,58 @@ func TestPackageDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNoLiteralSeeds fails when a non-test file under internal/ builds
+// a PRNG from constants alone: every rand.NewSource seed must derive from
+// a configured one. internal/registry's TestSeedMatters catches a literal
+// seed in any PRNG a registered policy draws from; this catches one in a
+// PRNG nothing draws from (policies.DIP.rng), where no run-time test can.
+func TestNoLiteralSeeds(t *testing.T) {
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" && isIdent(sel.X, "rand") && constantExpr(call.Args[0]) {
+				t.Errorf("%s: rand.NewSource with a constant seed; derive it from the configured seed", fset.Position(call.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// constantExpr reports whether e is built from literals alone.
+func constantExpr(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.ParenExpr:
+		return constantExpr(e.X)
+	case *ast.UnaryExpr:
+		return constantExpr(e.X)
+	case *ast.BinaryExpr:
+		return constantExpr(e.X) && constantExpr(e.Y)
+	}
+	return false
 }
 
 // link is one markdown link occurrence.

@@ -197,16 +197,20 @@ func TestPositionString(t *testing.T) {
 func TestFreelistReusesEvictedEntry(t *testing.T) {
 	c := NewLRU(100)
 	c.Access(req(1, 1, 60))
+	c.Access(req(2, 1, 60)) // hit: Hits=1
 	first := c.Entry(1)
-	c.Access(req(2, 2, 60)) // evicts 1, freelist now holds its entry
-	c.Access(req(3, 3, 60)) // evicts 2, must reuse 1's entry
+	// Score and Class are never written by QueueCache.Access, so only the
+	// arena's reset on reuse can clear them.
+	first.Score, first.Class = 2.5, 3
+	c.Access(req(3, 2, 60)) // evicts 1, freelist now holds its entry
+	c.Access(req(4, 3, 60)) // evicts 2, must reuse 1's entry
 	reused := c.Entry(3)
 	if reused != first {
 		t.Fatal("miss after eviction did not reuse the freed entry")
 	}
 	if reused.Key != 3 || reused.Size != 60 || reused.Hits != 0 || reused.Freq != 1 ||
 		reused.Score != 0 || reused.Class != 0 || reused.Residency != ResInserted {
-		t.Fatalf("recycled entry not fully reset: %+v", reused)
+		t.Fatalf("recycled entry not fully reset: %+v", *reused)
 	}
 	if !reused.InsertedMRU {
 		t.Fatal("recycled plain-LRU insert should be MRU-marked")

@@ -155,7 +155,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:         ring,
 		reg:          NewRegistry(cfg.Nodes, cfg.FailThreshold, cfg.Client),
 		hot:          NewHotKeys(cfg.HotK, uint32(cfg.HotMin), cfg.SketchWidth),
-		start:        time.Now(), //scip:wallclock-ok uptime metadata for /metrics and /statusz, never a routing decision input
+		start:        time.Now(), // uptime metadata for /metrics and /statusz, never a routing decision input
 		nodeRequests: make([]atomic.Int64, len(cfg.Nodes)),
 		nodeErrors:   make([]atomic.Int64, len(cfg.Nodes)),
 	}
@@ -219,9 +219,9 @@ func (rt *Router) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /statusz", rt.handleStatusz)
 	return rt.shell.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now() //scip:wallclock-ok proxy-latency metering, never a routing decision input
+		start := time.Now() // proxy-latency metering, never a routing decision input
 		mux.ServeHTTP(w, r)
-		rt.lat.Observe(time.Since(start)) //scip:wallclock-ok proxy-latency metering, never a routing decision input
+		rt.lat.Observe(time.Since(start)) // proxy-latency metering, never a routing decision input
 	}))
 }
 
@@ -489,7 +489,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Metric("scip_route_hot_keys", "gauge", "Current hot-set size.", rt.hot.Len())
 	p.Metric("scip_route_inflight_requests", "gauge", "Requests currently being routed.", rt.shell.Inflight())
 	p.Metric("scip_route_uptime_seconds", "gauge", "Seconds since the router started.",
-		strconv.FormatFloat(time.Since(rt.start).Seconds(), 'f', 3, 64)) //scip:wallclock-ok uptime gauge for /metrics, never a routing input
+		strconv.FormatFloat(time.Since(rt.start).Seconds(), 'f', 3, 64)) // uptime gauge for /metrics, never a routing input
 	buckets, sum := rt.lat.Snapshot()
 	p.Histogram("scip_route_proxy_latency_seconds", "End-to-end routed request latency.", buckets, sum)
 }
@@ -498,7 +498,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "scip-route: %d nodes, %d vnodes/node, replicas=%d replicate=%v\n",
 		len(rt.cfg.Nodes), rt.cfg.VNodes, rt.cfg.Replicas, rt.cfg.Replicate)
-	fmt.Fprintf(w, "uptime:     %s\n", time.Since(rt.start).Round(time.Second)) //scip:wallclock-ok uptime line for /statusz, never a routing input
+	fmt.Fprintf(w, "uptime:     %s\n", time.Since(rt.start).Round(time.Second)) // uptime line for /statusz, never a routing input
 	var reqs int64
 	for i := range rt.requestsByMethod {
 		reqs += rt.requestsByMethod[i].Load()

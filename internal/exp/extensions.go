@@ -139,9 +139,9 @@ func runSharded(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			start := time.Now() //scip:wallclock-ok metering only: feeds the Mreq/s column, never a cache decision
+			start := time.Now() // metering only: feeds the Mreq/s column, never a cache decision
 			hits := runner.ReplaySharded(tr.Requests, c, workers, m.batch)
-			elapsed := time.Since(start).Seconds() //scip:wallclock-ok metering only: feeds the Mreq/s column, never a cache decision
+			elapsed := time.Since(start).Seconds() // metering only: feeds the Mreq/s column, never a cache decision
 			c.Close()
 			total := len(tr.Requests)
 			fmt.Fprintf(cfg.Out, "%-8d %-10s %10d %8d %14.2f %10.4f\n",

@@ -381,7 +381,7 @@ func (l *LRB) pruneWindow() {
 	for k, m := range l.meta {
 		if !m.cached && m.lastSeen < cut {
 			delete(l.meta, k)
-			//scip:ordered-ok freelist order only selects which recycled struct backs a later object; every field is reinitialised on reuse
+			// freelist order only selects which recycled struct backs a later object; every field is reinitialised on reuse
 			l.metaFree = append(l.metaFree, m)
 		}
 	}
@@ -404,7 +404,7 @@ func (l *LRB) pruneWindow() {
 				}
 				tail = id
 			} else {
-				//scip:ordered-ok expBuf is sorted by the unique per-sample .at sequence number below, erasing map order before labelling
+				// expBuf is sorted by the unique per-sample .at sequence number below, erasing map order before labelling; TestLRBDeterministic fails without the sort
 				l.expBuf = append(l.expBuf, id)
 			}
 			id = next

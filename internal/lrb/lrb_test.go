@@ -1,6 +1,7 @@
 package lrb
 
 import (
+	"math"
 	"testing"
 
 	"github.com/scip-cache/scip/internal/cache"
@@ -154,26 +155,37 @@ func TestLRBAccessAllocsSteadyState(t *testing.T) {
 func TestLRBDeterministic(t *testing.T) {
 	// The small window forces many pruneWindow sweeps: window-expired
 	// samples must be labelled in sampling order, not in the map's
-	// randomised iteration order, or the trained model (and the exact
-	// hit sequence) varies between otherwise identical runs.
+	// randomised iteration order. MaxTrain 1024 makes the halving trim
+	// fire during the run, so label order decides which samples survive
+	// into every later fit; the run is fingerprinted by the training set
+	// it ends with as well as by its hit stream.
 	tr := testTrace(t, 9, 60_000)
-	run := func() (uint64, bool) {
+	run := func() (hits, train uint64, trained bool) {
 		l := New(100_000, WithSeed(6), WithWindow(1<<12))
-		var sig uint64
+		l.MaxTrain, l.TrainEvery = 1024, 512
 		for i, r := range tr.Requests {
 			if l.Access(r) {
-				sig = sig*31 + uint64(i)
+				hits = hits*31 + uint64(i)
 			}
 		}
-		return sig, l.Trained()
+		for _, vs := range [][]float64{l.trainX.Data, l.trainY} {
+			for _, v := range vs {
+				train = train*1099511628211 ^ math.Float64bits(v)
+			}
+		}
+		return hits, train, l.Trained()
 	}
-	sig0, trained := run()
+	hits0, train0, trained := run()
 	if !trained {
 		t.Fatal("model never trained; test exercises nothing")
 	}
 	for i := 0; i < 3; i++ {
-		if sig, _ := run(); sig != sig0 {
-			t.Fatal("LRB not deterministic for fixed seed")
+		hits, train, _ := run()
+		if hits != hits0 {
+			t.Fatal("LRB hit stream not deterministic for fixed seed")
+		}
+		if train != train0 {
+			t.Fatal("LRB training set not deterministic for fixed seed")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -270,6 +271,38 @@ func TestBanditDeterministic(t *testing.T) {
 		if a.Predict(x) != b.Predict(x) {
 			t.Fatal("bandit not deterministic for fixed seed")
 		}
+	}
+}
+
+// TestSeedsChangeTheFit: each seeded model and Split draws from its
+// Seed, not from a literal, so seeds 1 and 2 give a different fit or
+// partition of one dataset.
+func TestSeedsChangeTheFit(t *testing.T) {
+	d := linearlySeparable(300, 41)
+	models := func(seed int64) []Classifier {
+		return []Classifier{&LogReg{Seed: seed}, &SVM{Seed: seed}, &NN{Hidden: 8, Seed: seed, Epochs: 5}, &Bandit{Seed: seed}}
+	}
+	seed2 := models(2)
+	for i, a := range models(1) {
+		b := seed2[i]
+		if err := a.Fit(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Fit(d); err != nil {
+			t.Fatal(err)
+		}
+		same := true
+		for r := 0; r < d.Len(); r++ {
+			same = same && a.Predict(d.Row(r)) == b.Predict(d.Row(r))
+		}
+		if same {
+			t.Errorf("%s: seeds 1 and 2 fit identical models", a.Name())
+		}
+	}
+	a, _ := d.Split(0.5, 1)
+	b, _ := d.Split(0.5, 2)
+	if slices.Equal(a.Y, b.Y) && slices.Equal(a.X.Data, b.X.Data) {
+		t.Error("Split: seeds 1 and 2 give the same partition")
 	}
 }
 

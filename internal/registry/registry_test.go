@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,12 +27,13 @@ func TestCanonicalNames(t *testing.T) {
 	}
 }
 
-// TestSameEnvSameHitStream: two instances built from one Env make the
-// same decision on every request, for every table row and a scorer spec.
-func TestSameEnvSameHitStream(t *testing.T) {
+// registryTrace generates the trace the registry fences replay, long
+// enough for the longest row in rowRequests.
+func registryTrace(t *testing.T) *trace.Trace {
+	t.Helper()
 	tr, err := gen.Generate(gen.Config{
 		Name: "registry-test", Seed: 3,
-		Requests:    20_000,
+		Requests:    2 * 65_536,
 		CatalogSize: 2_000,
 		ZipfAlpha:   0.9,
 		OneHitFrac:  0.3,
@@ -43,25 +45,99 @@ func TestSameEnvSameHitStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// rowRequests is how much of registryTrace a row replays: 20 000
+// requests, or enough for its periodic path to fire twice. Under
+// Env{Capacity: 300_000, Interval: 2_000} the periods are:
+//   - SCIP, SCI: learning interval 2 000 (10 in 20 000);
+//   - the scorer spec: tuning interval and its zro scorer's learning
+//     interval 2 000, frequency-sketch aging at 8 192 then every 4 096
+//     (3 in 20 000);
+//   - TinyLFU: sketch aging, as the scorer spec's;
+//   - DIP: PSEL window 4 096; DGIPPR: epoch 4 096 (4 each in 20 000);
+//   - DTA: retrain every 4 096 resolved samples (2 in 20 000);
+//   - CACHEUS: λ update every 16 384 requests;
+//   - AdaptSize: c tuning every 32 768 requests;
+//   - GL-Cache: retrain every 32 768 requests;
+//   - LHD: histogram decay every 65 536 requests;
+//   - LRB: retrain every 2 048 fresh labels, first near request 26 000
+//     and again near 50 000. Its 131 072-request window prune is
+//     TestLRBDeterministic's (internal/lrb).
+//
+// The other rows have no periodic path.
+func rowRequests(name string) int {
+	switch name {
+	case "CACHEUS":
+		return 2 * 16_384
+	case "AdaptSize", "GL-Cache":
+		return 2 * 32_768
+	case "LHD":
+		return 2 * 65_536
+	case "LRB":
+		return 60_000
+	}
+	return 20_000
+}
+
+// replayRow builds name from env and returns its hit stream over the
+// first n requests of tr.
+func replayRow(t *testing.T, name string, tr *trace.Trace, n int, env Env) []bool {
+	t.Helper()
+	prefix := &trace.Trace{Requests: tr.Requests[:n]}
+	build, err := Lookup(name, prefix)
+	if err != nil {
+		t.Fatalf("Lookup(%q): %v", name, err)
+	}
+	p := build(env)
+	hits := make([]bool, n)
+	for i, req := range prefix.Requests {
+		hits[i] = p.Access(req)
+	}
+	return hits
+}
+
+// TestSameEnvSameHitStream: two instances built from one Env make the
+// same decision on every request, for every table row and a scorer spec,
+// over a replay long enough for each row's periodic path to fire twice.
+func TestSameEnvSameHitStream(t *testing.T) {
+	tr := registryTrace(t)
 	env := Env{Capacity: 300_000, Seed: 5, Interval: 2_000}
 	for _, name := range append(Names(), "scorer:zro=0.5,size=0.3,freq=0.2") {
-		build, err := Lookup(name, tr)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
+		n := rowRequests(name)
+		a, b := replayRow(t, name, tr, n, env), replayRow(t, name, tr, n, env)
+		if !slices.Contains(a, true) {
+			t.Errorf("%s: no hits in %d requests", name, n)
 		}
-		a, b := build(env), build(env)
-		hits := 0
-		for i, req := range tr.Requests {
-			ha, hb := a.Access(req), b.Access(req)
-			if ha != hb {
-				t.Fatalf("%s: request %d: first instance hit=%v, second hit=%v", name, i, ha, hb)
-			}
-			if ha {
-				hits++
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: request %d: first instance hit=%v, second hit=%v", name, i, a[i], b[i])
 			}
 		}
-		if hits == 0 {
-			t.Errorf("%s: no hits in %d requests", name, len(tr.Requests))
+	}
+}
+
+// TestSeedMatters: every row whose constructor takes Env.Seed makes a
+// different decision stream under seeds 5 and 6, and every other row
+// makes the same one. A PRNG built from a literal instead of the
+// configured seed passes TestSameEnvSameHitStream, since two fresh
+// instances still agree, but fails here. The zro-free spec draws from
+// the pipeline's own PRNG; the other spec draws from its zro scorer's.
+func TestSeedMatters(t *testing.T) {
+	seeded := map[string]bool{
+		"SCIP": true, "SCI": true, "BIP": true, "DIP": true, "PIPP": true, "DGIPPR": true,
+		"DAAIP": true, "LRU-K": true, "LHD": true, "CACHEUS": true, "LRB": true, "AdaptSize": true,
+		"scorer:zro=0.5,size=0.3,freq=0.2": true, "scorer:size=0.5,freq=0.5": true,
+	}
+	tr := registryTrace(t)
+	five := Env{Capacity: 300_000, Seed: 5, Interval: 2_000}
+	six := five
+	six.Seed = 6
+	for _, name := range append(Names(), "scorer:zro=0.5,size=0.3,freq=0.2", "scorer:size=0.5,freq=0.5") {
+		a, b := replayRow(t, name, tr, 20_000, five), replayRow(t, name, tr, 20_000, six)
+		if differ := !slices.Equal(a, b); differ != seeded[name] {
+			t.Errorf("%s: seeds 5 and 6 give different hit streams = %v, want %v", name, differ, seeded[name])
 		}
 	}
 }

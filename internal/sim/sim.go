@@ -99,7 +99,7 @@ func Run(tr *trace.Trace, p cache.Policy, opts Options) Result {
 	)
 	if opts.Meter {
 		runtime.GC()
-		start = time.Now() //scip:wallclock-ok metering only: feeds Mreq/s and ns/req, never a cache decision
+		start = time.Now() // metering only: feeds Mreq/s and ns/req, never a cache decision
 	}
 	for i, req := range tr.Requests {
 		hit := p.Access(req)
@@ -134,7 +134,7 @@ func Run(tr *trace.Trace, p cache.Policy, opts Options) Result {
 		}
 	}
 	if opts.Meter {
-		elapsed := time.Since(start) //scip:wallclock-ok metering only: feeds Mreq/s and ns/req, never a cache decision
+		elapsed := time.Since(start) // metering only: feeds Mreq/s and ns/req, never a cache decision
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		if ms.HeapAlloc > peakHeap {
