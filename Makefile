@@ -12,9 +12,9 @@ GO ?= go
 # must be listed here so `make vet` covers it.
 VET_TAGS ?= scipdebug
 
-.PHONY: check fmt-check vet build test test-race test-debug examples docs-check golden-equiv fuzz bench bench-kernels bench-figures load size
+.PHONY: check fmt-check vet build test test-race test-debug examples docs-check fuzz bench bench-kernels bench-figures load size
 
-check: fmt-check vet build test test-race test-debug examples docs-check golden-equiv
+check: fmt-check vet build test test-race test-debug examples docs-check
 
 # gofmt -s also demands the simplified forms (composite-literal elision,
 # range cleanups), not just canonical spacing.
@@ -71,15 +71,6 @@ examples:
 # packages missing a package comment (both in docs_test.go).
 docs-check:
 	$(GO) test -run 'TestDocsLinks|TestPackageDocs' .
-
-# golden-equiv replays the goldened figures with every SCIP construction
-# swapped for a zro-only scorer pipeline (internal/admission/scorer) and
-# asserts byte-identity against the committed goldens: the decomposed
-# admission pipeline must reproduce the monolith exactly. Runs as part
-# of `make test` too (it is an ordinary test); the named target gives CI
-# and humans a direct handle on the equivalence contract.
-golden-equiv:
-	$(GO) test ./internal/exp/ -run TestScorerGoldenEquivalence -count 1
 
 # Short fuzz passes over all seven Fuzz* targets: scip-serve's query
 # scanner (diffed against url.ParseQuery), the cache's open-addressing

@@ -47,7 +47,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
-	policy := flag.String("policy", "SCIP", "sharded policy: "+strings.Join(registry.Names(), ", ")+" (all but Belady, which needs a trace), or a scorer: spec")
+	policy := flag.String("policy", "SCIP", "sharded policy: "+strings.Join(registry.Names(), ", ")+" (all but Belady, which needs a trace)")
 	cacheSize := flag.String("cache", "256MiB", "cache capacity (KiB/MiB/GiB suffixes)")
 	shards := flag.Int("shards", 8, "shard count (rounded up to a power of two)")
 	seed := flag.Int64("seed", 1, "policy seed (shard i gets seed+i)")

@@ -8,9 +8,7 @@
 // -policy takes any internal/registry name (case-insensitive): SCIP,
 // SCI, LRU, the Figure 8 insertion policies, the Figure 10 replacement
 // algorithms, the §7 admission policies and the Belady oracle (the
-// names scip-serve takes too, all but Belady), plus
-// composable admission mixes via "scorer:" specs, e.g.
-// -policy scorer:zro=0.6,size=0.2,freq=0.2 (see internal/admission/scorer).
+// names scip-serve takes too, all but Belady).
 package main
 
 import (
@@ -28,7 +26,7 @@ func main() {
 	tracePath := flag.String("trace", "", "trace file (binary by default)")
 	csv := flag.Bool("csv", false, "trace file is time,key,size CSV")
 	lrbFmt := flag.Bool("lrb", false, "trace file is LRB-format (timestamp id size ...)")
-	policy := flag.String("policy", "SCIP", "cache policy: "+strings.Join(registry.Names(), ", ")+", or a scorer: spec")
+	policy := flag.String("policy", "SCIP", "cache policy: "+strings.Join(registry.Names(), ", "))
 	cacheSize := flag.String("cache", "512MiB", "cache capacity (supports KiB/MiB/GiB suffixes)")
 	warmup := flag.Float64("warmup", 0.2, "warm-up fraction excluded from metrics")
 	seed := flag.Int64("seed", 1, "policy seed")

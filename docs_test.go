@@ -87,8 +87,9 @@ func TestPackageDocs(t *testing.T) {
 // TestNoLiteralSeeds fails when a non-test file under internal/ builds
 // a PRNG from constants alone: every rand.NewSource seed must derive from
 // a configured one. internal/registry's TestSeedMatters catches a literal
-// seed in any PRNG a registered policy draws from; this catches one in a
-// PRNG nothing draws from (policies.DIP.rng), where no run-time test can.
+// seed in any PRNG a registered policy draws from; this check also covers
+// PRNGs outside the registry's rows, and a PRNG nothing draws from, which
+// no run-time test can see.
 func TestNoLiteralSeeds(t *testing.T) {
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -2,8 +2,7 @@ package admission
 
 // Sketch is a 4-row count-min sketch with 4-bit conceptual counters
 // (stored as int8, halved periodically — TinyLFU's aging). It backs
-// TinyLFU's admission duel and is exported so the scorer pipeline's
-// frequency scorer can share the exact structure.
+// TinyLFU's admission duel.
 type Sketch struct {
 	rows    [4][]int8
 	mask    uint64

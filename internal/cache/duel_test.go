@@ -65,12 +65,12 @@ func TestSetInsertionHotSwap(t *testing.T) {
 		t.Fatal("resident object lost across hot swap")
 	}
 	c.Access(Request{Time: 3, Key: 2, Size: 100})
-	if e := c.Entry(2); e.InsertedMRU {
+	if e := entryOf(c, 2); e.InsertedMRU {
 		t.Fatal("post-swap insertion ignored the new policy")
 	}
 	c.SetInsertion(nil)
 	c.Access(Request{Time: 4, Key: 3, Size: 100})
-	if e := c.Entry(3); !e.InsertedMRU {
+	if e := entryOf(c, 3); !e.InsertedMRU {
 		t.Fatal("nil swap did not restore plain LRU")
 	}
 }

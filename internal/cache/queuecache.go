@@ -92,20 +92,6 @@ func (c *QueueCache) Contains(key uint64) bool {
 	return c.index.Get(key) != None
 }
 
-// Entry returns the live entry for key, or nil. The pointer stays valid
-// until the object is evicted or removed; callers must not relink it.
-func (c *QueueCache) Entry(key uint64) *Entry {
-	h := c.index.Get(key)
-	if h == None {
-		return nil
-	}
-	return c.arena.At(h)
-}
-
-// Queue exposes the underlying queue for analyzers; callers must treat it
-// as read-only.
-func (c *QueueCache) Queue() *Queue { return &c.q }
-
 // SetInsertion hot-swaps the insertion/promotion policy, as the paper's
 // TDC deployment did ("we have merely replaced LRU's insertion policy
 // with SCIP"). Resident entries keep their marks; nil restores plain LRU.

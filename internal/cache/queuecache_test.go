@@ -80,10 +80,19 @@ func TestQueueCacheEvictHook(t *testing.T) {
 	}
 }
 
+// entryOf returns c's live entry for key, or nil when key is not cached.
+func entryOf(c *QueueCache, key uint64) *Entry {
+	h := c.index.Get(key)
+	if h == None {
+		return nil
+	}
+	return c.arena.At(h)
+}
+
 func TestQueueCacheEntryMetadata(t *testing.T) {
 	c := NewLRU(100)
 	c.Access(req(5, 1, 10))
-	e := c.Entry(1)
+	e := entryOf(c, 1)
 	if e == nil || e.Freq != 1 || e.Hits != 0 {
 		t.Fatalf("unexpected metadata after insert: %+v", e)
 	}
@@ -168,13 +177,13 @@ func TestInsertionPolicyPlumbing(t *testing.T) {
 		t.Fatalf("derived name = %q", c.Name())
 	}
 	c.Access(req(1, 1, 40))
-	if e := c.Entry(1); e.InsertedMRU {
+	if e := entryOf(c, 1); e.InsertedMRU {
 		t.Fatal("LRU-choice insert marked as MRU")
 	}
 	c.Access(req(2, 2, 40)) // 2 also at LRU end, so order front->back: 1,2
 	c.Access(req(3, 1, 40)) // hit 1, promoted to LRU end
-	if q := c.Queue(); c.arena.At(q.Back()).Key != 1 {
-		t.Fatalf("promoted-to-LRU entry not at back, back=%d", c.arena.At(q.Back()).Key)
+	if c.arena.At(c.q.Back()).Key != 1 {
+		t.Fatalf("promoted-to-LRU entry not at back, back=%d", c.arena.At(c.q.Back()).Key)
 	}
 	c.Access(req(4, 3, 40)) // miss: evicts 1 (back)
 	if c.Contains(1) {
@@ -198,13 +207,13 @@ func TestFreelistReusesEvictedEntry(t *testing.T) {
 	c := NewLRU(100)
 	c.Access(req(1, 1, 60))
 	c.Access(req(2, 1, 60)) // hit: Hits=1
-	first := c.Entry(1)
+	first := entryOf(c, 1)
 	// Score and Class are never written by QueueCache.Access, so only the
 	// arena's reset on reuse can clear them.
 	first.Score, first.Class = 2.5, 3
 	c.Access(req(3, 2, 60)) // evicts 1, freelist now holds its entry
 	c.Access(req(4, 3, 60)) // evicts 2, must reuse 1's entry
-	reused := c.Entry(3)
+	reused := entryOf(c, 3)
 	if reused != first {
 		t.Fatal("miss after eviction did not reuse the freed entry")
 	}

@@ -390,56 +390,17 @@ func (s *SCIP) OnAccess(req cache.Request, hit bool) {
 	}
 }
 
-// InsertScore returns SCIP's MRU-insertion probability for a missing
-// object, split from the random draw so composed policies (the scorer
-// pipeline) can mix the probability with other signals before deciding.
-// forced reports the per-object §3.2 adjustment, in which case the score
-// is exactly 0 or 1 and no randomness should be consumed. Calling
-// InsertScore consumes the one-shot forced flag exactly as ChooseInsert
-// does, so it must be called once per miss.
-func (s *SCIP) InsertScore(req cache.Request) (score float64, forced bool) {
-	if s.forcedActive {
-		s.forcedActive = false
-		if s.forcedPos == cache.MRU {
-			return 1, true
-		}
-		return 0, true
-	}
-	return s.insW.pick(req.Size).Weight(0), false
-}
-
-// PromoteScore is InsertScore's promotion-context counterpart. A forced
-// result (SCI mode, or a repeat-residency hit pinned to MRU) is always
-// score 1 and consumes no randomness.
-func (s *SCIP) PromoteScore(req cache.Request) (score float64, forced bool) {
-	repeat := s.pendingRepeatHit
-	s.pendingRepeatHit = false
-	if s.promoteMRU || repeat {
-		return 1, true
-	}
-	return s.proW.pick(req.Size).Weight(0), false
-}
-
-// Uniform draws from the instance PRNG. Exposed so a composed policy
-// consuming SCIP's scores draws from the same stream as the monolith —
-// the byte-identity of a zro-only scorer mix depends on the RNG
-// consumption sequence matching exactly.
-func (s *SCIP) Uniform() float64 { return s.rng.Float64() }
-
 // ChooseInsert implements the bimodal insertion for missing objects,
 // honouring the per-object adjustment when the object was just found in a
-// history list. The non-forced decision is score > u with one uniform
-// draw, the same predicate (and the same single draw) as
-// TwoExpert.Select.
+// history list. The non-forced decision is ω_m > u with one uniform draw,
+// the same predicate (and the same single draw) as TwoExpert.Select; a
+// forced decision consumes no randomness.
 func (s *SCIP) ChooseInsert(req cache.Request) cache.Position {
-	p, forced := s.InsertScore(req)
-	if forced {
-		if p >= 1 {
-			return cache.MRU
-		}
-		return cache.LRU
+	if s.forcedActive {
+		s.forcedActive = false
+		return s.forcedPos
 	}
-	if p > s.rng.Float64() {
+	if s.insW.pick(req.Size).Weight(0) > s.rng.Float64() {
 		return cache.MRU
 	}
 	return cache.LRU
@@ -449,13 +410,15 @@ func (s *SCIP) ChooseInsert(req cache.Request) cache.Position {
 // promotion-context weights. Only the first re-hit after an insertion
 // consults the learned weights — that is where P-ZROs reveal themselves;
 // an object whose residency already began with a promotion is being hit
-// repeatedly and is pinned to MRU. For SCI every promotion is MRU.
+// repeatedly and is pinned to MRU. For SCI every promotion is MRU. A
+// pinned promotion consumes no randomness.
 func (s *SCIP) ChoosePromote(req cache.Request) cache.Position {
-	p, forced := s.PromoteScore(req)
-	if forced {
+	repeat := s.pendingRepeatHit
+	s.pendingRepeatHit = false
+	if s.promoteMRU || repeat {
 		return cache.MRU
 	}
-	if p > s.rng.Float64() {
+	if s.proW.pick(req.Size).Weight(0) > s.rng.Float64() {
 		return cache.MRU
 	}
 	return cache.LRU

@@ -13,7 +13,7 @@ func quickCfg(out *bytes.Buffer) Config {
 
 func TestRunnersRegistered(t *testing.T) {
 	want := []string{"ablation", "ext", "fig1", "fig10", "fig11", "fig12", "fig3", "fig4",
-		"fig6", "fig7", "fig8", "fig9", "scorers", "table1"}
+		"fig6", "fig7", "fig8", "fig9", "table1"}
 	got := Runners()
 	if len(got) != len(want) {
 		t.Fatalf("%d runners registered, want %d", len(got), len(want))

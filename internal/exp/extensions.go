@@ -105,7 +105,7 @@ func runSharded(cfg Config) error {
 		return err
 	}
 	capBytes := gen.CDNT.CacheBytes(gb(64), cfg.Scale)
-	scip, err := lookupPolicy("SCIP", nil)
+	scip, err := registry.Lookup("SCIP", nil)
 	if err != nil {
 		return err
 	}

@@ -35,19 +35,6 @@ func scaledInterval(scale float64) int {
 	return iv
 }
 
-// lookupPolicy resolves every policy name the figure tables use. It is a
-// swappable hook: the scorer golden-equivalence test
-// (golden_equiv_test.go) wraps it to resolve SCIP to a zro-only scorer
-// pipeline and re-runs the goldened figures to prove the pipeline
-// reproduces the monolith byte-identically.
-var lookupPolicy = registry.Lookup
-
-// buildSCIPEnhancer constructs the SCIP insertion policy embedded in
-// LRU-K and LRB for Figure 12; swapped by the same equivalence test.
-var buildSCIPEnhancer = func(capBytes, seed int64, interval int) cache.InsertionPolicy {
-	return core.New(capBytes, core.WithSeed(seed), core.WithInterval(interval), core.ForEnhancement())
-}
-
 // policyBuilder is one table column: its label and constructor.
 type policyBuilder struct {
 	name  string
@@ -59,7 +46,7 @@ type policyBuilder struct {
 func named(tr *trace.Trace, names ...string) ([]policyBuilder, error) {
 	out := make([]policyBuilder, len(names))
 	for i, name := range names {
-		build, err := lookupPolicy(name, tr)
+		build, err := registry.Lookup(name, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +113,7 @@ func beladyCell(cfg Config, p gen.Profile, capBytes int64) func() (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		build, err := lookupPolicy("Belady", tr)
+		build, err := registry.Lookup("Belady", tr)
 		if err != nil {
 			return 0, err
 		}
@@ -276,14 +263,16 @@ func runFig12(cfg Config) error {
 	variants := []policyBuilder{
 		plain[0],
 		{"LRU-K-SCIP", func(e registry.Env) cache.Policy {
-			return replacement.NewLRUKWithInsertion(e.Capacity, e.Seed, buildSCIPEnhancer(e.Capacity, e.Seed, e.Interval))
+			return replacement.NewLRUKWithInsertion(e.Capacity, e.Seed,
+				core.New(e.Capacity, core.WithSeed(e.Seed), core.WithInterval(e.Interval), core.ForEnhancement()))
 		}},
 		{"LRU-K-ASCIP", func(e registry.Env) cache.Policy {
 			return replacement.NewLRUKWithInsertion(e.Capacity, e.Seed, policies.NewASCIP(e.Capacity))
 		}},
 		plain[1],
 		{"LRB-SCIP", func(e registry.Env) cache.Policy {
-			return lrb.New(e.Capacity, lrb.WithSeed(e.Seed), lrb.WithInsertion(buildSCIPEnhancer(e.Capacity, e.Seed, e.Interval)))
+			return lrb.New(e.Capacity, lrb.WithSeed(e.Seed), lrb.WithInsertion(
+				core.New(e.Capacity, core.WithSeed(e.Seed), core.WithInterval(e.Interval), core.ForEnhancement())))
 		}},
 		{"LRB-ASCIP", func(e registry.Env) cache.Policy {
 			return lrb.New(e.Capacity, lrb.WithSeed(e.Seed), lrb.WithInsertion(policies.NewASCIP(e.Capacity)))

@@ -12,7 +12,7 @@ import (
 )
 
 // The ML-heavy figures (fig4 classifier accuracy, fig10/fig12 learned
-// policies) and the policy-table figures (fig7, fig8, scorers) are
+// policies) and the policy-table figures (fig7, fig8) are
 // pinned byte-for-byte against committed goldens at quick benchmark
 // scale. The goldens were captured before the flat-matrix
 // kernel rewrite, so they prove the rewrite is output-preserving: any
@@ -84,11 +84,11 @@ func diffLines(want, got []byte) string {
 	return out.String()
 }
 
-// TestGolden pins every goldened table. fig7, fig8 and scorers cover
-// the plain-name policy rows (Figure 8's insertion baselines, SCI and
-// the scorer mixes) that fig10/fig12 do not.
+// TestGolden pins every goldened table. fig7 and fig8 cover the
+// plain-name policy rows (Figure 8's insertion baselines and SCI) that
+// fig10/fig12 do not.
 func TestGolden(t *testing.T) {
-	for _, name := range []string{"fig4", "fig7", "fig8", "fig10", "fig12", "scorers"} {
+	for _, name := range []string{"fig4", "fig7", "fig8", "fig10", "fig12"} {
 		t.Run(name, func(t *testing.T) { runGolden(t, name) })
 	}
 }

@@ -95,7 +95,6 @@ const ProbeFrac = 0.05
 // the interval hit rate with respect to λ is noise-dominated), so the
 // floor is raised to keep the bandit responsive; the ablation benchmark
 // compares both.
-// rand may be nil, in which case restarts reset λ to its midpoint.
 func NewAdaptiveRate(rand func() float64) *AdaptiveRate {
 	return &AdaptiveRate{
 		Lambda:       0.3,
@@ -185,8 +184,5 @@ func (a *AdaptiveRate) probe() float64 {
 }
 
 func (a *AdaptiveRate) restartValue() float64 {
-	if a.Rand == nil {
-		return (a.Min + a.Max) / 2
-	}
 	return a.Min + a.Rand()*(a.Max-a.Min)
 }

@@ -89,7 +89,7 @@ func TestTwoExpertRepeatedDecayConverges(t *testing.T) {
 }
 
 func TestAdaptiveRateFirstUpdateIsBaseline(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	l0 := a.Lambda
 	if got := a.Update(0.5); got != l0 {
 		t.Fatalf("first update changed λ: %g -> %g", l0, got)
@@ -97,7 +97,7 @@ func TestAdaptiveRateFirstUpdateIsBaseline(t *testing.T) {
 }
 
 func TestAdaptiveRateAmplifiesOnImprovement(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.50)
 	// λ rose (0.27→0.3 baseline δ=0.03); hit rate improves → λ should grow.
 	l1 := a.Update(0.60)
@@ -110,7 +110,7 @@ func TestAdaptiveRateAmplifiesOnImprovement(t *testing.T) {
 }
 
 func TestAdaptiveRateShrinksOnDegradation(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.60)
 	l1 := a.Update(0.40) // hit rate fell while λ rose → shrink
 	if l1 >= 0.3 {
@@ -122,7 +122,7 @@ func TestAdaptiveRateShrinksOnDegradation(t *testing.T) {
 }
 
 func TestAdaptiveRateClamps(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.1)
 	for i := 0; i < 50; i++ {
 		a.Update(0.1 + float64(i+1)*0.01) // persistent improvement
@@ -130,7 +130,7 @@ func TestAdaptiveRateClamps(t *testing.T) {
 	if a.Lambda > a.Max {
 		t.Fatalf("λ exceeded Max: %g", a.Lambda)
 	}
-	b := NewAdaptiveRate(nil)
+	b := NewAdaptiveRate(half)
 	b.Update(0.9)
 	for i := 0; i < 50; i++ {
 		b.Update(0.9 - float64(i+1)*0.01)
@@ -146,7 +146,7 @@ func TestAdaptiveRateClamps(t *testing.T) {
 // the hit rate was non-degrading). The probe step must unstick λ on the
 // very next update.
 func TestAdaptiveRateProbeUnfreezes(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.5)
 	a.prevLambda = a.Lambda // δ = 0: the frozen state
 	before := a.Lambda
@@ -168,7 +168,7 @@ func TestAdaptiveRateProbeUnfreezes(t *testing.T) {
 // forced to 0) the deterministic probe alternates direction instead of
 // creeping monotonically toward a bound.
 func TestAdaptiveRateProbeAlternates(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.5)
 	var deltas []float64
 	for i := 0; i < 4; i++ {
@@ -192,7 +192,7 @@ func TestAdaptiveRateProbeAlternates(t *testing.T) {
 // unlearnCount — the old `delta <= 0` check random-restarted a perfectly
 // stable cache every RestartAfter intervals.
 func TestAdaptiveRateEqualHitRateIsNotDegradation(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	a.Update(0.5)
 	for i := 0; i < a.RestartAfter/2; i++ {
 		a.Update(0.5) // Δ = 0 every interval
@@ -202,10 +202,15 @@ func TestAdaptiveRateEqualHitRateIsNotDegradation(t *testing.T) {
 	}
 }
 
+// half is a constant uniform variate, so a restart lands on
+// Min + 0.5·(Max − Min).
+func half() float64 { return 0.5 }
+
 // TestAdaptiveRateRestartAfterStrictDecreases: RestartAfter consecutive
-// strictly degrading intervals trigger a restart (midpoint with nil Rand).
+// strictly degrading intervals trigger a restart, which draws λ from
+// [Min, Max] through Rand.
 func TestAdaptiveRateRestartAfterStrictDecreases(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	hr := 0.9
 	a.Update(hr)
 	for i := 0; i < a.RestartAfter-1; i++ {
@@ -217,9 +222,8 @@ func TestAdaptiveRateRestartAfterStrictDecreases(t *testing.T) {
 	}
 	hr -= 0.01
 	a.Update(hr) // the RestartAfter-th strict decrease fires the restart
-	mid := (a.Min + a.Max) / 2
-	if a.Lambda != mid {
-		t.Fatalf("nil-rand restart should land on midpoint %g, got %g", mid, a.Lambda)
+	if want := a.Min + half()*(a.Max-a.Min); a.Lambda != want {
+		t.Fatalf("restart should land on Min + Rand()·(Max−Min) = %g, got %g", want, a.Lambda)
 	}
 	if a.unlearn != 0 {
 		t.Fatalf("unlearn = %d after restart, want 0", a.unlearn)
@@ -244,7 +248,7 @@ func TestAdaptiveRateRandomRestartInBounds(t *testing.T) {
 }
 
 func TestAdaptiveRateStagnationCounterResets(t *testing.T) {
-	a := NewAdaptiveRate(nil)
+	a := NewAdaptiveRate(half)
 	hr := 0.9
 	a.Update(hr)
 	for i := 0; i < 5; i++ {

@@ -1,10 +1,6 @@
 package policies
 
-import (
-	"math/rand"
-
-	"github.com/scip-cache/scip/internal/cache"
-)
+import "github.com/scip-cache/scip/internal/cache"
 
 // DIP is the dynamic insertion policy (Qureshi et al.): set dueling
 // between MIP and BIP with a saturating policy-selection counter. For a
@@ -16,25 +12,21 @@ type DIP struct {
 	Window int
 	// PSELMax bounds the saturating counter (default 32).
 	PSELMax int
-	// Seed fixes BIP's PRNG.
-	Seed int64
 
 	monitor *cache.DuelMonitor
 	bip     *BIP
 	psel    int // positive favours MIP, negative favours BIP
 	reqs    int
-	rng     *rand.Rand
 }
 
-// NewDIP returns a DIP for a cache of capBytes capacity.
+// NewDIP returns a DIP for a cache of capBytes capacity; seed fixes its
+// BIP expert's PRNG.
 func NewDIP(capBytes int64, seed int64) *DIP {
 	return &DIP{
 		Window:  4096,
 		PSELMax: 32,
-		Seed:    seed,
 		monitor: cache.NewDuelMonitor(capBytes, 1.0/8, 7),
 		bip:     NewBIP(seed),
-		rng:     rand.New(rand.NewSource(seed + 211)),
 	}
 }
 

@@ -3,12 +3,11 @@
 // (server.BuildSharded) and the experiment tables (internal/exp) resolve
 // policy names here, so they all accept the same names: the canonical
 // display names the figure tables print (SCIP, GL-Cache, SHiP, TinyLFU,
-// ASC-IP, ...), matched case-insensitively, a few aliases (ASCIP, LRUK,
-// SSLRU, GLCACHE), and composable "scorer:" admission specs (see
-// internal/admission/scorer).
+// ASC-IP, ...), matched case-insensitively, and a few aliases (ASCIP,
+// LRUK, SSLRU, GLCACHE).
 //
-// Lookup does all validation: an unknown name, a malformed scorer spec
-// and Belady without a trace fail there, so the Constructor it returns
+// Lookup does all validation: an unknown name and Belady without a trace
+// fail there, so the Constructor it returns
 // cannot fail. Composites that embed SCIP in another policy (LRU-K-SCIP,
 // LRB-SCIP, S4LRU-SCIP) and the SCIP ablation variants are experiment
 // configurations, not policies, and stay in internal/exp.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/scip-cache/scip/internal/admission"
-	"github.com/scip-cache/scip/internal/admission/scorer"
 	"github.com/scip-cache/scip/internal/belady"
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
@@ -21,8 +20,8 @@ type Env struct {
 	Capacity int64
 	// Seed seeds the policy's PRNG; deterministic policies ignore it.
 	Seed int64
-	// Interval is the learning interval in requests of SCIP, SCI and
-	// scorer specs (0 = the policy default); other policies ignore it.
+	// Interval is the learning interval in requests of SCIP and SCI
+	// (0 = the policy default); other policies ignore it.
 	Interval int
 }
 
@@ -85,13 +84,8 @@ func Names() []string {
 }
 
 // resolve returns the table row a policy name or one of its aliases
-// names, case-insensitively, or a row for a valid scorer spec.
+// names, case-insensitively.
 func resolve(name string) (entry, error) {
-	if scorer.IsSpec(name) {
-		sp, err := scorer.ParseSpec(name)
-		build := func(e Env) cache.Policy { return sp.New(e.Capacity, e.Seed, e.Interval) }
-		return entry{name: name, build: build}, err
-	}
 	for _, e := range table {
 		if strings.EqualFold(name, e.name) {
 			return e, nil
@@ -102,18 +96,18 @@ func resolve(name string) (entry, error) {
 			}
 		}
 	}
-	return entry{}, fmt.Errorf("unknown policy %q (want one of %s, or a scorer: spec)",
+	return entry{}, fmt.Errorf("unknown policy %q (want one of %s)",
 		name, strings.Join(Names(), ", "))
 }
 
-// Canonical returns the display name a policy name resolves to: the
-// table's canonical name, or a valid scorer spec unchanged.
+// Canonical returns the table's canonical display name for a policy
+// name or alias.
 func Canonical(name string) (string, error) {
 	e, err := resolve(name)
 	return e.name, err
 }
 
-// Lookup resolves a policy name or scorer spec to its constructor. tr is
+// Lookup resolves a policy name to its constructor. tr is
 // the trace the policy will replay; only Belady reads it, and Lookup
 // fails for Belady when tr is nil.
 func Lookup(name string, tr *trace.Trace) (Constructor, error) {

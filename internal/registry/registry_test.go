@@ -11,7 +11,7 @@ import (
 )
 
 // TestCanonicalNames: every name, in any case, and every alias resolves
-// to its canonical display name; a scorer spec is its own name.
+// to its canonical display name.
 func TestCanonicalNames(t *testing.T) {
 	for _, e := range table {
 		for _, in := range append([]string{e.name, strings.ToLower(e.name), strings.ToUpper(e.name)}, e.aliases...) {
@@ -20,10 +20,6 @@ func TestCanonicalNames(t *testing.T) {
 				t.Errorf("Canonical(%q) = %q, %v; want %q", in, got, err, e.name)
 			}
 		}
-	}
-	const spec = "scorer:zro=1,name=Z"
-	if got, err := Canonical(spec); err != nil || got != spec {
-		t.Errorf("Canonical(%q) = %q, %v", spec, got, err)
 	}
 }
 
@@ -52,10 +48,8 @@ func registryTrace(t *testing.T) *trace.Trace {
 // requests, or enough for its periodic path to fire twice. Under
 // Env{Capacity: 300_000, Interval: 2_000} the periods are:
 //   - SCIP, SCI: learning interval 2 000 (10 in 20 000);
-//   - the scorer spec: tuning interval and its zro scorer's learning
-//     interval 2 000, frequency-sketch aging at 8 192 then every 4 096
+//   - TinyLFU: frequency-sketch aging at 8 192 then every 4 096
 //     (3 in 20 000);
-//   - TinyLFU: sketch aging, as the scorer spec's;
 //   - DIP: PSEL window 4 096; DGIPPR: epoch 4 096 (4 each in 20 000);
 //   - DTA: retrain every 4 096 resolved samples (2 in 20 000);
 //   - CACHEUS: λ update every 16 384 requests;
@@ -99,12 +93,11 @@ func replayRow(t *testing.T, name string, tr *trace.Trace, n int, env Env) []boo
 }
 
 // TestSameEnvSameHitStream: two instances built from one Env make the
-// same decision on every request, for every table row and a scorer spec,
-// over a replay long enough for each row's periodic path to fire twice.
+// same decision on every request, for every table row, over a replay long enough for each row's periodic path to fire twice.
 func TestSameEnvSameHitStream(t *testing.T) {
 	tr := registryTrace(t)
 	env := Env{Capacity: 300_000, Seed: 5, Interval: 2_000}
-	for _, name := range append(Names(), "scorer:zro=0.5,size=0.3,freq=0.2") {
+	for _, name := range Names() {
 		n := rowRequests(name)
 		a, b := replayRow(t, name, tr, n, env), replayRow(t, name, tr, n, env)
 		if !slices.Contains(a, true) {
@@ -122,19 +115,17 @@ func TestSameEnvSameHitStream(t *testing.T) {
 // different decision stream under seeds 5 and 6, and every other row
 // makes the same one. A PRNG built from a literal instead of the
 // configured seed passes TestSameEnvSameHitStream, since two fresh
-// instances still agree, but fails here. The zro-free spec draws from
-// the pipeline's own PRNG; the other spec draws from its zro scorer's.
+// instances still agree, but fails here.
 func TestSeedMatters(t *testing.T) {
 	seeded := map[string]bool{
 		"SCIP": true, "SCI": true, "BIP": true, "DIP": true, "PIPP": true, "DGIPPR": true,
 		"DAAIP": true, "LRU-K": true, "LHD": true, "CACHEUS": true, "LRB": true, "AdaptSize": true,
-		"scorer:zro=0.5,size=0.3,freq=0.2": true, "scorer:size=0.5,freq=0.5": true,
 	}
 	tr := registryTrace(t)
 	five := Env{Capacity: 300_000, Seed: 5, Interval: 2_000}
 	six := five
 	six.Seed = 6
-	for _, name := range append(Names(), "scorer:zro=0.5,size=0.3,freq=0.2", "scorer:size=0.5,freq=0.5") {
+	for _, name := range Names() {
 		a, b := replayRow(t, name, tr, 20_000, five), replayRow(t, name, tr, 20_000, six)
 		if differ := !slices.Equal(a, b); differ != seeded[name] {
 			t.Errorf("%s: seeds 5 and 6 give different hit streams = %v, want %v", name, differ, seeded[name])
@@ -142,20 +133,17 @@ func TestSeedMatters(t *testing.T) {
 	}
 }
 
-// TestLookupErrors: an unknown name lists the valid ones, a malformed
-// scorer spec fails at Lookup rather than at construction, and Belady
-// needs a trace.
+// TestLookupErrors: an unknown name, including a spec of the retired
+// "scorer:" grammar, fails at Lookup and Canonical with the valid names
+// listed, and Belady needs a trace.
 func TestLookupErrors(t *testing.T) {
-	_, err := Lookup("nope", nil)
-	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
-		t.Errorf("unknown name: err = %v, want one listing %v", err, Names())
-	}
-	for _, bad := range []string{"scorer:zro=x", "scorer:bogus=1", "scorer:", "SCORER:zro=1,mode=nope"} {
-		if _, err := Lookup(bad, nil); err == nil {
-			t.Errorf("Lookup(%q) accepted a malformed spec", bad)
+	for _, bad := range []string{"nope", "scorer:zro=1"} {
+		_, err := Lookup(bad, nil)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+			t.Errorf("Lookup(%q): err = %v, want one listing %v", bad, err, Names())
 		}
 		if _, err := Canonical(bad); err == nil {
-			t.Errorf("Canonical(%q) accepted a malformed spec", bad)
+			t.Errorf("Canonical(%q) accepted an unknown name", bad)
 		}
 	}
 	if _, err := Lookup("belady", nil); err == nil || !strings.Contains(err.Error(), "needs a trace") {
@@ -172,11 +160,10 @@ func TestRemoverSupport(t *testing.T) {
 		"SCIP": true, "SCI": true, "LRU": true,
 		"LIP": true, "BIP": true, "DIP": true, "DTA": true, "SHiP": true, "DAAIP": true, "ASC-IP": true,
 		"2Q": true, "TinyLFU": true, "AdaptSize": true,
-		"scorer:zro=1": true,
 	}
 	tr := &trace.Trace{Requests: []cache.Request{{Key: 1, Size: 1}}}
 	env := Env{Capacity: 1 << 20, Seed: 1}
-	for _, name := range append(Names(), "scorer:zro=1") {
+	for _, name := range Names() {
 		build, err := Lookup(name, tr)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)

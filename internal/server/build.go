@@ -8,9 +8,8 @@ import (
 	"github.com/scip-cache/scip/internal/shard"
 )
 
-// BuildSharded returns a sharded cache front for any policy name or
-// "scorer:" spec the registry resolves (internal/registry), except the
-// offline Belady oracle, which needs a trace. Each shard gets its own
+// BuildSharded returns a sharded cache front for any policy name the
+// registry resolves (internal/registry), except the offline Belady oracle, which needs a trace. Each shard gets its own
 // single-threaded policy instance seeded by seed + shard index, so a
 // given (policy, capacity, shards, seed) tuple always produces the same
 // decision stream — the property scip-serve's end-to-end comparison and

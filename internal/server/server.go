@@ -21,8 +21,7 @@ import (
 // is required; everything else has a sensible default (see New).
 type Config struct {
 	// Policy selects the sharded cache policy: any internal/registry
-	// name except the offline Belady oracle, or a scorer: spec (default
-	// SCIP).
+	// name except the offline Belady oracle (default SCIP).
 	Policy string
 	// CacheBytes is the total byte capacity, split exactly across
 	// shards. Required.

@@ -142,14 +142,11 @@ func TestPutThenGetAndDelete(t *testing.T) {
 
 // TestDeleteAcrossPolicies runs the full invalidation round trip —
 // PUT, GET hit, DELETE 204, GET miss, second DELETE 404 — over every
-// policy family that implements cache.Remover, including a composable
-// scorer pipeline in both placement and filter modes. Before the
-// admission policies grew Remove, DELETE on them answered 501.
+// policy family that implements cache.Remover. Before the admission
+// policies grew Remove, DELETE on them answered 501.
 func TestDeleteAcrossPolicies(t *testing.T) {
 	for _, policy := range []string{
 		"SCIP", "2Q", "TinyLFU", "AdaptSize",
-		"scorer:zro=0.5,size=0.5",
-		"scorer:size=1,mode=filter,theta=0.9,c=1048576",
 	} {
 		t.Run(policy, func(t *testing.T) {
 			s := newTestServer(t, func(cfg *Config) { cfg.Policy = policy; cfg.CacheBytes = 1 << 22 })
