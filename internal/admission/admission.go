@@ -16,12 +16,6 @@ import (
 // the object into the long-term LRU queue Am. Only objects referenced
 // again after leaving probation occupy long-term space.
 type TwoQ struct {
-	// KinFrac is A1in's share of capacity (default 0.25).
-	KinFrac float64
-	// KoutFrac sizes the A1out ghost as a fraction of capacity
-	// (default 0.5).
-	KoutFrac float64
-
 	name  string
 	cap   int64
 	arena cache.Arena
@@ -37,6 +31,13 @@ const (
 	twoQAm   = 1
 )
 
+// 2Q's queue budgets as fractions of capacity: A1in's share and the
+// A1out ghost's size.
+const (
+	twoQKinFrac  = 0.25
+	twoQKoutFrac = 0.5
+)
+
 var (
 	_ cache.Policy  = (*TwoQ)(nil)
 	_ cache.Remover = (*TwoQ)(nil)
@@ -44,13 +45,10 @@ var (
 
 // NewTwoQ returns a 2Q cache.
 func NewTwoQ(capBytes int64) *TwoQ {
-	const kin, kout = 0.25, 0.5
 	q := &TwoQ{
-		KinFrac:  kin,
-		KoutFrac: kout,
-		name:     "2Q",
-		cap:      capBytes,
-		a1out:    cache.NewHistory(int64(kout * float64(capBytes))),
+		name:  "2Q",
+		cap:   capBytes,
+		a1out: cache.NewHistory(int64(twoQKoutFrac * float64(capBytes))),
 	}
 	q.a1in = q.arena.NewQueue()
 	q.am = q.arena.NewQueue()
@@ -85,7 +83,7 @@ func (q *TwoQ) Access(req cache.Request) bool {
 	e := q.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	if _, wasOut := q.ghost().Delete(req.Key); wasOut {
+	if _, wasOut := q.a1out.Delete(req.Key); wasOut {
 		// Re-referenced after probation: admit to the long-term queue.
 		e.Class = twoQAm
 		q.am.PushFront(h)
@@ -98,23 +96,10 @@ func (q *TwoQ) Access(req cache.Request) bool {
 	return false
 }
 
-// ghost syncs the A1out budget to the live KoutFrac before returning the
-// list. KinFrac has always been read live in evictToFit; KoutFrac used to
-// be baked in by NewTwoQ, so mutating the exported field was silently
-// ignored. Routing every A1out touch through this accessor makes both
-// knobs behave the same way.
-func (q *TwoQ) ghost() *cache.History {
-	if want := int64(q.KoutFrac * float64(q.cap)); want != q.a1out.Capacity() {
-		q.a1out.SetCapacity(want)
-	}
-	return q.a1out
-}
-
 func (q *TwoQ) evictToFit() {
 	// A1in is a fixed-size probation FIFO: overflow spills into the
 	// ghost even while the cache as a whole has room (original 2Q).
-	kin := int64(q.KinFrac * float64(q.cap))
-	ghost := q.ghost()
+	kin := int64(twoQKinFrac * float64(q.cap))
 	for q.a1in.Bytes() > kin {
 		h := q.a1in.Back()
 		victim := q.arena.At(h)
@@ -122,7 +107,7 @@ func (q *TwoQ) evictToFit() {
 		q.a1in.Remove(h)
 		q.index.Delete(key)
 		q.arena.Free(h)
-		ghost.Add(key, size, cache.ResInserted)
+		q.a1out.Add(key, size, cache.ResInserted)
 	}
 	for q.Used() > q.cap {
 		h := q.am.Back()
@@ -133,7 +118,7 @@ func (q *TwoQ) evictToFit() {
 			q.a1in.Remove(h)
 			q.index.Delete(key)
 			q.arena.Free(h)
-			ghost.Add(key, size, cache.ResInserted)
+			q.a1out.Add(key, size, cache.ResInserted)
 			continue
 		}
 		key := q.arena.At(h).Key
@@ -175,7 +160,7 @@ type TinyLFU struct {
 	window cache.Queue // ~1% of capacity
 	main   cache.Queue // SLRU approximated as one LRU (protection via admission)
 	index  cache.Index
-	sk     *Sketch
+	sk     *sketch
 }
 
 // Entry.Class values for TinyLFU regions.
@@ -198,7 +183,7 @@ func NewTinyLFU(capBytes int64) *TinyLFU {
 	t := &TinyLFU{
 		name: "TinyLFU",
 		cap:  capBytes,
-		sk:   NewSketch(counters),
+		sk:   newSketch(counters),
 	}
 	t.window = t.arena.NewQueue()
 	t.main = t.arena.NewQueue()

@@ -89,8 +89,25 @@ func TestTwoQProbationAndPromotion(t *testing.T) {
 	}
 }
 
+// TestTwoQGhostBudget: A1out remembers probation victims up to exactly
+// half the capacity. Cycling 300 distinct 100-byte objects through a
+// 10 000-byte 2Q spills 275 of them out of the 2 500-byte A1in; the ghost
+// keeps the newest 50 and drops the rest from its old end.
+func TestTwoQGhostBudget(t *testing.T) {
+	q := NewTwoQ(10_000)
+	for k := uint64(1); k <= 300; k++ {
+		q.Access(req(int64(k), k, 100))
+	}
+	if got := q.a1out.Bytes(); got != 5_000 {
+		t.Fatalf("ghost holds %d bytes, want the 5000-byte budget", got)
+	}
+	if !q.a1out.Contains(275) || q.a1out.Contains(225) {
+		t.Fatal("ghost must keep the newest 50 probation victims (226..275)")
+	}
+}
+
 func TestSketchCountsAndAges(t *testing.T) {
-	s := NewSketch(1024)
+	s := newSketch(1024)
 	for i := 0; i < 10; i++ {
 		s.Add(42)
 	}
@@ -102,7 +119,7 @@ func TestSketchCountsAndAges(t *testing.T) {
 	}
 	// Aging halves counters.
 	before := s.Estimate(42)
-	for i := 0; i < s.Window(); i++ {
+	for i := 0; i < s.window; i++ {
 		s.Add(uint64(1000 + i))
 	}
 	if s.Estimate(42) >= before {

@@ -3,8 +3,6 @@ package admission
 // Regression tests for the admission-layer bug sweep (issue 7). Each
 // test fails on the pre-fix code:
 //
-//   - TwoQ.KoutFrac was baked into the A1out budget at construction, so
-//     mutating the exported knob never resized the ghost.
 //   - AdaptSize.tune() fired before the boundary request was classified,
 //     so each interval divided at most Interval−1 counted hits by
 //     Interval and the boundary hit leaked into the next window.
@@ -16,53 +14,6 @@ import (
 
 	"github.com/scip-cache/scip/internal/cache"
 )
-
-// TestTwoQKoutFracLive: shrinking KoutFrac to 0 after construction must
-// disable the ghost — a probation victim may no longer be remembered, so
-// its re-reference goes back to A1in instead of being admitted to Am.
-// On the old code the ghost kept its construction-time budget and the
-// re-reference was (wrongly) admitted to Am.
-func TestTwoQKoutFracLive(t *testing.T) {
-	q := NewTwoQ(10_000)
-	q.KoutFrac = 0
-
-	q.Access(req(0, 1, 100))
-	// Push key 1 out of the probation FIFO (kin = 2500 bytes).
-	for k := uint64(2); k < 40; k++ {
-		q.Access(req(int64(k), k, 100))
-	}
-	if q.index.Get(1) != cache.None {
-		t.Fatal("setup: object 1 should have left probation")
-	}
-	q.Access(req(100, 1, 100))
-	h := q.index.Get(1)
-	if h == cache.None {
-		t.Fatal("object 1 should be re-admitted")
-	}
-	if q.arena.At(h).Class != twoQA1in {
-		t.Fatal("KoutFrac=0 must disable the ghost: re-reference should re-enter A1in, not Am")
-	}
-}
-
-// TestTwoQKoutFracGrowsGhost: raising KoutFrac must widen the ghost's
-// budget so more probation victims stay remembered. With the knob dead
-// (old code) the budget stays at the construction-time 0.5 × cap.
-func TestTwoQKoutFracGrowsGhost(t *testing.T) {
-	q := NewTwoQ(10_000)
-	q.KoutFrac = 2 // remember 4× the default ghost volume
-
-	// Cycle many distinct objects through probation; the ghost accretes
-	// victims until its budget trims the tail.
-	for k := uint64(1); k <= 300; k++ {
-		q.Access(req(int64(k), k, 100))
-	}
-	if got, want := q.a1out.Capacity(), int64(20_000); got != want {
-		t.Fatalf("ghost capacity = %d, want %d (live KoutFrac)", got, want)
-	}
-	if q.a1out.Bytes() <= 5_000 {
-		t.Fatalf("ghost holds %d bytes; a raised KoutFrac should let it exceed the old 5000-byte budget", q.a1out.Bytes())
-	}
-}
 
 // TestAdaptSizeIntervalRate pins the corrected interval accounting: with
 // Interval=8 and a request stream of 1 distinct miss followed by 7 hits,

@@ -43,21 +43,21 @@ func checkTinyLFU(t *testing.T, tl *TinyLFU) {
 // TestSketchAgingBoundary pins the aging point: no decay at window−1
 // samples, halving (counters and sample count) at exactly window.
 func TestSketchAgingBoundary(t *testing.T) {
-	s := NewSketch(256)
+	s := newSketch(256)
 	for i := 0; i < 20; i++ {
 		s.Add(42)
 	}
 	if got := s.Estimate(42); got != 15 {
 		t.Fatalf("estimate = %d, want counter capped at 15", got)
 	}
-	for s.Samples() < s.Window()-1 {
-		s.Add(uint64(1_000_000 + s.Samples()))
+	for s.samples < s.window-1 {
+		s.Add(uint64(1_000_000 + s.samples))
 	}
 	if got := s.Estimate(42); got != 15 {
 		t.Fatalf("estimate decayed to %d before the window boundary", got)
 	}
 	s.Add(7) // the window-th sample fires the aging halving
-	if got, want := s.Samples(), s.Window()/2; got != want {
+	if got, want := s.samples, s.window/2; got != want {
 		t.Fatalf("samples after aging = %d, want %d", got, want)
 	}
 	if got := s.Estimate(42); got != 7 {

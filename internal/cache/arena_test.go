@@ -144,7 +144,7 @@ func TestArenaGrowthCopiesNothing(t *testing.T) {
 
 	// Freeing x and allocating again recycles x as a zeroed, detached
 	// entry, and leaves the queue y z w untouched.
-	b.At(x).Score = 1
+	b.At(x).Class = 1
 	b.Free(x)
 	if h := b.Alloc(); h != x {
 		t.Errorf("Alloc after freeing %d returned %d, want the freed slot", x, h)

@@ -22,18 +22,6 @@ func NewHistory(capBytes int64) *History {
 	return h
 }
 
-// Capacity returns the byte budget.
-func (h *History) Capacity() int64 { return h.cap }
-
-// SetCapacity rebudgets the list to capBytes, dropping the oldest
-// records until the new budget is respected. Policies whose ghost
-// fraction is an exported live knob (TwoQ.KoutFrac) call this when the
-// knob changes after construction.
-func (h *History) SetCapacity(capBytes int64) {
-	h.cap = capBytes
-	h.trim()
-}
-
 // trim drops the oldest records until the byte budget is respected.
 func (h *History) trim() {
 	for h.q.Bytes() > h.cap {

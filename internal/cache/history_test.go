@@ -134,8 +134,8 @@ func TestHistoryNeverExceedsCapacity(t *testing.T) {
 // population, same entries, exact byte accounting, budget respected.
 func checkHistoryInvariants(t *testing.T, h *History) {
 	t.Helper()
-	if h.Bytes() > h.Capacity() && h.Capacity() > 0 {
-		t.Fatalf("byte budget exceeded: %d > %d", h.Bytes(), h.Capacity())
+	if h.Bytes() > h.cap && h.cap > 0 {
+		t.Fatalf("byte budget exceeded: %d > %d", h.Bytes(), h.cap)
 	}
 	if h.Len() != h.index.Len() {
 		t.Fatalf("queue length %d != index size %d", h.Len(), h.index.Len())

@@ -16,12 +16,11 @@ type Entry struct {
 	Size int64
 
 	// _ pads the entry to one full cache line without moving the fields
-	// below. No policy reads request times, so no entry stores one;
-	// whether a 48-byte entry pays is a separate, measured question.
-	_ [16]byte
+	// below. No policy reads request times or a per-entry score, so no
+	// entry stores one; whether a 40-byte entry pays is a separate,
+	// measured question.
+	_ [24]byte
 
-	// Score is a generic priority used by GDSF and similar policies.
-	Score float64
 	// Hits counts hits during the current residency.
 	Hits int32
 	// Freq is a generic frequency counter for frequency-aware policies.

@@ -208,9 +208,9 @@ func TestFreelistReusesEvictedEntry(t *testing.T) {
 	c.Access(req(1, 1, 60))
 	c.Access(req(2, 1, 60)) // hit: Hits=1
 	first := entryOf(c, 1)
-	// Score and Class are never written by QueueCache.Access, so only the
-	// arena's reset on reuse can clear them.
-	first.Score, first.Class = 2.5, 3
+	// Class is never written by QueueCache.Access, so only the arena's
+	// reset on reuse can clear it.
+	first.Class = 3
 	c.Access(req(3, 2, 60)) // evicts 1, freelist now holds its entry
 	c.Access(req(4, 3, 60)) // evicts 2, must reuse 1's entry
 	reused := entryOf(c, 3)
@@ -218,7 +218,7 @@ func TestFreelistReusesEvictedEntry(t *testing.T) {
 		t.Fatal("miss after eviction did not reuse the freed entry")
 	}
 	if reused.Key != 3 || reused.Size != 60 || reused.Hits != 0 || reused.Freq != 1 ||
-		reused.Score != 0 || reused.Class != 0 || reused.Residency != ResInserted {
+		reused.Class != 0 || reused.Residency != ResInserted {
 		t.Fatalf("recycled entry not fully reset: %+v", *reused)
 	}
 	if !reused.InsertedMRU {

@@ -79,9 +79,6 @@ func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http
 	}, nil
 }
 
-// Peers returns the number of peers (nodes other than self).
-func (p *PeerClient) Peers() int { return len(p.nodes) - 1 }
-
 // Fetch implements the server Origin contract against the peer tier: it
 // asks up to fanout ring successors of this node (at key's position)
 // for the stored body and returns the first hit. A 404 from every peer
