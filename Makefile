@@ -56,7 +56,7 @@ test-race:
 # internal/registry brings TestSameEnvSameHitStream, which drives every
 # registered policy through the guards.
 test-debug:
-	$(GO) test -tags scipdebug ./internal/cache ./internal/core ./internal/shard ./internal/policies ./internal/replacement ./internal/admission/... ./internal/registry ./internal/tdc ./internal/zro
+	$(GO) test -tags scipdebug ./internal/cache ./internal/core ./internal/shard ./internal/policies ./internal/replacement ./internal/registry ./internal/tdc ./internal/zro
 	$(GO) test -tags scipdebug -run '^TestGolden$$' ./internal/exp
 
 # examples builds the five runnable programs under examples/ and runs

@@ -7,8 +7,8 @@
 //
 // -policy takes any internal/registry name (case-insensitive): SCIP,
 // SCI, LRU, the Figure 8 insertion policies, the Figure 10 replacement
-// algorithms, the §7 admission policies and the Belady oracle (the
-// names scip-serve takes too, all but Belady).
+// algorithms and the Belady oracle (the names scip-serve takes too, all
+// but Belady).
 package main
 
 import (

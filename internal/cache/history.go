@@ -22,9 +22,9 @@ func NewHistory(capBytes int64) *History {
 	return h
 }
 
-// trim drops the oldest records until the byte budget is respected.
-func (h *History) trim() {
-	for h.q.Bytes() > h.cap {
+// trim drops the oldest records until at most limit bytes remain.
+func (h *History) trim(limit int64) {
+	for h.q.Bytes() > limit {
 		old := h.q.Back()
 		key := h.arena.At(old).Key
 		h.q.Remove(old)
@@ -59,13 +59,7 @@ func (h *History) Add(key uint64, size int64, res Residency) {
 		h.refresh(hd, size, res)
 		return
 	}
-	for h.q.Bytes()+size > h.cap {
-		old := h.q.Back()
-		oldKey := h.arena.At(old).Key
-		h.q.Remove(old)
-		h.index.Delete(oldKey)
-		h.arena.Free(old)
-	}
+	h.trim(h.cap - size)
 	hd := h.arena.Alloc()
 	e := h.arena.At(hd)
 	e.Key = key
@@ -93,7 +87,7 @@ func (h *History) refresh(hd Handle, size int64, res Residency) {
 			h.q.PushBack(hd)
 		}
 	}
-	h.trim()
+	h.trim(h.cap)
 }
 
 // Delete removes all information about key (Algorithm 1, DELETE),

@@ -158,14 +158,83 @@ func checkHistoryInvariants(t *testing.T, h *History) {
 	}
 }
 
+// historyModel is the plain FIFO Algorithm 1 describes: records newest
+// first, an Add of a new key drops the oldest until it fits, and a
+// duplicate Add keeps the record's place and drops the oldest while the
+// list is over budget.
+type historyModel struct {
+	cap  int64
+	recs []historyRec
+}
+
+type historyRec struct {
+	key  uint64
+	size int64
+}
+
+func (m *historyModel) bytes() (b int64) {
+	for _, r := range m.recs {
+		b += r.size
+	}
+	return b
+}
+
+func (m *historyModel) add(key uint64, size int64) {
+	if m.cap <= 0 || size > m.cap {
+		return
+	}
+	for i := range m.recs {
+		if m.recs[i].key == key {
+			m.recs[i].size = size
+			for m.bytes() > m.cap {
+				m.recs = m.recs[:len(m.recs)-1]
+			}
+			return
+		}
+	}
+	for m.bytes()+size > m.cap {
+		m.recs = m.recs[:len(m.recs)-1]
+	}
+	m.recs = append([]historyRec{{key, size}}, m.recs...)
+}
+
+func (m *historyModel) delete(key uint64) {
+	for i := range m.recs {
+		if m.recs[i].key == key {
+			m.recs = append(m.recs[:i], m.recs[i+1:]...)
+			return
+		}
+	}
+}
+
+// checkHistoryMatchesModel asserts that h holds exactly the model's
+// records, in the model's FIFO order.
+func checkHistoryMatchesModel(t *testing.T, op int, h *History, m *historyModel) {
+	t.Helper()
+	i := 0
+	for hd := h.q.Front(); hd != None; hd = h.q.Next(hd) {
+		e := h.arena.At(hd)
+		if i >= len(m.recs) || e.Key != m.recs[i].key || e.Size != m.recs[i].size {
+			t.Fatalf("op %d: record %d is key %d size %d, model holds %v", op, i, e.Key, e.Size, m.recs)
+		}
+		i++
+	}
+	if i != len(m.recs) {
+		t.Fatalf("op %d: history holds %d records, model holds %v", op, i, m.recs)
+	}
+}
+
 // TestHistoryPropertyRandomOps drives a History with random Add/Delete
 // sequences while checking, after every operation, that the byte
-// budget is never exceeded, the index and the queue agree, and that a
-// Delete immediately after an Add round-trips the residency.
+// budget is never exceeded, the index and the queue agree, the records
+// and their FIFO order are exactly those of a plain-slice model (so an
+// eviction one record too early or too late fails), and that a Delete
+// immediately after an Add round-trips the residency.
 func TestHistoryPropertyRandomOps(t *testing.T) {
 	for _, capBytes := range []int64{1, 64, 1000, 1 << 20} {
 		rng := rand.New(rand.NewSource(capBytes))
 		h := NewHistory(capBytes)
+		m := &historyModel{cap: capBytes}
 		for i := 0; i < 5000; i++ {
 			key := uint64(rng.Intn(200))
 			switch op := rng.Intn(9); {
@@ -173,6 +242,7 @@ func TestHistoryPropertyRandomOps(t *testing.T) {
 				size := int64(rng.Intn(2000) + 1)
 				res := Residency(rng.Intn(3))
 				h.Add(key, size, res)
+				m.add(key, size)
 				if size <= capBytes && h.Contains(key) {
 					// Residency must round-trip through Delete...
 					got, ok := h.Delete(key)
@@ -182,16 +252,21 @@ func TestHistoryPropertyRandomOps(t *testing.T) {
 					if h.Contains(key) {
 						t.Fatalf("op %d: key %d still present after Delete", i, key)
 					}
-					// ...and the record is restored for the next ops.
+					// ...and the record is restored for the next ops,
+					// now the newest.
 					h.Add(key, size, res)
+					m.delete(key)
+					m.add(key, size)
 				}
 			default: // Delete
 				had := h.Contains(key)
 				if _, ok := h.Delete(key); ok != had {
 					t.Fatalf("op %d: Delete(%d) = %v, Contains said %v", i, key, ok, had)
 				}
+				m.delete(key)
 			}
 			checkHistoryInvariants(t, h)
+			checkHistoryMatchesModel(t, i, h, m)
 		}
 	}
 }

@@ -6,90 +6,14 @@ import (
 	"time"
 
 	"github.com/scip-cache/scip/internal/cache"
-	"github.com/scip-cache/scip/internal/core"
 	"github.com/scip-cache/scip/internal/gen"
 	"github.com/scip-cache/scip/internal/registry"
-	"github.com/scip-cache/scip/internal/replacement"
 	"github.com/scip-cache/scip/internal/runner"
 	"github.com/scip-cache/scip/internal/shard"
 )
 
 func init() {
-	register(Runner{Name: "ext", Title: "Extensions: multi-chain SCIP (future work), admission policies, sharded concurrency", Run: runExtensions})
-}
-
-// runExtensions measures the three extensions beyond the paper's
-// evaluation: the future-work multi-chain integration (S4LRU-SCIP), the
-// related-work admission policies (§7), and the scalability of the
-// sharded concurrent front.
-func runExtensions(cfg Config) error {
-	if err := runMultiChain(cfg); err != nil {
-		return err
-	}
-	if err := runAdmission(cfg); err != nil {
-		return err
-	}
-	return runSharded(cfg)
-}
-
-// runMultiChain compares S4LRU against S4LRU-SCIP (the paper's stated
-// future work) on all profiles.
-func runMultiChain(cfg Config) error {
-	builders, err := named(nil, "S4LRU")
-	if err != nil {
-		return err
-	}
-	builders = append(builders, policyBuilder{"S4LRU-SCIP", func(e registry.Env) cache.Policy {
-		return replacement.NewS4LRUWithInsertion(e.Capacity, core.New(e.Capacity,
-			core.WithSeed(e.Seed), core.WithInterval(e.Interval), core.ForEnhancement()))
-	}})
-	var jobs []func() (float64, error)
-	for _, p := range gen.Profiles {
-		capBytes := p.CacheBytes(gb(64), cfg.Scale)
-		for _, b := range builders {
-			jobs = append(jobs, missCell(cfg, p, capBytes, b))
-		}
-	}
-	cells, err := runJobs(cfg, jobs)
-	if err != nil {
-		return err
-	}
-	header(cfg.Out, "# Extension A — multi-chain SCIP (paper future work), 64 GB-eq (scale %.4g)", cfg.Scale)
-	header(cfg.Out, "%-8s %10s %12s", "trace", "S4LRU", "S4LRU-SCIP")
-	for i, p := range gen.Profiles {
-		fmt.Fprintf(cfg.Out, "%-8s %10.4f %12.4f\n", p, cells[2*i], cells[2*i+1])
-	}
-	return nil
-}
-
-// runAdmission compares SCIP with the related-work admission family.
-func runAdmission(cfg Config) error {
-	header(cfg.Out, "# Extension B — admission policies (paper §7), 64 GB-eq (scale %.4g)", cfg.Scale)
-	builderSet, err := named(nil, "SCIP", "LRU", "2Q", "TinyLFU", "AdaptSize")
-	if err != nil {
-		return err
-	}
-	var jobs []func() (float64, error)
-	for _, p := range gen.Profiles {
-		capBytes := p.CacheBytes(gb(64), cfg.Scale)
-		for _, b := range builderSet {
-			jobs = append(jobs, missCell(cfg, p, capBytes, b))
-		}
-	}
-	cells, err := runJobs(cfg, jobs)
-	if err != nil {
-		return err
-	}
-	i := 0
-	for _, p := range gen.Profiles {
-		fmt.Fprintf(cfg.Out, "%-8s", p)
-		for _, b := range builderSet {
-			fmt.Fprintf(cfg.Out, " %s=%.4f", b.name, cells[i])
-			i++
-		}
-		fmt.Fprintln(cfg.Out)
-	}
-	return nil
+	register(Runner{Name: "ext", Title: "Extension C: sharded concurrent SCIP throughput", Run: runSharded})
 }
 
 // runSharded measures throughput scaling of the concurrent sharded SCIP
@@ -98,7 +22,7 @@ func runAdmission(cfg Config) error {
 // runner.ReplaySharded partitions the trace by shard, never by request
 // index (TestModeInvariance).
 func runSharded(cfg Config) error {
-	header(cfg.Out, "# Extension C — sharded concurrent SCIP throughput (scale %.4g)", cfg.Scale)
+	header(cfg.Out, "# Extension C — sharded concurrent SCIP throughput, %s (scale %.4g)", gen.CDNT, cfg.Scale)
 	header(cfg.Out, "%-8s %-10s %10s %8s %14s %10s", "workers", "mode", "shards", "batch", "Mreq/s", "missRatio")
 	tr, err := getTrace(gen.CDNT, cfg.Scale, cfg.Seeds[0])
 	if err != nil {

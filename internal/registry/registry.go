@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/scip-cache/scip/internal/admission"
 	"github.com/scip-cache/scip/internal/belady"
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
@@ -68,9 +67,6 @@ var table = []entry{
 	{name: "CACHEUS", build: func(e Env) cache.Policy { return replacement.NewCACHEUS(e.Capacity, e.Seed) }},
 	{name: "GL-Cache", aliases: []string{"GLCACHE"}, build: func(e Env) cache.Policy { return replacement.NewGLCache(e.Capacity) }},
 	{name: "LRB", build: func(e Env) cache.Policy { return lrb.New(e.Capacity, lrb.WithSeed(e.Seed)) }},
-	{name: "2Q", build: func(e Env) cache.Policy { return admission.NewTwoQ(e.Capacity) }},
-	{name: "TinyLFU", build: func(e Env) cache.Policy { return admission.NewTinyLFU(e.Capacity) }},
-	{name: "AdaptSize", build: func(e Env) cache.Policy { return admission.NewAdaptSize(e.Capacity, e.Seed) }},
 	{name: "Belady", oracle: true},
 }
 

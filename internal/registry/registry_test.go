@@ -48,12 +48,9 @@ func registryTrace(t *testing.T) *trace.Trace {
 // requests, or enough for its periodic path to fire twice. Under
 // Env{Capacity: 300_000, Interval: 2_000} the periods are:
 //   - SCIP, SCI: learning interval 2 000 (10 in 20 000);
-//   - TinyLFU: frequency-sketch aging at 8 192 then every 4 096
-//     (3 in 20 000);
 //   - DIP: PSEL window 4 096; DGIPPR: epoch 4 096 (4 each in 20 000);
 //   - DTA: retrain every 4 096 resolved samples (2 in 20 000);
 //   - CACHEUS: λ update every 16 384 requests;
-//   - AdaptSize: c tuning every 32 768 requests;
 //   - GL-Cache: retrain every 32 768 requests;
 //   - LHD: histogram decay every 65 536 requests;
 //   - LRB: retrain every 2 048 fresh labels, first near request 26 000
@@ -65,7 +62,7 @@ func rowRequests(name string) int {
 	switch name {
 	case "CACHEUS":
 		return 2 * 16_384
-	case "AdaptSize", "GL-Cache":
+	case "GL-Cache":
 		return 2 * 32_768
 	case "LHD":
 		return 2 * 65_536
@@ -119,7 +116,7 @@ func TestSameEnvSameHitStream(t *testing.T) {
 func TestSeedMatters(t *testing.T) {
 	seeded := map[string]bool{
 		"SCIP": true, "SCI": true, "BIP": true, "DIP": true, "PIPP": true, "DGIPPR": true,
-		"DAAIP": true, "LRU-K": true, "LHD": true, "CACHEUS": true, "LRB": true, "AdaptSize": true,
+		"DAAIP": true, "LRU-K": true, "LHD": true, "CACHEUS": true, "LRB": true,
 	}
 	tr := registryTrace(t)
 	five := Env{Capacity: 300_000, Seed: 5, Interval: 2_000}
@@ -134,10 +131,11 @@ func TestSeedMatters(t *testing.T) {
 }
 
 // TestLookupErrors: an unknown name, including a spec of the retired
-// "scorer:" grammar, fails at Lookup and Canonical with the valid names
-// listed, and Belady needs a trace.
+// "scorer:" grammar and the retired admission policies (EXPERIMENTS.md
+// "Retired extensions"), fails at Lookup and Canonical with the valid
+// names listed, and Belady needs a trace.
 func TestLookupErrors(t *testing.T) {
-	for _, bad := range []string{"nope", "scorer:zro=1"} {
+	for _, bad := range []string{"nope", "scorer:zro=1", "2Q", "TinyLFU", "AdaptSize"} {
 		_, err := Lookup(bad, nil)
 		if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
 			t.Errorf("Lookup(%q): err = %v, want one listing %v", bad, err, Names())
@@ -159,7 +157,6 @@ func TestRemoverSupport(t *testing.T) {
 	removers := map[string]bool{
 		"SCIP": true, "SCI": true, "LRU": true,
 		"LIP": true, "BIP": true, "DIP": true, "DTA": true, "SHiP": true, "DAAIP": true, "ASC-IP": true,
-		"2Q": true, "TinyLFU": true, "AdaptSize": true,
 	}
 	tr := &trace.Trace{Requests: []cache.Request{{Key: 1, Size: 1}}}
 	env := Env{Capacity: 1 << 20, Seed: 1}

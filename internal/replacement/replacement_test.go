@@ -291,54 +291,3 @@ func TestGLCacheTrainsModel(t *testing.T) {
 		t.Fatal("GL-Cache never trained its utility model")
 	}
 }
-
-func TestS4LRUWithInsertionMultiChain(t *testing.T) {
-	ins := forcedLRUIns{}
-	s := NewS4LRUWithInsertion(4000, ins)
-	if s.Name() != "S4LRU-forced" {
-		t.Fatalf("name = %q", s.Name())
-	}
-	// Forced-LRU insertion lands at the tail of segment 0: the very next
-	// eviction pressure removes it before older MRU-side objects.
-	s.Access(req(0, 1, 100))
-	if e := s.arena.At(s.index.Get(1)); e.InsertedMRU || e.Class != 0 {
-		t.Fatalf("forced insert misplaced: %+v", e)
-	}
-	if s.arena.At(s.segs[0].Back()).Key != 1 {
-		t.Fatal("forced insert not at segment-0 tail")
-	}
-	// Forced-LRU promotion demotes a hit object back to segment-0 tail.
-	s.Access(req(1, 1, 100))
-	e := s.arena.At(s.index.Get(1))
-	if e.Class != 0 || e.Residency != cache.ResFirstHit {
-		t.Fatalf("demoted promotion misrouted: %+v", e)
-	}
-	if s.arena.At(s.segs[0].Back()).Key != 1 {
-		t.Fatal("demoted promotion not at segment-0 tail")
-	}
-}
-
-func TestS4LRUWithInsertionEvictionCallback(t *testing.T) {
-	rec := &recordingIns{}
-	s := NewS4LRUWithInsertion(1000, rec)
-	for k := uint64(1); k <= 30; k++ {
-		s.Access(req(int64(k), k, 100))
-	}
-	if rec.evicts == 0 {
-		t.Fatal("insertion policy never observed evictions")
-	}
-	if s.Used() > s.Capacity() {
-		t.Fatal("capacity violated")
-	}
-}
-
-// recordingIns counts callbacks.
-type recordingIns struct{ evicts int }
-
-func (r *recordingIns) Name() string                              { return "rec" }
-func (r *recordingIns) ChooseInsert(cache.Request) cache.Position { return cache.MRU }
-func (r *recordingIns) ChoosePromote(cache.Request) cache.Position {
-	return cache.MRU
-}
-func (r *recordingIns) OnEvict(cache.EvictInfo)      { r.evicts++ }
-func (r *recordingIns) OnAccess(cache.Request, bool) {}

@@ -8,44 +8,26 @@ import "github.com/scip-cache/scip/internal/cache"
 // segment 0, a hit in segment i moves the object to the head of segment
 // min(i+1, 3), and overflow of segment i demotes its tail to the head of
 // segment i−1 (segment 0 evicts).
-//
-// With an insertion policy attached (NewS4LRUWithInsertion) it becomes
-// the multi-chain integration the paper leaves as future work ("SCIP
-// cannot be well adapted to multi-chain structure algorithms, but this is
-// a focus of our future work"): an MRU decision keeps the normal S4LRU
-// flow, an LRU decision maps to the multi-chain equivalent of the LRU
-// position — the tail of segment 0, the next global eviction candidate.
 type S4LRU struct {
-	name  string
 	cap   int64
 	arena cache.Arena
 	segs  [4]cache.Queue
 	index cache.Index
-	ins   cache.InsertionPolicy
 }
 
 var _ cache.Policy = (*S4LRU)(nil)
 
 // NewS4LRU returns an S4LRU cache.
 func NewS4LRU(capBytes int64) *S4LRU {
-	s := &S4LRU{name: "S4LRU", cap: capBytes}
+	s := &S4LRU{cap: capBytes}
 	for i := range s.segs {
 		s.segs[i] = s.arena.NewQueue()
 	}
 	return s
 }
 
-// NewS4LRUWithInsertion returns S4LRU driven by an insertion/promotion
-// policy — the paper's future-work multi-chain integration.
-func NewS4LRUWithInsertion(capBytes int64, ins cache.InsertionPolicy) *S4LRU {
-	s := NewS4LRU(capBytes)
-	s.ins = ins
-	s.name = "S4LRU-" + ins.Name()
-	return s
-}
-
 // Name implements cache.Policy.
-func (s *S4LRU) Name() string { return s.name }
+func (s *S4LRU) Name() string { return "S4LRU" }
 
 // Capacity implements cache.Policy.
 func (s *S4LRU) Capacity() int64 { return s.cap }
@@ -65,35 +47,7 @@ func (s *S4LRU) segCap() int64 { return s.cap / 4 }
 // Access implements cache.Policy.
 func (s *S4LRU) Access(req cache.Request) bool {
 	h := s.index.Get(req.Key)
-	hit := h != cache.None
-	if s.ins != nil {
-		s.ins.OnAccess(req, hit)
-	}
-	if hit {
-		e := s.arena.At(h)
-		e.Hits++
-		if obs, ok := s.ins.(cache.ResidencyObserver); ok && s.ins != nil {
-			obs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits))
-		}
-		if s.ins != nil {
-			// Promotion as a special insertion: a fresh residency starts.
-			e.Hits = 0
-			if e.Residency == cache.ResInserted {
-				e.Residency = cache.ResFirstHit
-			} else {
-				e.Residency = cache.ResRepeat
-			}
-			if s.ins.ChoosePromote(req) == cache.LRU {
-				// Multi-chain LRU position: tail of segment 0.
-				s.segs[e.Class].Remove(h)
-				e.Class = 0
-				e.InsertedMRU = false
-				s.segs[0].PushBack(h)
-				s.overflow()
-				return true
-			}
-			e.InsertedMRU = true
-		}
+	if h != cache.None {
 		s.promote(h)
 		return true
 	}
@@ -104,15 +58,6 @@ func (s *S4LRU) Access(req cache.Request) bool {
 	e := s.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.Class = 0
-	e.InsertedMRU = true
-	if s.ins != nil && s.ins.ChooseInsert(req) == cache.LRU {
-		e.InsertedMRU = false
-		s.index.Put(req.Key, h)
-		s.segs[0].PushBack(h)
-		s.overflow()
-		return false
-	}
 	s.index.Put(req.Key, h)
 	s.segs[0].PushFront(h)
 	s.overflow()
@@ -151,15 +96,6 @@ func (s *S4LRU) overflow() {
 		victim := s.arena.At(tail)
 		s.segs[0].Remove(tail)
 		s.index.Delete(victim.Key)
-		if s.ins != nil {
-			s.ins.OnEvict(cache.EvictInfo{
-				Key:         victim.Key,
-				Size:        victim.Size,
-				InsertedMRU: victim.InsertedMRU,
-				EverHit:     victim.Hits > 0,
-				Residency:   victim.Residency,
-			})
-		}
 		s.arena.Free(tail)
 	}
 }

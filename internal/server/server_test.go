@@ -141,13 +141,11 @@ func TestPutThenGetAndDelete(t *testing.T) {
 }
 
 // TestDeleteAcrossPolicies runs the full invalidation round trip —
-// PUT, GET hit, DELETE 204, GET miss, second DELETE 404 — over every
-// policy family that implements cache.Remover. Before the admission
-// policies grew Remove, DELETE on them answered 501.
+// PUT, GET hit, DELETE 204, GET miss, second DELETE 404 — over both
+// kinds of cache.QueueCache, the one type that implements cache.Remover:
+// one driven by a learning insertion policy (SCIP) and plain LRU.
 func TestDeleteAcrossPolicies(t *testing.T) {
-	for _, policy := range []string{
-		"SCIP", "2Q", "TinyLFU", "AdaptSize",
-	} {
+	for _, policy := range []string{"SCIP", "LRU"} {
 		t.Run(policy, func(t *testing.T) {
 			s := newTestServer(t, func(cfg *Config) { cfg.Policy = policy; cfg.CacheBytes = 1 << 22 })
 			h := s.Handler()

@@ -337,12 +337,11 @@ func CollectEvents(tr *trace.Trace, capBytes int64, sampleEvery int) []Event {
 		sampleEvery = 1
 	}
 	type objFeat struct {
-		count      int
-		lastIdx    int
-		sumGap     float64
-		insertIdx  int
-		residHits  int
-		everCached bool
+		count     int
+		lastIdx   int
+		sumGap    float64
+		insertIdx int
+		residHits int
 	}
 	feats := make(map[uint64]*objFeat, 1<<12)
 	c := cache.NewLRU(capBytes)
