@@ -53,6 +53,8 @@ test-race:
 # test-debug runs the data-plane packages with the scipdebug handle guards
 # compiled in (every Arena.At checks range and liveness), plus the figure
 # goldens, so the guards run on real replays rather than only being vetted.
+# The goldens include fig7 at the figures' scale (0.01, two seeds), so the
+# guards also see replays ten times longer than the quick goldens'.
 # internal/registry brings TestSameEnvSameHitStream, which drives every
 # registered policy through the guards.
 test-debug:

@@ -84,7 +84,6 @@ func BenchmarkAblationHistorySize(b *testing.B)  { benchVariant(b, core.WithHist
 func BenchmarkAblationHistoryFull(b *testing.B)  { benchVariant(b, core.WithHistoryFraction(1.0)) }
 func BenchmarkAblationInterval(b *testing.B)     { benchVariant(b, core.WithInterval(500)) }
 func BenchmarkAblationUnifiedModel(b *testing.B) { benchVariant(b, core.WithUnifiedModel()) }
-func BenchmarkAblationNoDueling(b *testing.B)    { benchVariant(b, core.WithDueling(0)) }
 func BenchmarkAblationNoEvictSignal(b *testing.B) {
 	benchVariant(b, core.WithEvictGain(0))
 }

@@ -5,7 +5,7 @@
 //
 //	scip-bench [-scale 0.01] [-seeds 3] [-quick] [-parallel] [-workers N] [-json BENCH.json] \
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof] \
-//	    [all|table1|fig1|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablation ...]
+//	    [all|table1|fig1|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablation|ext ...]
 //
 // With no experiment arguments it lists the available experiments.
 //

@@ -13,10 +13,9 @@ func (lipGhost) OnAccess(Request, bool)         {}
 // DuelMonitor runs two small sampled ghost caches — one with pure MRU
 // insertion (plain LRU) and one with pure LRU insertion (LIP) — over a
 // hash sample of the traffic and periodically reports which insertion
-// expert actually produces more hits. It is the single-queue analogue of
-// DIP's set dueling: the damage a ZRO flood does to the MRU monitor shows
-// up in the monitor's own hit count, a counterfactual signal per-object
-// ghost lists cannot provide.
+// expert actually produces more hits. It is DIP's set dueling re-expressed
+// for a single queue (policies.NewDIP is its one user): the damage a ZRO
+// flood does to the MRU monitor shows up in the monitor's own hit count.
 type DuelMonitor struct {
 	mru, lip   *QueueCache
 	hitA, hitB int

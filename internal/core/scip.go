@@ -29,10 +29,6 @@ const (
 	DefaultPromoteHitGain   = 0.2
 )
 
-// DefaultDuelGain scales the dueling-monitor drift applied to the
-// insertion weights each dueling window.
-const DefaultDuelGain = 0.5
-
 // numSizeClasses is the contextual granularity of the weight pairs: the
 // bandit learns one ω pair per log2 object-size class (plus the global
 // pair it falls back to until a class has enough evidence). Size is the
@@ -169,14 +165,14 @@ func WithHitGain(gain float64) Option {
 
 // ForEnhancement configures SCIP as an enhancement component inside a
 // host replacement algorithm that already performs informed victim
-// selection (LRU-K, LRB — the paper's Figure 12). The dueling monitors
-// are disabled (their LRU-vs-LIP counterfactual describes a plain queue
-// cache, not the host) and the ZRO-waste gain is reduced: a never-hit
-// eviction in such a host means the host's own ranking already handled
-// the object, so it is weak evidence that earlier demotion would help.
+// selection (LRU-K, LRB — the paper's Figure 12). It turns off the
+// insertion context's ZRO-waste signal: a never-hit eviction in such a
+// host means the host's own ranking already handled the object, so it is
+// weak evidence that earlier demotion would help. It also starts every ω
+// pair at ω_m = 0.98 instead of 0.9, so SCIP leaves the host's placement
+// alone until evidence says otherwise.
 func ForEnhancement() Option {
 	return func(s *SCIP) {
-		s.duelGain = 0
 		s.evictGain = 0
 		s.initW = 0.98
 	}
@@ -186,13 +182,6 @@ func ForEnhancement() Option {
 // the literal reading of Algorithm 1. Used by the ablation benchmarks.
 func WithUnifiedModel() Option {
 	return func(s *SCIP) { s.unified = true }
-}
-
-// WithDueling toggles the sampled dueling monitors that ground the
-// insertion weights in measured counterfactual hit counts (default on).
-// gain scales the per-window drift; pass gain <= 0 to disable.
-func WithDueling(gain float64) Option {
-	return func(s *SCIP) { s.duelGain = gain }
 }
 
 // SCIP implements cache.InsertionPolicy per Algorithm 1. One instance
@@ -213,10 +202,6 @@ type SCIP struct {
 	evictGain   float64
 	hitGain     float64
 	force       ForceMode
-
-	duelGain  float64
-	duelists  *cache.DuelMonitor
-	duelEvery int
 
 	// interval hit-rate window
 	reqs, hits int
@@ -261,7 +246,6 @@ func New(capBytes int64, opts ...Option) *SCIP {
 		hitGain:       DefaultHitGain,
 		force:         ForceRescue,
 		lastMissRatio: 0.5,
-		duelGain:      DefaultDuelGain,
 	}
 	for _, o := range opts {
 		o(s)
@@ -280,13 +264,6 @@ func New(capBytes int64, opts ...Option) *SCIP {
 		s.proW = newWeightSet(s.initW)
 	}
 	s.rate = mab.NewAdaptiveRate(s.rng.Float64)
-	if s.duelGain > 0 {
-		s.duelists = cache.NewDuelMonitor(capBytes, 1.0/8, 7)
-		s.duelEvery = s.interval / 8
-		if s.duelEvery < 1 {
-			s.duelEvery = 1
-		}
-	}
 	return s
 }
 
@@ -339,16 +316,6 @@ func (s *SCIP) context(res cache.Residency) *weightSet {
 func (s *SCIP) OnAccess(req cache.Request, hit bool) {
 	s.reqs++
 	s.forcedActive = false
-	if s.duelists != nil {
-		s.duelists.Observe(req)
-		if s.reqs%s.duelEvery == 0 {
-			if v := s.duelists.Verdict(); v > 0 {
-				s.insW.global.Decay(1, s.duelGain*v)
-			} else if v < 0 {
-				s.insW.global.Decay(0, -s.duelGain*v)
-			}
-		}
-	}
 	if hit {
 		s.hits++
 		if s.emaSize == 0 {

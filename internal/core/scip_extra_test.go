@@ -143,9 +143,6 @@ func TestFirstHitGambleUsesPromoteWeights(t *testing.T) {
 
 func TestForEnhancementPreset(t *testing.T) {
 	s := New(1<<20, ForEnhancement())
-	if s.duelists != nil {
-		t.Fatal("enhancement preset must disable dueling")
-	}
 	if s.evictGain != 0 {
 		t.Fatal("enhancement preset must disable insertion waste evidence")
 	}
@@ -168,20 +165,6 @@ func TestEvictGainRoutesToPromotionContext(t *testing.T) {
 	s.OnEvict(cache.EvictInfo{Key: 1, Size: 1 << 12, InsertedMRU: true, Residency: cache.ResFirstHit})
 	if s.PromoteMRUWeight() >= p0 {
 		t.Fatal("wasted promotion did not decay promotion context")
-	}
-}
-
-func TestDuelingDriftsWeights(t *testing.T) {
-	s := New(1<<14, WithSeed(4), WithInterval(800), WithDueling(2.0))
-	// Recency-friendly traffic: the MRU monitor wins, ω_m should rise
-	// above its starting point despite contrary per-object noise.
-	w0 := s.MRUWeight()
-	for i := 0; i < 20_000; i++ {
-		req := cache.Request{Time: int64(i), Key: uint64(i % 50), Size: 64}
-		s.OnAccess(req, i >= 50)
-	}
-	if s.MRUWeight() < w0-0.1 {
-		t.Fatalf("dueling let ω_m collapse on recency traffic: %g -> %g", w0, s.MRUWeight())
 	}
 }
 

@@ -26,7 +26,6 @@ func runAblations(cfg Config) error {
 		{"history=1x", []core.Option{core.WithHistoryFraction(1.0)}},
 		{"interval=1/4", []core.Option{core.WithInterval(scaledInterval(cfg.Scale) / 4)}},
 		{"unified-ω", []core.Option{core.WithUnifiedModel()}},
-		{"no-duel", []core.Option{core.WithDueling(0)}},
 		{"no-evict-sig", []core.Option{core.WithEvictGain(0)}},
 		{"no-hit-sig", []core.Option{core.WithHitGain(0)}},
 		{"force-none", []core.Option{core.WithForceMode(core.ForceNone)}},

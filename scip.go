@@ -57,7 +57,6 @@ var (
 	WithInterval        = core.WithInterval
 	WithHistoryFraction = core.WithHistoryFraction
 	WithUnifiedModel    = core.WithUnifiedModel
-	WithDueling         = core.WithDueling
 )
 
 // New returns the SCIP insertion/promotion policy for a cache of capBytes
