@@ -26,7 +26,7 @@ fmt-check:
 
 # vet covers both modules, the root and benchmark/, plain and under every
 # VET_TAGS entry. Its copylocks check is what rejects by-value copies of
-# the padded stats blocks, the shard slots and anything else holding sync
+# the latency histogram, the shard slots and anything else holding sync
 # or sync/atomic state (DESIGN.md §7 "Concurrency").
 vet:
 	@for dir in . benchmark; do \

@@ -21,7 +21,6 @@ import (
 	"github.com/scip-cache/scip/internal/ml"
 	"github.com/scip-cache/scip/internal/shard"
 	"github.com/scip-cache/scip/internal/sim"
-	"github.com/scip-cache/scip/internal/stats"
 )
 
 // benchCfg is the reduced-scale configuration the figure benchmarks run.
@@ -320,33 +319,6 @@ func BenchmarkLRBAccessTrained(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mreq/s")
 }
 
-// BenchmarkShardedAccessStats measures the cost of the per-access stats
-// instrumentation on the sharded front: the same parallel access pattern
-// bare and with the lock-free counters attached (the access path itself
-// is clock-free since the counters-only ObserveAccess).
-func BenchmarkShardedAccessStats(b *testing.B) {
-	for _, variant := range []string{"bare", "counters"} {
-		b.Run(variant, func(b *testing.B) {
-			c, err := shard.New("scip", 1<<24, 16, func(capBytes int64, s int) cache.Policy {
-				return core.NewCache(capBytes, core.WithSeed(int64(s)+1), core.WithInterval(2000))
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if variant == "counters" {
-				c.EnableStats()
-			}
-			var ctr atomic.Uint64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := ctr.Add(1)
-					c.Access(cache.Request{Time: int64(i), Key: i % 4096, Size: 512})
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkShardedAccessModes compares the three concurrency
 // configurations of DESIGN.md §10 on one parallel access pattern:
 // per-request mutex locking, mutex locking amortised over 64-request
@@ -405,13 +377,20 @@ func BenchmarkShardedAccessModes(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsSnapshot measures the lock-free Snapshot read path while
-// counters are hot (the interval reporter's and /metrics' cost while
-// serving).
+// BenchmarkStatsSnapshot measures the stats read path of a 64-shard
+// front while its counters are warm: each Snapshot locks every shard in
+// turn and reads its counters and policy gauges (the interval reporter's
+// and /metrics' cost while serving).
 func BenchmarkStatsSnapshot(b *testing.B) {
-	st := stats.New(64)
-	for i := 0; i < 64; i++ {
-		st.ObserveAccess(i, 512, i%2 == 0, 1<<20, int64(i))
+	c, err := shard.New("scip", 1<<24, 64, func(capBytes int64, s int) cache.Policy {
+		return core.NewCache(capBytes, core.WithSeed(int64(s)+1), core.WithInterval(2000))
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := c.EnableStats()
+	for i := 0; i < 4096; i++ {
+		c.Access(cache.Request{Time: int64(i), Key: uint64(i % 1024), Size: 512})
 		st.Latency().Observe(time.Microsecond)
 	}
 	b.ReportAllocs()

@@ -207,3 +207,53 @@ func TestAccessBatchValidation(t *testing.T) {
 	}()
 	c.AccessBatch(0, []cache.Request{{Key: 1, Size: 1}}, make([]bool, 2))
 }
+
+// TestSnapshotGaugesReadPolicy: a snapshot reads each shard's UsedBytes
+// and Evictions from the shard policy itself, so the gauges are exact
+// after a batch that evicts, after a Remove that no access follows, and
+// after Close — a drained daemon still serves /metrics.
+func TestSnapshotGaugesReadPolicy(t *testing.T) {
+	for _, mode := range []Mode{ModeMutex, ModeActor} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, err := New("x", 8192, 4, lruBuilder, WithMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := c.EnableStats()
+			check := func(after string) {
+				t.Helper()
+				for i, sh := range st.Snapshot().Shards {
+					p := c.shards[i].p
+					used, ev := p.Used(), p.(cache.EvictionCounter).Evictions()
+					if sh.UsedBytes != used || sh.Evictions != ev {
+						t.Fatalf("after %s: shard %d gauges used=%d evictions=%d, policy used=%d evictions=%d",
+							after, i, sh.UsedBytes, sh.Evictions, used, ev)
+					}
+				}
+			}
+			// 256 distinct 512-byte keys into four 2 KiB shards.
+			byShard := make([][]cache.Request, c.Shards())
+			for k := uint64(0); k < 256; k++ {
+				s := c.ShardIndex(k)
+				byShard[s] = append(byShard[s], cache.Request{Time: int64(k), Key: k, Size: 512})
+			}
+			for s, reqs := range byShard {
+				c.AccessBatch(s, reqs, nil)
+			}
+			if c.Evictions() == 0 {
+				t.Fatal("no evictions despite oversubscription")
+			}
+			check("AccessBatch")
+
+			last := byShard[0][len(byShard[0])-1].Key // resident: LRU keeps the newest
+			before := c.Used()
+			if removed, _ := c.Remove(last); !removed || c.Used() != before-512 {
+				t.Fatalf("Remove(%d): removed=%v, Used %d -> %d", last, removed, before, c.Used())
+			}
+			check("Remove")
+
+			c.Close()
+			check("Close")
+		})
+	}
+}

@@ -85,12 +85,6 @@ type Cache struct {
 	actorWG  sync.WaitGroup
 	closeOne sync.Once
 	donePool sync.Pool
-
-	// st, when non-nil, receives per-access observations (counters and
-	// latency). evc caches each shard policy's EvictionCounter side so
-	// the hot path carries no type assertion.
-	st  *stats.Stats
-	evc []cache.EvictionCounter
 }
 
 // slotDataSize is the payload size of a shardSlot, computed from the real
@@ -100,6 +94,7 @@ type Cache struct {
 const slotDataSize = unsafe.Sizeof(struct {
 	mu sync.Mutex
 	p  cache.Policy
+	n  counts
 }{})
 
 // slotPad rounds the slot up to a whole number of 64-byte cache lines. It
@@ -108,13 +103,49 @@ const slotDataSize = unsafe.Sizeof(struct {
 // Go place the next slot's fields flush against this one.
 const slotPad = 64 - slotDataSize%64
 
-// shardSlot pads each shard onto its own cache lines so the hot mutex and
-// policy pointer of neighbouring shards do not false-share under
-// contention. The package test asserts the size is a cache-line multiple.
+// shardSlot pads each shard onto its own cache lines so the hot mutex,
+// policy pointer and counters of neighbouring shards do not false-share
+// under contention. The package test asserts the size is a cache-line
+// multiple.
 type shardSlot struct {
 	mu sync.Mutex
 	p  cache.Policy // touched only under mu once the cache is shared
+	n  counts       // guarded by mu
 	_  [slotPad]byte
+}
+
+// counts is a shard's traffic totals. They are plain fields: every
+// access already holds the slot mutex, which guards them.
+type counts struct {
+	requests, hits, bytesReq, bytesHit int64
+}
+
+func (n *counts) add(req cache.Request, hit bool) {
+	n.requests++
+	n.bytesReq += req.Size
+	if hit {
+		n.hits++
+		n.bytesHit += req.Size
+	}
+}
+
+// accessLocked applies reqs to the slot's policy in slice order, storing
+// each outcome in hits when non-nil, and returns the hit count. Caller
+// holds s.mu.
+func (s *shardSlot) accessLocked(reqs []cache.Request, hits []bool) int {
+	var b counts
+	for j, req := range reqs {
+		hit := s.p.Access(req)
+		if hits != nil {
+			hits[j] = hit
+		}
+		b.add(req, hit)
+	}
+	s.n.requests += b.requests
+	s.n.hits += b.hits
+	s.n.bytesReq += b.bytesReq
+	s.n.bytesHit += b.bytesHit
+	return int(b.hits)
 }
 
 // shardMsg is one unit of work sent to a shard's owner goroutine in
@@ -199,51 +230,26 @@ func (c *Cache) runActor(i int) {
 		s.mu.Lock()
 		var hits int
 		if m.reqs == nil {
-			if s.p.Access(m.req) {
+			hit := s.p.Access(m.req)
+			s.n.add(m.req, hit)
+			if hit {
 				hits = 1
 			}
-			if c.st != nil {
-				c.observeLocked(i, 1, int64(hits), m.req.Size, int64(hits)*m.req.Size)
-			}
 		} else {
-			var bytesReq, bytesHit int64
-			for j, req := range m.reqs {
-				hit := s.p.Access(req)
-				if m.hits != nil {
-					m.hits[j] = hit
-				}
-				bytesReq += req.Size
-				if hit {
-					hits++
-					bytesHit += req.Size
-				}
-			}
-			if c.st != nil {
-				c.observeLocked(i, int64(len(m.reqs)), int64(hits), bytesReq, bytesHit)
-			}
+			hits = s.accessLocked(m.reqs, m.hits)
 		}
 		s.mu.Unlock()
 		m.done <- hits
 	}
 }
 
-// observeLocked records a completed access or batch on shard i. Caller
-// holds the shard lock (the gauge reads need it).
-func (c *Cache) observeLocked(i int, n, hits, bytesReq, bytesHit int64) {
-	used := c.shards[i].p.Used()
-	var ev int64
-	if ec := c.evc[i]; ec != nil {
-		ev = ec.Evictions()
-	}
-	c.st.ObserveBatch(i, n, hits, bytesReq, bytesHit, used, ev)
-}
-
 // Close shuts down the shard owner goroutines of a ModeActor cache and
 // waits for them to drain their queued batches. Callers must quiesce all
 // Access/AccessBatch callers first; accessing a closed actor cache
 // panics. The control-plane methods (Used, Capacity, Evictions,
-// Remove, Stats) remain usable after Close — they take the shard locks
-// directly. Close is idempotent and a no-op in ModeMutex.
+// Remove) and the stats view's Snapshot remain usable after Close —
+// they take the shard locks directly. Close is idempotent and a no-op in
+// ModeMutex.
 func (c *Cache) Close() {
 	if c.mode != ModeActor {
 		return
@@ -265,23 +271,33 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // Name implements cache.Policy.
 func (c *Cache) Name() string { return c.name }
 
-// EnableStats attaches (and returns) a per-shard stats block. Every
-// subsequent Access records its outcome, the shard's occupancy and
-// eviction count. Latency is the caller's concern (Histogram.Observe);
-// the access path itself never reads the clock. Must be called before
-// the cache is shared between goroutines; it is not synchronised with
-// Access.
+// EnableStats returns a stats view over the shards' counters, which
+// every access keeps from the start. Its Snapshot locks each shard in
+// turn and reads the counters with the policy's occupancy and eviction
+// count at that instant. The view owns a latency histogram that is the
+// caller's to feed (Histogram.Observe); the access path never reads the
+// clock. Each call returns a new view with an empty histogram.
 func (c *Cache) EnableStats() *stats.Stats {
-	c.st = stats.New(len(c.shards))
-	c.evc = make([]cache.EvictionCounter, len(c.shards))
-	for i := range c.shards {
-		c.evc[i], _ = c.shards[i].p.(cache.EvictionCounter)
-	}
-	return c.st
+	return stats.NewView(len(c.shards), c.readShard)
 }
 
-// Stats returns the attached stats block, or nil.
-func (c *Cache) Stats() *stats.Stats { return c.st }
+// readShard copies shard i's counters and gauges under its lock.
+func (c *Cache) readShard(i int) stats.ShardSnapshot {
+	s := &c.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap := stats.ShardSnapshot{
+		Requests:       s.n.requests,
+		Hits:           s.n.hits,
+		BytesRequested: s.n.bytesReq,
+		BytesHit:       s.n.bytesHit,
+		UsedBytes:      s.p.Used(),
+	}
+	if ec, ok := s.p.(cache.EvictionCounter); ok {
+		snap.Evictions = ec.Evictions()
+	}
+	return snap
+}
 
 // ShardIndex returns the shard the key is routed to. Replay drivers
 // (runner.ReplaySharded) use it to partition a trace by shard so per-shard request order (and therefore
@@ -304,15 +320,7 @@ func (c *Cache) Access(req cache.Request) bool {
 	s := &c.shards[idx]
 	s.mu.Lock()
 	hit := s.p.Access(req)
-	if c.st == nil {
-		s.mu.Unlock()
-		return hit
-	}
-	var nHit int64
-	if hit {
-		nHit = 1
-	}
-	c.observeLocked(idx, 1, nHit, req.Size, nHit*req.Size)
+	s.n.add(req, hit)
 	s.mu.Unlock()
 	return hit
 }
@@ -341,25 +349,10 @@ func (c *Cache) AccessBatch(idx int, reqs []cache.Request, hits []bool) int {
 		return n
 	}
 	s := &c.shards[idx]
-	var nHits int
-	var bytesReq, bytesHit int64
 	s.mu.Lock()
-	for j, req := range reqs {
-		hit := s.p.Access(req)
-		if hits != nil {
-			hits[j] = hit
-		}
-		bytesReq += req.Size
-		if hit {
-			nHits++
-			bytesHit += req.Size
-		}
-	}
-	if c.st != nil {
-		c.observeLocked(idx, int64(len(reqs)), int64(nHits), bytesReq, bytesHit)
-	}
+	n := s.accessLocked(reqs, hits)
 	s.mu.Unlock()
-	return nHits
+	return n
 }
 
 // Remove invalidates key on its shard. It reports whether the key was
@@ -370,18 +363,13 @@ func (c *Cache) AccessBatch(idx int, reqs []cache.Request, hits []bool) int {
 // serialises with in-flight batches via the shard lock, which the actor
 // holds while applying each batch).
 func (c *Cache) Remove(key uint64) (removed, supported bool) {
-	idx := c.ShardIndex(key)
-	s := &c.shards[idx]
+	s := &c.shards[c.ShardIndex(key)]
 	s.mu.Lock()
 	r, supported := s.p.(cache.Remover)
 	if supported {
 		removed = r.Remove(key)
 	}
-	used := s.p.Used()
 	s.mu.Unlock()
-	if removed && c.st != nil {
-		c.st.Shard(idx).UsedBytes.Store(used)
-	}
 	return removed, supported
 }
 

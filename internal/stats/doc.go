@@ -1,15 +1,21 @@
-// Package stats provides lock-free runtime observability for the
-// concurrent cache front: per-shard atomic counters (requests, hits, byte
-// traffic, evictions, used bytes) and a fixed-bucket access-latency
-// histogram. Writers touch only their own shard's cache-line-padded
-// counter block plus the shared histogram (atomic adds, no locks), so the
-// instrumentation scales with the shard count; Snapshot() reads everything
-// with atomic loads and never blocks the serving path.
+// Package stats provides runtime observability for the concurrent cache
+// front: per-shard counters (requests, hits, byte traffic, evictions,
+// used bytes) and a fixed-bucket access-latency histogram.
+//
+// The counters live with their writer. The sharded front keeps each
+// shard's traffic totals as plain fields under the shard mutex that
+// every access already holds, so writers use no atomics; a Stats block
+// made by NewView reads them through one function, and Snapshot takes
+// each shard lock briefly, one shard at a time, to copy the totals and
+// read the policy's occupancy and eviction count. New makes a
+// self-contained block, written by ObserveAccess under its own mutex.
+// The latency histogram is shared by every request handler and stays
+// lock-free: atomic adds to write, atomic loads to snapshot.
 //
 // Counter semantics: Requests/Hits/BytesRequested/BytesHit/Evictions are
 // monotonically increasing totals, so interval rates are computed by
 // differencing two snapshots (Snapshot.Sub). UsedBytes is a gauge holding
-// the most recently observed occupancy.
+// the occupancy at snapshot time.
 //
 // Snapshots feed three consumers: scip-serve's interval reporter (via
 // Sub), the invariance tests that compare per-shard counters across

@@ -10,19 +10,15 @@ import (
 	"github.com/scip-cache/scip/internal/stats"
 )
 
-// ExampleStats shows the writer/reader split: the serving path bumps
-// per-shard atomic counters, an observer snapshots and derives ratios.
+// ExampleStats shows the writer/reader split: a writer records each
+// access, an observer snapshots and derives ratios.
 func ExampleStats() {
 	st := stats.New(2)
 
-	// Shard 0 serves a miss (100 bytes) and a hit (100 bytes).
-	sh := st.Shard(0)
-	sh.Requests.Add(1)
-	sh.BytesRequested.Add(100)
-	sh.Requests.Add(1)
-	sh.BytesRequested.Add(100)
-	sh.Hits.Add(1)
-	sh.BytesHit.Add(100)
+	// Shard 0 serves a miss and then a hit, 100 bytes each; the shard
+	// then holds 100 bytes and has evicted nothing.
+	st.ObserveAccess(0, 100, false, 100, 0)
+	st.ObserveAccess(0, 100, true, 100, 0)
 
 	snap := st.Snapshot()
 	fmt.Printf("requests: %d\n", snap.Totals().Requests)
@@ -38,14 +34,16 @@ func ExampleStats() {
 // the pattern behind scip-serve's live report line.
 func ExampleSnapshot_Sub() {
 	st := stats.New(1)
-	sh := st.Shard(0)
+	observe := func(requests, hits int) {
+		for i := 0; i < requests; i++ {
+			st.ObserveAccess(0, 1, i < hits, 0, 0)
+		}
+	}
 
-	sh.Requests.Add(10)
-	sh.Hits.Add(2)
+	observe(10, 2)
 	before := st.Snapshot()
 
-	sh.Requests.Add(10)
-	sh.Hits.Add(8)
+	observe(10, 8)
 	after := st.Snapshot()
 
 	interval := after.Sub(before)
@@ -63,8 +61,11 @@ func ExampleSnapshot_Sub() {
 // OPERATIONS.md).
 func ExampleWritePrometheus() {
 	st := stats.New(2)
-	st.Shard(0).Requests.Add(3)
-	st.Shard(1).Requests.Add(4)
+	for shard, requests := range []int{3, 4} {
+		for i := 0; i < requests; i++ {
+			st.ObserveAccess(shard, 1, false, 0, 0)
+		}
+	}
 	st.Latency().Observe(time.Millisecond)
 
 	var b strings.Builder

@@ -2,38 +2,10 @@ package stats
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
-
-// ShardCounters is one shard's counter block. All fields are updated with
-// atomic operations; the serving path calls ObserveAccess rather than
-// touching fields directly.
-type ShardCounters struct {
-	// Requests counts accesses routed to the shard.
-	Requests atomic.Int64
-	// Hits counts accesses served from cache.
-	Hits atomic.Int64
-	// BytesRequested accumulates the sizes of all requested objects.
-	BytesRequested atomic.Int64
-	// BytesHit accumulates the sizes of objects served from cache.
-	BytesHit atomic.Int64
-	// Evictions holds the shard policy's cumulative eviction count.
-	Evictions atomic.Int64
-	// UsedBytes holds the last observed shard occupancy (a gauge).
-	UsedBytes atomic.Int64
-}
-
-// countersPad rounds a ShardCounters block up to a whole number of 64-byte
-// cache lines so neighbouring shards' hot counters never false-share (same
-// scheme as shard.shardSlot).
-const countersPad = 64 - unsafe.Sizeof(ShardCounters{})%64
-
-type paddedCounters struct {
-	ShardCounters
-	_ [countersPad]byte
-}
 
 // Latency histogram geometry: bucket b counts observations with
 // latency < bucketBound(b). Bounds grow as powers of two from
@@ -96,59 +68,59 @@ func (h *Histogram) Snapshot() (buckets [NumLatencyBuckets]int64, sumNanos int64
 	return buckets, h.sum.Load()
 }
 
-// Stats aggregates per-shard counters and the shared latency histogram
-// for one cache front.
+// Stats reads per-shard counters through one function and owns the
+// shared latency histogram for one cache front.
 type Stats struct {
-	shards []paddedCounters
-	lat    Histogram
+	read func(i int) ShardSnapshot
+	n    int
+	lat  Histogram
+
+	// mu guards own, the counters of a block made by New.
+	mu  sync.Mutex
+	own []ShardSnapshot
 }
 
-// New returns a Stats block for nShards shards (min 1).
+// NewView returns a Stats block over nShards shards (min 1) whose
+// Snapshot takes shard i's counters from read(i). read must be safe for
+// concurrent use: the sharded front's reader locks the shard, copies its
+// counters and reads the policy's occupancy and eviction count.
+func NewView(nShards int, read func(i int) ShardSnapshot) *Stats {
+	return &Stats{read: read, n: max(nShards, 1)}
+}
+
+// New returns a Stats block for nShards shards (min 1) that holds its
+// own counters, written by ObserveAccess.
 func New(nShards int) *Stats {
-	if nShards < 1 {
-		nShards = 1
-	}
-	return &Stats{shards: make([]paddedCounters, nShards)}
+	s := &Stats{own: make([]ShardSnapshot, max(nShards, 1))}
+	s.read, s.n = s.readOwn, len(s.own)
+	return s
 }
 
-// Shard returns shard i's counter block.
-func (s *Stats) Shard(i int) *ShardCounters { return &s.shards[i].ShardCounters }
+func (s *Stats) readOwn(i int) ShardSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.own[i]
+}
 
 // Latency returns the shared latency histogram.
 func (s *Stats) Latency() *Histogram { return &s.lat }
 
-// ObserveAccess records one access routed to shard i: its hit outcome,
-// the object size, and the shard's post-access occupancy and cumulative
-// eviction count. It touches only atomic counters — no clock reads;
-// latency is the caller's concern (scip-serve times each access and
-// feeds Latency().Observe).
+// ObserveAccess records one access routed to shard i of a block made by
+// New: its hit outcome, the object size, and the shard's post-access
+// occupancy and cumulative eviction count. It reads no clock; latency is
+// the caller's concern (Latency().Observe).
 func (s *Stats) ObserveAccess(i int, size int64, hit bool, usedBytes, evictions int64) {
-	c := s.Shard(i)
-	c.Requests.Add(1)
-	c.BytesRequested.Add(size)
+	s.mu.Lock()
+	c := &s.own[i]
+	c.Requests++
+	c.BytesRequested += size
 	if hit {
-		c.Hits.Add(1)
-		c.BytesHit.Add(size)
+		c.Hits++
+		c.BytesHit += size
 	}
-	c.UsedBytes.Store(usedBytes)
-	c.Evictions.Store(evictions)
-}
-
-// ObserveBatch records a batch of n accesses routed to shard i with hits
-// of them hitting, bytesReq/bytesHit the summed request/hit bytes, and
-// the shard's post-batch occupancy and cumulative eviction count. One
-// call per batch replaces n ObserveAccess calls: the totals are
-// identical (sums commute) and the gauges end on the same final values
-// a per-access replay would store, which is what keeps batched counters
-// byte-identical to the serial path.
-func (s *Stats) ObserveBatch(i int, n, hits int64, bytesReq, bytesHit, usedBytes, evictions int64) {
-	c := s.Shard(i)
-	c.Requests.Add(n)
-	c.BytesRequested.Add(bytesReq)
-	c.Hits.Add(hits)
-	c.BytesHit.Add(bytesHit)
-	c.UsedBytes.Store(usedBytes)
-	c.Evictions.Store(evictions)
+	c.UsedBytes = usedBytes
+	c.Evictions = evictions
+	s.mu.Unlock()
 }
 
 // ShardSnapshot is a plain-value copy of one shard's counters.
@@ -161,9 +133,9 @@ type ShardSnapshot struct {
 	UsedBytes      int64 `json:"used_bytes"`
 }
 
-// Snapshot is a point-in-time copy of a Stats block. Each counter is read
-// with one atomic load; the snapshot is not a single linearization point
-// across counters, which is the standard (and sufficient) consistency for
+// Snapshot is a point-in-time copy of a Stats block. Each shard is read
+// at its own instant; the snapshot is not a single linearization point
+// across shards, which is the standard (and sufficient) consistency for
 // periodic reporting under load.
 type Snapshot struct {
 	Shards  []ShardSnapshot          `json:"shards"`
@@ -173,24 +145,13 @@ type Snapshot struct {
 	LatencySumNanos int64 `json:"-"`
 }
 
-// Snapshot copies the current counter values without blocking writers.
+// Snapshot copies the current counter values, one shard at a time.
 func (s *Stats) Snapshot() Snapshot {
-	snap := Snapshot{Shards: make([]ShardSnapshot, len(s.shards))}
-	for i := range s.shards {
-		c := &s.shards[i].ShardCounters
-		snap.Shards[i] = ShardSnapshot{
-			Requests:       c.Requests.Load(),
-			Hits:           c.Hits.Load(),
-			BytesRequested: c.BytesRequested.Load(),
-			BytesHit:       c.BytesHit.Load(),
-			Evictions:      c.Evictions.Load(),
-			UsedBytes:      c.UsedBytes.Load(),
-		}
+	snap := Snapshot{Shards: make([]ShardSnapshot, s.n)}
+	for i := range snap.Shards {
+		snap.Shards[i] = s.read(i)
 	}
-	for i := range s.lat.buckets {
-		snap.Latency[i] = s.lat.buckets[i].Load()
-	}
-	snap.LatencySumNanos = s.lat.sum.Load()
+	snap.Latency, snap.LatencySumNanos = s.lat.Snapshot()
 	return snap
 }
 

@@ -4,21 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 )
-
-func TestCountersPadding(t *testing.T) {
-	size := unsafe.Sizeof(paddedCounters{})
-	if size%64 != 0 {
-		t.Fatalf("paddedCounters size %d is not a cache-line multiple", size)
-	}
-	var two [2]paddedCounters
-	a := uintptr(unsafe.Pointer(&two[0].Requests)) / 64
-	b := uintptr(unsafe.Pointer(&two[1].Requests)) / 64
-	if a == b {
-		t.Fatal("adjacent shard counters share a cache line")
-	}
-}
 
 func TestObserveAccessAndSnapshot(t *testing.T) {
 	s := New(2)
@@ -49,37 +35,6 @@ func TestObserveAccessAndSnapshot(t *testing.T) {
 	// samples appear here.
 	if n := snap.LatencySamples(); n != 0 {
 		t.Fatalf("LatencySamples = %d, want 0 (counters-only path)", n)
-	}
-}
-
-// TestObserveBatchMatchesSerial: a single ObserveBatch call must leave
-// the counter block byte-identical to the equivalent sequence of
-// ObserveAccess calls — the invariant the batched shard access path
-// rests on.
-func TestObserveBatchMatchesSerial(t *testing.T) {
-	serial, batched := New(2), New(2)
-	accesses := []struct {
-		size int64
-		hit  bool
-	}{{100, false}, {100, true}, {50, false}, {100, true}, {70, false}}
-	var n, hits, bytesReq, bytesHit int64
-	used, ev := int64(320), int64(2) // arbitrary final gauge values
-	for i, a := range accesses {
-		// The serial path stores intermediate gauge values; only the
-		// final store survives, which is what ObserveBatch replicates.
-		serial.ObserveAccess(1, a.size, a.hit, int64(10*i), int64(i))
-		n++
-		bytesReq += a.size
-		if a.hit {
-			hits++
-			bytesHit += a.size
-		}
-	}
-	serial.Shard(1).UsedBytes.Store(used)
-	serial.Shard(1).Evictions.Store(ev)
-	batched.ObserveBatch(1, n, hits, bytesReq, bytesHit, used, ev)
-	if s, b := serial.Snapshot(), batched.Snapshot(); s.Shards[1] != b.Shards[1] {
-		t.Fatalf("batched counters diverge:\nserial  %+v\nbatched %+v", s.Shards[1], b.Shards[1])
 	}
 }
 
