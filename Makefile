@@ -74,10 +74,11 @@ examples:
 docs-check:
 	$(GO) test -run 'TestDocsLinks|TestPackageDocs' .
 
-# Short fuzz passes over all seven Fuzz* targets: scip-serve's query
+# Short fuzz passes over all eight Fuzz* targets: scip-serve's query
 # scanner (diffed against url.ParseQuery), the cache's open-addressing
-# index (diffed against a plain map) and ghost history (structural
-# invariants after every operation), the three trace readers (CSV,
+# index (diffed against a plain map), ghost history and the store a cache
+# shares with its policy's ghost lists (structural invariants after every
+# operation), the three trace readers (CSV,
 # binary, LRB: corrupt input must never panic them), and the workload
 # generator (any config Validate accepts must generate a well-formed
 # trace).
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzIndexVsMap$$' -fuzztime 10s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 10s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzSharedStore$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadLRB$$' -fuzztime 10s

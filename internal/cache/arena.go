@@ -158,3 +158,18 @@ func (a *Arena) checkLive(h Handle) {
 		panic("cache: At of freed entry")
 	}
 }
+
+// checkIndexed panics unless h, which an index lookup of key returned,
+// names a live entry that holds key and sits in one of this arena's
+// queues: an index slot must never lead to a detached, freed or recycled
+// entry. Compiled in only under the scipdebug build tag.
+func (a *Arena) checkIndexed(h Handle, key uint64) {
+	a.checkLive(h)
+	e := a.dir.at(h)
+	if e.Key != key {
+		panic("cache: index maps a key to an entry holding another key")
+	}
+	if e.owner <= 0 || e.owner > a.nq {
+		panic("cache: index maps a key to an entry in no queue")
+	}
+}

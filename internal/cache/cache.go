@@ -95,6 +95,10 @@ type EvictInfo struct {
 	EverHit bool
 	// Residency reports how the victim's final residency began.
 	Residency Residency
+	// Handle is the victim's entry in the evicting cache's arena,
+	// detached but still indexed while OnEvict runs. Only a History in
+	// that cache's store reads it; hosts that offer no store leave it zero.
+	Handle Handle
 }
 
 // InsertionPolicy decides where missing and hit objects are placed in an
@@ -128,4 +132,18 @@ type ResidencyObserver interface {
 	// describe the residency that produced the hit; hits is the number
 	// of hits in this residency including this one.
 	OnResidentHit(req Request, insertedMRU bool, res Residency, hits int)
+}
+
+// StoreSharer is an optional extension of InsertionPolicy. A QueueCache
+// offers its own arena and index to a policy that implements it, to build
+// its ghost lists in (NewSharedHistory): one probe then answers both
+// "resident?" and "ghost?", and an evicted entry moves to a ghost list
+// (History.AddEvicted) instead of being freed and copied. A bound policy
+// must delete a missed key's ghost in OnAccess, before the cache inserts
+// the key.
+type StoreSharer interface {
+	// ShareStore binds the policy's ghost lists to a and x, dropping any
+	// records it held. A nil a unbinds: the policy frees every ghost it
+	// kept in the store and goes back to private lists.
+	ShareStore(a *Arena, x *Index)
 }

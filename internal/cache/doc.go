@@ -9,5 +9,6 @@
 // Access reports hit/miss and performs all bookkeeping), QueueCache (the
 // generic byte-accounted queue every queue-based policy builds on, with
 // optional Remover invalidation), and History (the FIFO shadow lists SCIP
-// learns from).
+// learns from, kept in its QueueCache's own arena and index through the
+// optional StoreSharer interface).
 package cache

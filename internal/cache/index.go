@@ -115,25 +115,36 @@ func (x *Index) Put(key uint64, h Handle) {
 
 // Delete removes key, returning its handle and whether it was present.
 func (x *Index) Delete(key uint64) (Handle, bool) {
-	if len(x.slots) == 0 {
+	i, h := x.find(key)
+	if h == None {
 		return None, false
+	}
+	x.removeAt(i)
+	return h, true
+}
+
+// find returns the slot holding key and its handle, or None, so a caller
+// can inspect the entry before deleting it (removeAt) in the same probe.
+func (x *Index) find(key uint64) (uint64, Handle) {
+	if len(x.slots) == 0 {
+		return 0, None
 	}
 	slots := x.slots
 	mask := uint64(len(slots)) - 1
 	i := indexSlot(key, x.shift)
 	for {
 		s := &slots[i]
-		if s.val == None {
-			return None, false
-		}
-		if s.key == key {
-			v := s.val
-			x.backshift(i)
-			x.n--
-			return v, true
+		if s.val == None || s.key == key {
+			return i, s.val
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// removeAt deletes the mapping find returned slot i for.
+func (x *Index) removeAt(i uint64) {
+	x.backshift(i)
+	x.n--
 }
 
 // grow rehashes every entry into a table of twice the size.

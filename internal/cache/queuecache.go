@@ -10,7 +10,9 @@ package cache
 // The data plane is pointer-free: entries live in the chunks of an arena,
 // linked by int32 handles, and the key index is an open-addressing table
 // of scalars (see Arena and Index), so resident metadata contributes no
-// GC scan work regardless of object count.
+// GC scan work regardless of object count. A StoreSharer policy keeps
+// its ghost lists in the same arena and index, so an indexed entry is
+// resident only when its owner is the cache's own queue.
 type QueueCache struct {
 	name  string
 	cap   int64
@@ -18,17 +20,19 @@ type QueueCache struct {
 	q     Queue
 	index Index
 	ins   InsertionPolicy
-	// resObs is ins's ResidencyObserver side, asserted once at
-	// construction/SetInsertion time so the per-hit path carries no type
-	// assertion.
+	// resObs and sharer are ins's ResidencyObserver and StoreSharer
+	// sides, asserted once at construction/SetInsertion time so the
+	// per-request path carries no type assertion.
 	resObs ResidencyObserver
+	sharer StoreSharer
 	// evictions counts objects evicted since construction.
 	evictions int64
 
 	// EvictHook, when non-nil, observes every eviction (used by the ZRO
-	// analyzer and tests). The entry is valid for the duration of the
-	// call: the victim's handle is freed when the hook returns, and a
-	// later insertion recycles its slot.
+	// analyzer and tests), after the insertion policy's OnEvict. The
+	// entry is valid for the duration of the call only: a victim no ghost
+	// list adopted is freed when the hook returns, an adopted one is a
+	// ghost record from then on.
 	EvictHook func(e *Entry)
 }
 
@@ -89,21 +93,42 @@ func (c *QueueCache) Evictions() int64 { return c.evictions }
 
 // Contains reports whether key is cached without touching recency state.
 func (c *QueueCache) Contains(key uint64) bool {
-	return c.index.Get(key) != None
+	return c.resident(c.index.Get(key), key)
+}
+
+// resident reports whether h, found by an index lookup of key, is one of
+// the cache's own entries rather than None or a ghost.
+func (c *QueueCache) resident(h Handle, key uint64) bool {
+	if h == None {
+		return false
+	}
+	if handleChecks {
+		c.arena.checkIndexed(h, key)
+	}
+	return c.arena.dir.at(h).owner == c.q.id
 }
 
 // SetInsertion hot-swaps the insertion/promotion policy, as the paper's
 // TDC deployment did ("we have merely replaced LRU's insertion policy
 // with SCIP"). Resident entries keep their marks; nil restores plain LRU.
+// The outgoing policy's ghosts in the cache's store are freed, and an
+// incoming StoreSharer is offered the store.
 func (c *QueueCache) SetInsertion(ins InsertionPolicy) {
+	if c.sharer != nil {
+		c.sharer.ShareStore(nil, nil)
+	}
 	c.ins = ins
 	c.resObs, _ = ins.(ResidencyObserver)
+	c.sharer, _ = ins.(StoreSharer)
+	if c.sharer != nil {
+		c.sharer.ShareStore(&c.arena, &c.index)
+	}
 }
 
 // Access implements Policy.
 func (c *QueueCache) Access(req Request) bool {
 	h := c.index.Get(req.Key)
-	hit := h != None
+	hit := c.resident(h, req.Key)
 	if c.ins != nil {
 		c.ins.OnAccess(req, hit)
 	}
@@ -164,6 +189,9 @@ func (c *QueueCache) insert(req Request) {
 		pos = c.ins.ChooseInsert(req)
 	}
 	c.place(h, e, pos)
+	if handleChecks && c.index.Get(req.Key) != None {
+		panic("cache: insert of a key still indexed (a ghost its policy kept)")
+	}
 	c.index.Put(req.Key, h)
 }
 
@@ -184,7 +212,6 @@ func (c *QueueCache) evictOne() {
 	}
 	victim := c.arena.At(h)
 	c.q.Remove(h)
-	c.index.Delete(victim.Key)
 	c.evictions++
 	if c.ins != nil {
 		c.ins.OnEvict(EvictInfo{
@@ -193,25 +220,32 @@ func (c *QueueCache) evictOne() {
 			InsertedMRU: victim.InsertedMRU,
 			EverHit:     victim.Hits > 0,
 			Residency:   victim.Residency,
+			Handle:      h,
 		})
 	}
 	if c.EvictHook != nil {
 		c.EvictHook(victim)
 	}
-	// Recycle after the hooks have seen the victim's final state.
-	c.arena.Free(h)
+	// Unindex and recycle after the hooks have seen the victim's final
+	// state, unless a ghost list sharing the store adopted it.
+	if victim.owner == 0 {
+		c.index.Delete(victim.Key)
+		c.arena.Free(h)
+	}
 }
 
 // Remove implements Remover: it drops key from the cache if present.
 // Unlike an eviction it leaves the insertion policy's learning state
 // untouched (no OnEvict, no history-list entry, no eviction count): an
 // invalidation says nothing about whether the placement decision was
-// good. A later access to the key is an ordinary miss.
+// good. A later access to the key is an ordinary miss. A ghost in the
+// shared store is not cached, so Remove leaves it alone.
 func (c *QueueCache) Remove(key uint64) bool {
-	h, ok := c.index.Delete(key)
-	if !ok {
+	i, h := c.index.find(key)
+	if !c.resident(h, key) {
 		return false
 	}
+	c.index.removeAt(i)
 	c.q.Remove(h)
 	c.arena.Free(h)
 	return true

@@ -196,6 +196,7 @@ type SCIP struct {
 	rng         *rand.Rand
 	interval    int
 	historyFrac float64
+	histCap     int64 // byte budget of each of H_m and H_l
 	initW       float64
 	promoteMRU  bool
 	unified     bool
@@ -232,6 +233,7 @@ type SCIP struct {
 var (
 	_ cache.InsertionPolicy   = (*SCIP)(nil)
 	_ cache.ResidencyObserver = (*SCIP)(nil)
+	_ cache.StoreSharer       = (*SCIP)(nil)
 )
 
 // New returns a SCIP insertion policy for a cache of capBytes capacity.
@@ -254,9 +256,9 @@ func New(capBytes int64, opts ...Option) *SCIP {
 	// hard-coded source) so every replay is a pure function of the
 	// configuration.
 	s.rng = rand.New(rand.NewSource(s.seed))
-	hb := int64(s.historyFrac * float64(capBytes))
-	s.hm = cache.NewHistory(hb)
-	s.hl = cache.NewHistory(hb)
+	s.histCap = int64(s.historyFrac * float64(capBytes))
+	s.hm = cache.NewHistory(s.histCap)
+	s.hl = cache.NewHistory(s.histCap)
 	s.insW = newWeightSet(s.initW)
 	if s.unified {
 		s.proW = s.insW
@@ -398,7 +400,7 @@ func (s *SCIP) ChoosePromote(req cache.Request) cache.Position {
 // ω_m additionally decays by evictGain × λ.
 func (s *SCIP) OnEvict(ev cache.EvictInfo) {
 	if ev.InsertedMRU {
-		s.hm.Add(ev.Key, ev.Size, ev.Residency)
+		s.hm.AddEvicted(ev)
 		gain := s.evictGain
 		if ev.Residency == cache.ResFirstHit {
 			gain = DefaultPromoteEvictGain
@@ -409,7 +411,7 @@ func (s *SCIP) OnEvict(ev cache.EvictInfo) {
 			}
 		}
 	} else {
-		s.hl.Add(ev.Key, ev.Size, ev.Residency)
+		s.hl.AddEvicted(ev)
 	}
 }
 
@@ -451,6 +453,22 @@ func (s *SCIP) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Resi
 	if w := s.context(res); w != nil {
 		w.decay(req.Size, 1, gain*s.rate.Lambda)
 	}
+}
+
+// ShareStore implements cache.StoreSharer: H_m and H_l are rebuilt in
+// the host cache's arena and index, with the same budgets, so SCIP
+// decides as with private lists. A nil arena frees the ghosts kept in the
+// host and returns to private lists.
+func (s *SCIP) ShareStore(a *cache.Arena, x *cache.Index) {
+	s.hm.Clear()
+	s.hl.Clear()
+	if a == nil {
+		s.hm = cache.NewHistory(s.histCap)
+		s.hl = cache.NewHistory(s.histCap)
+		return
+	}
+	s.hm = cache.NewSharedHistory(s.histCap, a, x)
+	s.hl = cache.NewSharedHistory(s.histCap, a, x)
 }
 
 // HistorySizes reports the current byte occupancy of H_m and H_l.
