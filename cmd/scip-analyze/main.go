@@ -35,20 +35,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	f, err := os.Open(*tracePath)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	var tr *trace.Trace
-	switch {
-	case *csv:
-		tr, err = trace.ReadCSV(f, *tracePath)
-	case *lrbFmt:
-		tr, err = trace.ReadLRB(f, *tracePath)
-	default:
-		tr, err = trace.ReadBinary(f, *tracePath)
-	}
+	tr, err := trace.Load(*tracePath, *csv, *lrbFmt)
 	if err != nil {
 		fail(err)
 	}
@@ -61,8 +48,8 @@ func main() {
 		100*sum.PZROFrac(), sum.PZROs, sum.Hits, 100*sum.APZROFrac())
 	if *oracle {
 		fmt.Printf("oracle: mr(ZRO)=%.4f mr(P-ZRO)=%.4f mr(both)=%.4f\n",
-			zro.OracleReplay(tr, capBytes, true, false, 1, 0),
-			zro.OracleReplay(tr, capBytes, false, true, 1, 0),
-			zro.OracleReplay(tr, capBytes, true, true, 1, 0))
+			zro.OracleReplay(tr, capBytes, true, false, 1),
+			zro.OracleReplay(tr, capBytes, false, true, 1),
+			zro.OracleReplay(tr, capBytes, true, true, 1))
 	}
 }

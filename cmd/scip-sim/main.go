@@ -44,20 +44,7 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("bad -cache: %w", err))
 	}
-	f, err := os.Open(*tracePath)
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	var tr *trace.Trace
-	switch {
-	case *csv:
-		tr, err = trace.ReadCSV(f, *tracePath)
-	case *lrbFmt:
-		tr, err = trace.ReadLRB(f, *tracePath)
-	default:
-		tr, err = trace.ReadBinary(f, *tracePath)
-	}
+	tr, err := trace.Load(*tracePath, *csv, *lrbFmt)
 	if err != nil {
 		fail(err)
 	}

@@ -43,5 +43,5 @@ func main() {
 	for _, r := range rows {
 		fmt.Printf("%-8s %9.2f%% %9.2f%%\n", r.name, 100*r.res.MissRatio(), 100*r.res.ByteMissRatio())
 	}
-	fmt.Printf("%-8s %9.2f%%  (offline optimal)\n", "Belady", 100*scip.BeladyMissRatio(tr, capBytes))
+	fmt.Printf("%-8s %9.2f%%  (object MIN, sized, whole trace: not a bound)\n", "Belady", 100*scip.BeladyMissRatio(tr, capBytes))
 }

@@ -27,5 +27,5 @@ func main() {
 
 	fmt.Printf("LRU   miss ratio: %6.2f%% (byte: %6.2f%%)\n", 100*lru.MissRatio(), 100*lru.ByteMissRatio())
 	fmt.Printf("SCIP  miss ratio: %6.2f%% (byte: %6.2f%%)\n", 100*sc.MissRatio(), 100*sc.ByteMissRatio())
-	fmt.Printf("Belady lower bound: %6.2f%%\n", 100*scip.BeladyMissRatio(tr, capBytes))
+	fmt.Printf("Belady (object MIN, sized, whole trace): %6.2f%%\n", 100*scip.BeladyMissRatio(tr, capBytes))
 }

@@ -36,9 +36,6 @@ type Cache struct {
 	i     int
 	index map[uint64]*bentry
 	h     maxHeap
-
-	evictedDistances int64
-	evictions        int64
 }
 
 var _ cache.Policy = (*Cache)(nil)
@@ -110,40 +107,10 @@ func (c *Cache) Access(req cache.Request) bool {
 		heap.Pop(&c.h)
 		delete(c.index, victim.key)
 		c.bytes -= victim.size
-		if victim.nextUse != infinity {
-			c.evictedDistances += victim.nextUse - int64(i)
-			c.evictions++
-		}
 	}
 	e := &bentry{key: req.Key, size: req.Size, nextUse: nu}
 	heap.Push(&c.h, e)
 	c.index[req.Key] = e
 	c.bytes += req.Size
 	return false
-}
-
-// BoundaryEstimate returns the mean forward distance of Belady's evicted
-// (finite-distance) victims — the "Belady boundary" LRB relaxes: objects
-// whose next use lies beyond it are safe eviction candidates.
-func (c *Cache) BoundaryEstimate() int64 {
-	if c.evictions == 0 {
-		return int64(len(c.next))
-	}
-	return c.evictedDistances / c.evictions
-}
-
-// MissRatio replays tr through a fresh Belady cache and returns the miss
-// ratio (convenience for the experiment harness).
-func MissRatio(tr *trace.Trace, capBytes int64) float64 {
-	c := New(tr, capBytes)
-	misses := 0
-	for _, r := range tr.Requests {
-		if !c.Access(r) {
-			misses++
-		}
-	}
-	if len(tr.Requests) == 0 {
-		return 0
-	}
-	return float64(misses) / float64(len(tr.Requests))
 }

@@ -74,7 +74,7 @@ func TestBeladyBeatsLRUAndHeuristics(t *testing.T) {
 	}
 	capBytes := int64(200_000)
 	lru := sim.Run(tr, cache.NewLRU(capBytes), sim.Options{})
-	bel := MissRatio(tr, capBytes)
+	bel := sim.Run(tr, New(tr, capBytes), sim.Options{}).MissRatio()
 	if bel >= lru.MissRatio() {
 		t.Fatalf("Belady %.4f >= LRU %.4f", bel, lru.MissRatio())
 	}
@@ -102,9 +102,6 @@ func TestBeladyCapacityInvariant(t *testing.T) {
 		if c.Used() > capBytes {
 			t.Fatalf("capacity exceeded at %d", i)
 		}
-	}
-	if c.BoundaryEstimate() <= 0 {
-		t.Fatal("boundary estimate not positive")
 	}
 }
 

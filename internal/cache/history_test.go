@@ -137,8 +137,8 @@ func checkHistoryInvariants(t *testing.T, h *History) {
 	if h.Bytes() > h.cap && h.cap > 0 {
 		t.Fatalf("byte budget exceeded: %d > %d", h.Bytes(), h.cap)
 	}
-	if h.Len() != h.index.Len() {
-		t.Fatalf("queue length %d != index size %d", h.Len(), h.index.Len())
+	if h.Len() != h.index.n {
+		t.Fatalf("queue length %d != index size %d", h.Len(), h.index.n)
 	}
 	var bytes int64
 	n := 0
@@ -297,8 +297,8 @@ func FuzzHistory(f *testing.F) {
 			if h.Bytes() > capBytes && capBytes > 0 {
 				t.Fatalf("budget exceeded: %d > %d", h.Bytes(), capBytes)
 			}
-			if h.Len() != h.index.Len() {
-				t.Fatalf("queue/index disagree: %d vs %d", h.Len(), h.index.Len())
+			if h.Len() != h.index.n {
+				t.Fatalf("queue/index disagree: %d vs %d", h.Len(), h.index.n)
 			}
 		}
 	})

@@ -59,9 +59,6 @@ func (x *Index) alloc(bits uint8) {
 	x.n = 0
 }
 
-// Len returns the number of keys present.
-func (x *Index) Len() int { return x.n }
-
 // Get returns the handle for key, or None. Get never mutates the index,
 // so concurrent readers under the caller's read lock stay safe.
 func (x *Index) Get(key uint64) Handle {

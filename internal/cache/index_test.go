@@ -10,8 +10,8 @@ import (
 // exactly once and nothing else.
 func checkIndexAgainst(t *testing.T, x *Index, ref map[uint64]Handle) {
 	t.Helper()
-	if x.Len() != len(ref) {
-		t.Fatalf("Len = %d, ref has %d", x.Len(), len(ref))
+	if x.n != len(ref) {
+		t.Fatalf("n = %d, ref has %d", x.n, len(ref))
 	}
 	for k, v := range ref {
 		if got := x.Get(k); got != v {

@@ -80,11 +80,11 @@ func liveSlots(a *Arena) int {
 // keys below universe.
 func checkSharedStore(t *testing.T, step int, c *QueueCache, p *sharingPolicy, universe uint64) {
 	t.Helper()
-	if want := c.Len() + p.hm.Len() + p.hl.Len(); c.index.Len() != want {
-		t.Fatalf("step %d: index holds %d keys, residents+H_m+H_l = %d", step, c.index.Len(), want)
+	if want := c.Len() + p.hm.Len() + p.hl.Len(); c.index.n != want {
+		t.Fatalf("step %d: index holds %d keys, residents+H_m+H_l = %d", step, c.index.n, want)
 	}
-	if live := liveSlots(&c.arena); live != c.index.Len() {
-		t.Fatalf("step %d: %d live arena slots, %d indexed", step, live, c.index.Len())
+	if live := liveSlots(&c.arena); live != c.index.n {
+		t.Fatalf("step %d: %d live arena slots, %d indexed", step, live, c.index.n)
 	}
 	if p.hm.Bytes() > p.histCap || p.hl.Bytes() > p.histCap {
 		t.Fatalf("step %d: ghost bytes %d/%d over budget %d", step, p.hm.Bytes(), p.hl.Bytes(), p.histCap)

@@ -15,6 +15,7 @@ import (
 
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/gen"
+	"github.com/scip-cache/scip/internal/httpx"
 	"github.com/scip-cache/scip/internal/server"
 	"github.com/scip-cache/scip/internal/stats"
 	"github.com/scip-cache/scip/internal/trace"
@@ -66,7 +67,7 @@ func startFleetNode(t *testing.T, cfg server.Config, l net.Listener) *fleetNode 
 		cancel: cancel,
 		done:   make(chan error, 1),
 	}
-	go func() { n.done <- s.Serve(ctx, l, 10*time.Second) }()
+	go func() { n.done <- httpx.Serve(ctx, l, s.Handler(), 10*time.Second) }()
 	t.Cleanup(func() {
 		n.stop(t)
 		s.Close()

@@ -25,7 +25,6 @@ import (
 // "restart with a new node list".
 type Ring struct {
 	nodes  []string
-	vnodes int
 	points []ringPoint // sorted by (hash, node)
 }
 
@@ -75,7 +74,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		nodes:  append([]string(nil), nodes...),
-		vnodes: vnodes,
 		points: make([]ringPoint, 0, len(nodes)*vnodes),
 	}
 	for i, n := range r.nodes {
@@ -97,9 +95,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 // Nodes returns the node identities in construction order (the index
 // space Lookup and ReplicasInto report in).
 func (r *Ring) Nodes() []string { return r.nodes }
-
-// VNodes returns the virtual-node count per node.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // KeyHash is the position of key on the circle. Keys are mixed through
 // SplitMix64 rather than placed raw so dense key spaces (trace keys are

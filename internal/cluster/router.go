@@ -40,9 +40,6 @@ type RouterConfig struct {
 	// HotMin is the sketch estimate a key needs before it can enter the
 	// hot set (default 64 observations).
 	HotMin int
-	// SketchWidth is the per-row counter width of the frequency sketch
-	// (default 4096).
-	SketchWidth int
 
 	// NodeTimeout bounds each proxied attempt (default 2s).
 	NodeTimeout time.Duration
@@ -77,9 +74,6 @@ func (cfg RouterConfig) withDefaults() RouterConfig {
 	}
 	if cfg.HotMin <= 0 {
 		cfg.HotMin = 64
-	}
-	if cfg.SketchWidth <= 0 {
-		cfg.SketchWidth = 4096
 	}
 	if cfg.NodeTimeout == 0 {
 		cfg.NodeTimeout = 2 * time.Second
@@ -141,9 +135,12 @@ const (
 	mDelete
 )
 
+// sketchWidth is the per-row counter width of the router's frequency
+// sketch.
+const sketchWidth = 4096
+
 // NewRouter validates cfg, builds the ring and registry and returns a
-// ready Router. Call Watch (or Serve, which does it for you) to start
-// the background health loop.
+// ready Router. ListenAndServe starts the background health loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
@@ -154,7 +151,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:          cfg,
 		ring:         ring,
 		reg:          NewRegistry(cfg.Nodes, cfg.FailThreshold, cfg.Client),
-		hot:          NewHotKeys(cfg.HotK, uint32(cfg.HotMin), cfg.SketchWidth),
+		hot:          NewHotKeys(cfg.HotK, uint32(cfg.HotMin), sketchWidth),
 		start:        time.Now(), // uptime metadata for /metrics and /statusz, never a routing decision input
 		nodeRequests: make([]atomic.Int64, len(cfg.Nodes)),
 		nodeErrors:   make([]atomic.Int64, len(cfg.Nodes)),
@@ -167,9 +164,6 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 
 // Registry returns the router's health registry.
 func (rt *Router) Registry() *Registry { return rt.reg }
-
-// HotKeys returns the router's hot-key tracker.
-func (rt *Router) HotKeys() *HotKeys { return rt.hot }
 
 // Requests returns the routed object-request total plus the failover and
 // unroutable counts — the interval report line's inputs.
@@ -517,16 +511,10 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// Serve serves the router on l until ctx is cancelled, with the
-// background health loop running alongside, then drains in-flight
-// requests for up to drain (see httpx.Serve). Same contract as
-// server.Serve so the two binaries wire identically.
-func (rt *Router) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	return httpx.Serve(ctx, l, rt.Handler(), drain, rt.watch)
-}
-
-// ListenAndServe serves the router on addr; ready, when non-nil,
-// receives the bound address (see httpx.ListenAndServe).
+// ListenAndServe serves the router on addr until ctx is cancelled, with
+// the background health loop running alongside, then drains in-flight
+// requests for up to drain; ready, when non-nil, receives the bound
+// address (see httpx.ListenAndServe).
 func (rt *Router) ListenAndServe(ctx context.Context, addr string, drain time.Duration, ready chan<- net.Addr) error {
 	return httpx.ListenAndServe(ctx, addr, rt.Handler(), drain, ready, rt.watch)
 }

@@ -165,7 +165,7 @@ func TestRouterHotReplication(t *testing.T) {
 			t.Fatalf("GET %d: status %d", i, rec.Code)
 		}
 	}
-	if !rt.HotKeys().Hot(key) {
+	if !rt.hot.Hot(key) {
 		t.Fatal("hammered key never went hot")
 	}
 	for _, n := range set {

@@ -189,6 +189,3 @@ func (h *HotKeys) Members() []uint64 {
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
-
-// Estimate exposes the backing sketch's estimate for key.
-func (h *HotKeys) Estimate(key uint64) uint32 { return h.sketch.Estimate(key) }

@@ -159,11 +159,11 @@ func TestForEnhancementPreset(t *testing.T) {
 
 func TestEvictGainRoutesToPromotionContext(t *testing.T) {
 	s := New(1<<20, WithSeed(2))
-	p0 := s.PromoteMRUWeight()
+	p0 := s.proW.global.Weight(0)
 	// Set a hit-size baseline so sizeFactor is defined.
 	s.OnAccess(cache.Request{Key: 9, Size: 1 << 12}, true)
 	s.OnEvict(cache.EvictInfo{Key: 1, Size: 1 << 12, InsertedMRU: true, Residency: cache.ResFirstHit})
-	if s.PromoteMRUWeight() >= p0 {
+	if s.proW.global.Weight(0) >= p0 {
 		t.Fatal("wasted promotion did not decay promotion context")
 	}
 }
@@ -189,9 +189,9 @@ func TestHistoryRecordsResidency(t *testing.T) {
 	s := New(1 << 20)
 	s.OnEvict(cache.EvictInfo{Key: 7, Size: 100, InsertedMRU: false, Residency: cache.ResFirstHit})
 	// The H_l record must carry the residency so the rescue trains proW.
-	p0 := s.PromoteMRUWeight()
+	p0 := s.proW.global.Weight(0)
 	s.OnAccess(cache.Request{Key: 7, Size: 100}, false)
-	if s.PromoteMRUWeight() <= p0 {
+	if s.proW.global.Weight(0) <= p0 {
 		t.Fatal("H_l rescue of a demoted first-hit did not protect proW")
 	}
 }

@@ -30,8 +30,7 @@ func TestNewDefaults(t *testing.T) {
 	if s.Lambda() != 0.3 {
 		t.Fatalf("initial λ = %g, want 0.3", s.Lambda())
 	}
-	hm, hl := s.HistorySizes()
-	if hm != 0 || hl != 0 {
+	if s.hm.Bytes() != 0 || s.hl.Bytes() != 0 {
 		t.Fatal("history lists not empty initially")
 	}
 }
@@ -42,8 +41,7 @@ func TestHistoryFractionSizesLists(t *testing.T) {
 	for k := uint64(0); k < 20; k++ {
 		s.OnEvict(cache.EvictInfo{Key: k, Size: 100, InsertedMRU: true, EverHit: false})
 	}
-	hm, _ := s.HistorySizes()
-	if hm > 500 {
+	if hm := s.hm.Bytes(); hm > 500 {
 		t.Fatalf("H_m bytes = %d, want <= 500", hm)
 	}
 }
@@ -52,8 +50,7 @@ func TestEvictRouting(t *testing.T) {
 	s := New(10000)
 	s.OnEvict(cache.EvictInfo{Key: 1, Size: 100, InsertedMRU: true, EverHit: false})
 	s.OnEvict(cache.EvictInfo{Key: 2, Size: 100, InsertedMRU: false, EverHit: true})
-	hm, hl := s.HistorySizes()
-	if hm != 100 || hl != 100 {
+	if hm, hl := s.hm.Bytes(), s.hl.Bytes(); hm != 100 || hl != 100 {
 		t.Fatalf("history sizes = %d,%d, want 100,100", hm, hl)
 	}
 }

@@ -151,11 +151,11 @@ func TestSharedStoreDecidesLikePrivateLists(t *testing.T) {
 					t.Fatal("no ghost was ever recorded")
 				}
 				a, b := shared.s, private.s
-				got := []float64{a.MRUWeight(), a.PromoteMRUWeight(), a.Lambda()}
-				want := []float64{b.MRUWeight(), b.PromoteMRUWeight(), b.Lambda()}
+				got := []float64{a.MRUWeight(), a.proW.global.Weight(0), a.Lambda()}
+				want := []float64{b.MRUWeight(), b.proW.global.Weight(0), b.Lambda()}
 				for c := 0; c < numSizeClasses; c++ {
-					got = append(got, a.ClassMRUWeight(1<<(c+5)), a.proW.pick(1<<(c+5)).Weight(0))
-					want = append(want, b.ClassMRUWeight(1<<(c+5)), b.proW.pick(1<<(c+5)).Weight(0))
+					got = append(got, a.insW.pick(1<<(c+5)).Weight(0), a.proW.pick(1<<(c+5)).Weight(0))
+					want = append(want, b.insW.pick(1<<(c+5)).Weight(0), b.proW.pick(1<<(c+5)).Weight(0))
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("final ω/λ %v with a shared store, %v without", got, want)

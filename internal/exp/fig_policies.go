@@ -82,31 +82,13 @@ func runMissRatio(cfg Config, p gen.Profile, capBytes int64, b policyBuilder) (f
 	return mean(mrs), nil
 }
 
-// beladyMR computes Belady's miss ratio over the post-warmup region.
-func beladyMR(tr *trace.Trace, c cache.Policy) float64 {
-	warm := int(0.2 * float64(len(tr.Requests)))
-	hits, total := 0, 0
-	for i, r := range tr.Requests {
-		h := c.Access(r)
-		if i >= warm {
-			total++
-			if h {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(hits)/float64(total)
-}
-
 // missCell returns a job computing one (profile, builder) miss-ratio cell.
 func missCell(cfg Config, p gen.Profile, capBytes int64, b policyBuilder) func() (float64, error) {
 	return func() (float64, error) { return runMissRatio(cfg, p, capBytes, b) }
 }
 
-// beladyCell returns a job computing Belady's miss ratio for a profile.
+// beladyCell returns a job computing the Belady column (object MIN,
+// sized) for a profile.
 func beladyCell(cfg Config, p gen.Profile, capBytes int64) func() (float64, error) {
 	return func() (float64, error) {
 		tr, err := getTrace(p, cfg.Scale, cfg.Seeds[0])
@@ -117,7 +99,7 @@ func beladyCell(cfg Config, p gen.Profile, capBytes int64) func() (float64, erro
 		if err != nil {
 			return 0, err
 		}
-		return beladyMR(tr, build(registry.Env{Capacity: capBytes})), nil
+		return sim.Run(tr, build(registry.Env{Capacity: capBytes}), sim.Options{WarmupFrac: 0.2}).MissRatio(), nil
 	}
 }
 

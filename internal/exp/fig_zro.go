@@ -94,8 +94,8 @@ func runFig1(cfg Config) error {
 				_, sum := zro.Analyze(tr, capBytes)
 				return fig1Cell{
 					sum:    sum,
-					zroMR:  zro.OracleReplay(tr, capBytes, true, false, 1, 0),
-					pzroMR: zro.OracleReplay(tr, capBytes, false, true, 1, 0),
+					zroMR:  zro.OracleReplay(tr, capBytes, true, false, 1),
+					pzroMR: zro.OracleReplay(tr, capBytes, false, true, 1),
 				}, nil
 			})
 		}
@@ -137,9 +137,9 @@ func runFig3(cfg Config) error {
 				}
 				capBytes := int64(0.05 * float64(tr.ComputeStats().WorkingSetSize)) // size C, mid panel
 				return [3]float64{
-					zro.OracleReplay(tr, capBytes, true, false, f, 0),
-					zro.OracleReplay(tr, capBytes, false, true, f, 0),
-					zro.OracleReplay(tr, capBytes, true, true, f, 0),
+					zro.OracleReplay(tr, capBytes, true, false, f),
+					zro.OracleReplay(tr, capBytes, false, true, f),
+					zro.OracleReplay(tr, capBytes, true, true, f),
 				}, nil
 			})
 		}

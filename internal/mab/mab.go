@@ -62,15 +62,12 @@ func (t *TwoExpert) Decay(arm int, lambda float64) {
 // called once per learning interval with the interval's average hit rate
 // Π_t; it adjusts λ by the quotient of the hit-rate change and the
 // previous λ change (a stochastic hill-climbing step), and performs a
-// random restart after RestartAfter consecutive non-improving stagnant
+// random restart after restartAfter consecutive strictly degrading
 // intervals.
 type AdaptiveRate struct {
-	// Lambda is λ_{t−i}, the rate currently in force.
+	// Lambda is λ_{t−i}, the rate currently in force, within
+	// [minLambda, maxLambda].
 	Lambda float64
-	// Min and Max clamp λ (paper: 0.001 and 1).
-	Min, Max float64
-	// RestartAfter is the unlearnCount threshold (paper: 10).
-	RestartAfter int
 	// Rand supplies uniform variates in [0,1) for random restarts.
 	Rand func() float64
 
@@ -89,19 +86,22 @@ type AdaptiveRate struct {
 // toward a bound under pure stagnation.
 const ProbeFrac = 0.05
 
-// NewAdaptiveRate returns a controller with the paper's defaults except
-// for the λ floor: the paper's 0.001 effectively freezes all weight
-// adaptation when the hill climber wanders to the bound (the gradient of
-// the interval hit rate with respect to λ is noise-dominated), so the
-// floor is raised to keep the bandit responsive; the ablation benchmark
-// compares both.
+// The controller's bounds are the paper's except for the λ floor: the
+// paper's 0.001 effectively freezes all weight adaptation when the hill
+// climber wanders to the bound (the gradient of the interval hit rate
+// with respect to λ is noise-dominated), so the floor is raised to keep
+// the bandit responsive.
+const (
+	minLambda    = 0.05 // paper: 0.001
+	maxLambda    = 1.0
+	restartAfter = 10 // the paper's unlearnCount threshold
+)
+
+// NewAdaptiveRate returns a controller starting at λ = 0.3.
 func NewAdaptiveRate(rand func() float64) *AdaptiveRate {
 	return &AdaptiveRate{
-		Lambda:       0.3,
-		Min:          0.05,
-		Max:          1,
-		RestartAfter: 10,
-		Rand:         rand,
+		Lambda: 0.3,
+		Rand:   rand,
 		// Seed λ_{t−2i} slightly away from λ₀ so the first update has a
 		// non-zero δ and hill climbing starts immediately.
 		prevLambda: 0.3 * 0.9,
@@ -132,23 +132,23 @@ func (a *AdaptiveRate) Update(hitRate float64) float64 {
 			ratio = -1
 		}
 		if ratio > 0 {
-			newLambda = math.Min(a.Lambda+a.Lambda*ratio, a.Max)
+			newLambda = math.Min(a.Lambda+a.Lambda*ratio, maxLambda)
 		} else {
-			newLambda = math.Max(a.Lambda+a.Lambda*ratio, a.Min)
+			newLambda = math.Max(a.Lambda+a.Lambda*ratio, minLambda)
 		}
 	} else {
 		// No gradient to follow: probe. A zero δ would otherwise
 		// propagate forever (λ_t == λ_{t−i} ⇒ δ_{t+i} == 0).
 		newLambda = a.probe()
 	}
-	// Random restart after RestartAfter consecutive strictly degrading
+	// Random restart after restartAfter consecutive strictly degrading
 	// intervals ("if the performance keeps degrading, we reset the
 	// learning rate", Algorithm 2 lines 10–15). A merely equal hit rate
 	// is stagnation, not degradation — the probe handles it — so only
 	// strict decreases (or a dead cache, Π_t == 0) advance the counter.
 	if hitRate == 0 || delta < 0 {
 		a.unlearn++
-		if a.unlearn >= a.RestartAfter {
+		if a.unlearn >= restartAfter {
 			a.unlearn = 0
 			newLambda = a.restartValue()
 		}
@@ -162,27 +162,28 @@ func (a *AdaptiveRate) Update(hitRate float64) float64 {
 }
 
 // probe returns λ nudged by ±ProbeFrac, alternating direction each call
-// and bouncing off the [Min, Max] bounds, so a stalled climber always
-// re-establishes a non-zero δ for the next interval's finite difference.
+// and bouncing off the [minLambda, maxLambda] bounds, so a stalled
+// climber always re-establishes a non-zero δ for the next interval's
+// finite difference.
 func (a *AdaptiveRate) probe() float64 {
 	step := a.Lambda * ProbeFrac
 	if step == 0 {
-		step = ProbeFrac * a.Min
+		step = ProbeFrac * minLambda
 	}
 	up := a.probeUp
 	a.probeUp = !a.probeUp
 	if up {
-		if next := a.Lambda + step; next <= a.Max {
+		if next := a.Lambda + step; next <= maxLambda {
 			return next
 		}
-		return math.Max(a.Lambda-step, a.Min)
+		return math.Max(a.Lambda-step, minLambda)
 	}
-	if next := a.Lambda - step; next >= a.Min {
+	if next := a.Lambda - step; next >= minLambda {
 		return next
 	}
-	return math.Min(a.Lambda+step, a.Max)
+	return math.Min(a.Lambda+step, maxLambda)
 }
 
 func (a *AdaptiveRate) restartValue() float64 {
-	return a.Min + a.Rand()*(a.Max-a.Min)
+	return minLambda + a.Rand()*(maxLambda-minLambda)
 }

@@ -104,8 +104,8 @@ func TestAdaptiveRateAmplifiesOnImprovement(t *testing.T) {
 	if l1 <= 0.3 {
 		t.Fatalf("λ did not grow on improvement: %g", l1)
 	}
-	if l1 > a.Max {
-		t.Fatalf("λ above Max: %g", l1)
+	if l1 > maxLambda {
+		t.Fatalf("λ above maxLambda: %g", l1)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestAdaptiveRateShrinksOnDegradation(t *testing.T) {
 	if l1 >= 0.3 {
 		t.Fatalf("λ did not shrink on degradation: %g", l1)
 	}
-	if l1 < a.Min {
-		t.Fatalf("λ below Min: %g", l1)
+	if l1 < minLambda {
+		t.Fatalf("λ below minLambda: %g", l1)
 	}
 }
 
@@ -127,16 +127,16 @@ func TestAdaptiveRateClamps(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Update(0.1 + float64(i+1)*0.01) // persistent improvement
 	}
-	if a.Lambda > a.Max {
-		t.Fatalf("λ exceeded Max: %g", a.Lambda)
+	if a.Lambda > maxLambda {
+		t.Fatalf("λ exceeded maxLambda: %g", a.Lambda)
 	}
 	b := NewAdaptiveRate(half)
 	b.Update(0.9)
 	for i := 0; i < 50; i++ {
 		b.Update(0.9 - float64(i+1)*0.01)
 	}
-	if b.Lambda < b.Min {
-		t.Fatalf("λ under Min: %g", b.Lambda)
+	if b.Lambda < minLambda {
+		t.Fatalf("λ under minLambda: %g", b.Lambda)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestAdaptiveRateProbeUnfreezes(t *testing.T) {
 	if l == before {
 		t.Fatalf("λ frozen at %g despite δ=0 (probe did not fire)", l)
 	}
-	if a.Lambda < a.Min || a.Lambda > a.Max {
+	if a.Lambda < minLambda || a.Lambda > maxLambda {
 		t.Fatalf("probe pushed λ out of bounds: %g", a.Lambda)
 	}
 	// The probe must re-establish a finite difference: the following
@@ -190,11 +190,11 @@ func TestAdaptiveRateProbeAlternates(t *testing.T) {
 // TestAdaptiveRateEqualHitRateIsNotDegradation is the regression test for
 // the restart counter: a merely equal hit rate (Δ == 0) must not advance
 // unlearnCount — the old `delta <= 0` check random-restarted a perfectly
-// stable cache every RestartAfter intervals.
+// stable cache every restartAfter intervals.
 func TestAdaptiveRateEqualHitRateIsNotDegradation(t *testing.T) {
 	a := NewAdaptiveRate(half)
 	a.Update(0.5)
-	for i := 0; i < a.RestartAfter/2; i++ {
+	for i := 0; i < restartAfter/2; i++ {
 		a.Update(0.5) // Δ = 0 every interval
 	}
 	if a.unlearn != 0 {
@@ -203,27 +203,27 @@ func TestAdaptiveRateEqualHitRateIsNotDegradation(t *testing.T) {
 }
 
 // half is a constant uniform variate, so a restart lands on
-// Min + 0.5·(Max − Min).
+// minLambda + 0.5·(maxLambda − minLambda).
 func half() float64 { return 0.5 }
 
-// TestAdaptiveRateRestartAfterStrictDecreases: RestartAfter consecutive
+// TestAdaptiveRateRestartAfterStrictDecreases: restartAfter consecutive
 // strictly degrading intervals trigger a restart, which draws λ from
-// [Min, Max] through Rand.
+// [minLambda, maxLambda] through Rand.
 func TestAdaptiveRateRestartAfterStrictDecreases(t *testing.T) {
 	a := NewAdaptiveRate(half)
 	hr := 0.9
 	a.Update(hr)
-	for i := 0; i < a.RestartAfter-1; i++ {
+	for i := 0; i < restartAfter-1; i++ {
 		hr -= 0.01
 		a.Update(hr)
 	}
-	if a.unlearn != a.RestartAfter-1 {
-		t.Fatalf("unlearn = %d, want %d", a.unlearn, a.RestartAfter-1)
+	if a.unlearn != restartAfter-1 {
+		t.Fatalf("unlearn = %d, want %d", a.unlearn, restartAfter-1)
 	}
 	hr -= 0.01
-	a.Update(hr) // the RestartAfter-th strict decrease fires the restart
-	if want := a.Min + half()*(a.Max-a.Min); a.Lambda != want {
-		t.Fatalf("restart should land on Min + Rand()·(Max−Min) = %g, got %g", want, a.Lambda)
+	a.Update(hr) // the restartAfter-th strict decrease fires the restart
+	if want := minLambda + half()*(maxLambda-minLambda); a.Lambda != want {
+		t.Fatalf("restart should land on minLambda + Rand()·(maxLambda−minLambda) = %g, got %g", want, a.Lambda)
 	}
 	if a.unlearn != 0 {
 		t.Fatalf("unlearn = %d after restart, want 0", a.unlearn)
@@ -235,14 +235,14 @@ func TestAdaptiveRateRandomRestartInBounds(t *testing.T) {
 	a := NewAdaptiveRate(rng.Float64)
 	hr := 0.9
 	a.Update(hr)
-	for i := 0; i < a.RestartAfter; i++ {
+	for i := 0; i < restartAfter; i++ {
 		hr -= 0.01
 		a.Update(hr)
 	}
 	if a.unlearn != 0 {
 		t.Fatalf("restart did not fire: unlearn = %d", a.unlearn)
 	}
-	if a.Lambda < a.Min || a.Lambda > a.Max {
+	if a.Lambda < minLambda || a.Lambda > maxLambda {
 		t.Fatalf("restart λ out of bounds: %g", a.Lambda)
 	}
 }
@@ -264,7 +264,7 @@ func TestAdaptiveRateStagnationCounterResets(t *testing.T) {
 	}
 }
 
-// Property: λ always stays within [Min, Max] for arbitrary hit sequences.
+// Property: λ always stays within [minLambda, maxLambda] for arbitrary hit sequences.
 func TestAdaptiveRateBoundsProperty(t *testing.T) {
 	f := func(hits []float64) bool {
 		rng := rand.New(rand.NewSource(9))
@@ -272,7 +272,7 @@ func TestAdaptiveRateBoundsProperty(t *testing.T) {
 		for _, h := range hits {
 			h = math.Abs(math.Mod(h, 1))
 			a.Update(h)
-			if a.Lambda < a.Min-1e-12 || a.Lambda > a.Max+1e-12 {
+			if a.Lambda < minLambda-1e-12 || a.Lambda > maxLambda+1e-12 {
 				return false
 			}
 		}

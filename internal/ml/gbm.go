@@ -147,6 +147,3 @@ func (m *GBM) Predict(x []float64) float64 {
 	}
 	return sigmoid(m.PredictRaw(x))
 }
-
-// NumTrees reports the trained ensemble size.
-func (m *GBM) NumTrees() int { return len(m.trees) }

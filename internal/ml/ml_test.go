@@ -177,7 +177,7 @@ func TestTreePredictsConstantRegions(t *testing.T) {
 	if got := tr.Predict([]float64{11.5}); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("right region predicts %g, want 5", got)
 	}
-	if tr.Depth() < 1 {
+	if len(tr.nodes) == 0 || tr.nodes[0].leaf {
 		t.Fatal("tree did not split")
 	}
 }
@@ -211,8 +211,8 @@ func TestGBMRegression(t *testing.T) {
 	if mse > 0.02 {
 		t.Fatalf("GBM regression MSE %.4f > 0.02", mse)
 	}
-	if m.NumTrees() != 150 {
-		t.Fatalf("NumTrees = %d", m.NumTrees())
+	if len(m.trees) != 150 {
+		t.Fatalf("trained %d trees, want 150", len(m.trees))
 	}
 }
 

@@ -358,23 +358,3 @@ func (t *RegressionTree) Predict(x []float64) float64 {
 	}
 	return n.value
 }
-
-// Depth reports the realised tree depth (diagnostics).
-func (t *RegressionTree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.depthOf(0)
-}
-
-func (t *RegressionTree) depthOf(n int32) int {
-	nd := &t.nodes[n]
-	if nd.leaf {
-		return 0
-	}
-	l, r := t.depthOf(nd.left), t.depthOf(nd.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

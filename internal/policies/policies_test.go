@@ -217,8 +217,13 @@ func TestSegQueueOrderAndBalance(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.InsertAt(uint64(i), 100, 0)
 	}
-	if q.Len() != 64 || q.Bytes() != 6400 {
-		t.Fatalf("Len=%d Bytes=%d", q.Len(), q.Bytes())
+	if q.Bytes() != 6400 {
+		t.Fatalf("Bytes=%d", q.Bytes())
+	}
+	for i := 0; i < 64; i++ {
+		if q.Get(uint64(i)) == cache.None {
+			t.Fatalf("key %d not indexed", i)
+		}
 	}
 	keys := q.keysInOrder()
 	if len(keys) != 64 {
@@ -271,7 +276,7 @@ func TestSegQueueInsertAtClamps(t *testing.T) {
 	q := NewSegQueue()
 	q.InsertAt(1, 10, -5)
 	q.InsertAt(2, 10, 99)
-	if q.Len() != 2 {
+	if len(q.keysInOrder()) != 2 {
 		t.Fatal("clamped inserts failed")
 	}
 	for _, k := range []uint64{1, 2} {
@@ -394,4 +399,15 @@ func TestLIPvsMIPRegimes(t *testing.T) {
 	if lip, mip := hits(LIP{}, recency), hits(MIP{}, recency); mip < lip {
 		t.Fatalf("MIP (%d) should not lose to LIP (%d) on recency stream", mip, lip)
 	}
+}
+
+// keysInOrder returns all keys from MRU to LRU.
+func (s *SegQueue) keysInOrder() []uint64 {
+	var out []uint64
+	for k := 0; k < NumSegments; k++ {
+		for h := s.segs[k].Front(); h != cache.None; h = s.segs[k].Next(h) {
+			out = append(out, s.arena.At(h).Key)
+		}
+	}
+	return out
 }

@@ -29,9 +29,6 @@ func NewSegQueue() *SegQueue {
 	return s
 }
 
-// Len returns the number of entries.
-func (s *SegQueue) Len() int { return s.index.Len() }
-
 // Bytes returns the total bytes stored.
 func (s *SegQueue) Bytes() int64 { return s.bytes }
 
@@ -62,16 +59,6 @@ func (s *SegQueue) InsertAt(key uint64, size int64, seg int) cache.Handle {
 	s.bytes += size
 	s.rebalance()
 	return h
-}
-
-// Remove unlinks and frees h.
-func (s *SegQueue) Remove(h cache.Handle) {
-	e := s.arena.At(h)
-	s.segs[e.Class].Remove(h)
-	s.index.Delete(e.Key)
-	s.bytes -= e.Size
-	s.arena.Free(h)
-	s.rebalance()
 }
 
 // EvictBack removes the globally least-recent entry, returning its key
@@ -150,15 +137,4 @@ func (s *SegQueue) rebalance() {
 			s.segs[k].PushBack(h)
 		}
 	}
-}
-
-// keysInOrder returns all keys from MRU to LRU (test helper).
-func (s *SegQueue) keysInOrder() []uint64 {
-	var out []uint64
-	for k := 0; k < NumSegments; k++ {
-		for h := s.segs[k].Front(); h != cache.None; h = s.segs[k].Next(h) {
-			out = append(out, s.arena.At(h).Key)
-		}
-	}
-	return out
 }

@@ -84,8 +84,8 @@ func TestStoreBasics(t *testing.T) {
 	b := &lrukEntry{key: 2, size: 20}
 	s.Add(a)
 	s.Add(b)
-	if s.Len() != 2 || s.Bytes() != 30 {
-		t.Fatalf("Len=%d Bytes=%d", s.Len(), s.Bytes())
+	if len(s.items) != 2 || s.Bytes() != 30 {
+		t.Fatalf("items=%d Bytes=%d", len(s.items), s.Bytes())
 	}
 	if got, ok := s.Get(1); !ok || got != a {
 		t.Fatal("Get(1) failed")
@@ -108,10 +108,8 @@ func TestStoreBasics(t *testing.T) {
 			t.Fatal("sample returned foreign item")
 		}
 	}
-	count := 0
-	s.Each(func(*lrukEntry) { count++ })
-	if count != 1 {
-		t.Fatalf("Each visited %d", count)
+	if len(s.items) != 1 {
+		t.Fatalf("%d items after removal, want 1", len(s.items))
 	}
 }
 

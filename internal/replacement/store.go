@@ -27,9 +27,6 @@ func NewStore[T Sized](seed int64) *Store[T] {
 	return &Store[T]{index: make(map[uint64]int), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Len returns the number of items.
-func (s *Store[T]) Len() int { return len(s.items) }
-
 // Bytes returns the summed item sizes.
 func (s *Store[T]) Bytes() int64 { return s.bytes }
 
@@ -81,11 +78,4 @@ func (s *Store[T]) Sample(n int, dst []T) []T {
 		dst = append(dst, s.items[s.rng.Intn(len(s.items))])
 	}
 	return dst
-}
-
-// Each calls f for every item.
-func (s *Store[T]) Each(f func(T)) {
-	for _, it := range s.items {
-		f(it)
-	}
 }

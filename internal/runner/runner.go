@@ -119,13 +119,6 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	return e.v, e.err
 }
 
-// Len returns the number of memoised keys (in-flight computations count).
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
 // Clear drops all memoised values. In-flight computations complete and
 // deliver their value to current waiters but are not re-memoised.
 func (m *Memo[K, V]) Clear() {

@@ -126,8 +126,8 @@ func TestMemoSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d got %d", g, v)
 		}
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", m.Len())
+	if len(m.m) != 1 {
+		t.Fatalf("memoised %d keys, want 1", len(m.m))
 	}
 }
 
@@ -137,7 +137,7 @@ func TestMemoErrorNotCached(t *testing.T) {
 	if _, err := m.Do(1, func() (string, error) { return "", boom }); err != boom {
 		t.Fatalf("err = %v", err)
 	}
-	if m.Len() != 0 {
+	if len(m.m) != 0 {
 		t.Fatal("failure memoised")
 	}
 	v, err := m.Do(1, func() (string, error) { return "ok", nil })
@@ -157,7 +157,7 @@ func TestMemoClear(t *testing.T) {
 		t.Fatal("not memoised")
 	}
 	m.Clear()
-	if m.Len() != 0 {
+	if len(m.m) != 0 {
 		t.Fatal("Clear did not empty")
 	}
 	if v, _ := m.Do(1, gen); v != 2 {

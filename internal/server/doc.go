@@ -11,7 +11,8 @@
 //     origin behaviour); BuildSharded constructs the sharded cache the
 //     daemon and the in-process replays share.
 //   - Server — the daemon itself: New validates a Config, Handler
-//     returns the http.Handler, Serve runs it with graceful shutdown.
+//     returns the http.Handler, ListenAndServe runs it with graceful
+//     shutdown.
 //   - Origin — the upstream interface; SyntheticOrigin (deterministic
 //     in-process origin) and HTTPOrigin (a real upstream) implement it.
 //

@@ -79,7 +79,7 @@ func TestDeadPeerCannotStallRequest(t *testing.T) {
 	h := s.Handler()
 
 	pol := retryPolicy{timeout: s.cfg.PeerTimeout, retries: s.cfg.PeerRetries, backoff: s.cfg.PeerBackoff}
-	limit := pol.budget() + 500*time.Millisecond // generous scheduling slack
+	limit := budget(pol) + 500*time.Millisecond // generous scheduling slack
 
 	start := time.Now()
 	rec := get(t, h, "/obj/42?size=100")
@@ -92,7 +92,7 @@ func TestDeadPeerCannotStallRequest(t *testing.T) {
 		t.Error("response claims a peer fill from a dead peer")
 	}
 	if elapsed > limit {
-		t.Errorf("request took %v, budget is %v (+slack)", elapsed, pol.budget())
+		t.Errorf("request took %v, budget is %v (+slack)", elapsed, budget(pol))
 	}
 	if got := dead.calls.Load(); got != int64(cfg.PeerRetries)+1 {
 		t.Errorf("dead peer asked %d times, want %d", got, cfg.PeerRetries+1)
@@ -105,15 +105,26 @@ func TestDeadPeerCannotStallRequest(t *testing.T) {
 	}
 }
 
+// budget returns the worst-case wall time boundedFetch can consume
+// under pol: every attempt timing out plus every backoff sleep. A
+// stalled upstream must not hold a request longer.
+func budget(pol retryPolicy) time.Duration {
+	d := pol.timeout * time.Duration(pol.retries+1)
+	for a := 0; a < pol.retries; a++ {
+		d += pol.backoff << a
+	}
+	return d
+}
+
 // TestRetryPolicyBudget pins the budget arithmetic the stall test leans
 // on: every attempt's timeout plus every doubling backoff.
 func TestRetryPolicyBudget(t *testing.T) {
 	pol := retryPolicy{timeout: 100 * time.Millisecond, retries: 2, backoff: 10 * time.Millisecond}
 	// 3 attempts x 100ms + 10ms + 20ms backoffs.
-	if got, want := pol.budget(), 330*time.Millisecond; got != want {
-		t.Errorf("budget() = %v, want %v", got, want)
+	if got, want := budget(pol), 330*time.Millisecond; got != want {
+		t.Errorf("budget = %v, want %v", got, want)
 	}
-	if got := (retryPolicy{timeout: time.Second}).budget(); got != time.Second {
+	if got := budget(retryPolicy{timeout: time.Second}); got != time.Second {
 		t.Errorf("no-retry budget = %v, want 1s", got)
 	}
 }

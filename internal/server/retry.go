@@ -24,17 +24,6 @@ type retryPolicy struct {
 	backoff time.Duration
 }
 
-// budget returns the worst-case wall time boundedFetch can consume
-// under pol: every attempt timing out plus every backoff sleep. Tests
-// assert against it; a stalled upstream must not hold a request longer.
-func (pol retryPolicy) budget() time.Duration {
-	d := pol.timeout * time.Duration(pol.retries+1)
-	for a := 0; a < pol.retries; a++ {
-		d += pol.backoff << a
-	}
-	return d
-}
-
 // fetchCounters receives a bounded fetch's observable outcomes; any
 // field may be nil.
 type fetchCounters struct {

@@ -518,13 +518,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		float64(gc.HeapScanBytes)/(1<<20), gc.CPUFraction*100)
 }
 
-// Serve serves the daemon on l until ctx is cancelled, then drains
-// in-flight requests for up to drain (see httpx.Serve).
-func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
-	return httpx.Serve(ctx, l, s.Handler(), drain)
-}
-
-// ListenAndServe serves the daemon on addr; ready, when non-nil,
+// ListenAndServe serves the daemon on addr until ctx is cancelled, then
+// drains in-flight requests for up to drain; ready, when non-nil,
 // receives the bound address (see httpx.ListenAndServe).
 func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Duration, ready chan<- net.Addr) error {
 	return httpx.ListenAndServe(ctx, addr, s.Handler(), drain, ready)

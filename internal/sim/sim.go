@@ -12,28 +12,16 @@ import (
 // Options controls a replay.
 type Options struct {
 	// WarmupFrac is the fraction of requests excluded from the reported
-	// miss ratios while the cache fills (metrics still observe them in
-	// the interval series). Typical: 0.2.
+	// miss ratios while the cache fills. Typical: 0.2.
 	WarmupFrac float64
-	// IntervalRequests sets the interval series granularity; 0 disables
-	// the series.
-	IntervalRequests int
 	// Meter enables resource metering (wall time, peak heap). Metering
-	// samples runtime.MemStats periodically, which perturbs throughput,
-	// so it is off unless a resource figure asks for it.
+	// samples runtime.MemStats every 65 536 requests, which perturbs
+	// throughput, so it is off unless a resource figure asks for it.
 	Meter bool
-	// MeterEvery is the MemStats sampling period in requests (default
-	// 65536 when metering).
-	MeterEvery int
 }
 
-// IntervalPoint is one point of the interval miss-ratio series.
-type IntervalPoint struct {
-	// Requests is the cumulative request count at the end of the interval.
-	Requests int
-	// MissRatio is the object miss ratio within the interval.
-	MissRatio float64
-}
+// meterEvery is the MemStats sampling period in requests when metering.
+const meterEvery = 1 << 16
 
 // Result summarises a replay.
 type Result struct {
@@ -46,9 +34,6 @@ type Result struct {
 	Misses      int
 	BytesHit    int64
 	BytesMissed int64
-
-	// Series over the whole trace (including warmup).
-	Series []IntervalPoint
 
 	// Resource metrics (only when Options.Meter).
 	WallSeconds  float64
@@ -65,9 +50,6 @@ func (r Result) MissRatio() float64 {
 	}
 	return float64(r.Misses) / float64(total)
 }
-
-// HitRatio returns 1 - MissRatio.
-func (r Result) HitRatio() float64 { return 1 - r.MissRatio() }
 
 // ByteMissRatio returns the byte miss ratio over the measured region.
 func (r Result) ByteMissRatio() float64 {
@@ -88,14 +70,9 @@ func (r Result) String() string {
 func Run(tr *trace.Trace, p cache.Policy, opts Options) Result {
 	res := Result{Policy: p.Name(), Trace: tr.Name, Requests: len(tr.Requests)}
 	warm := int(opts.WarmupFrac * float64(len(tr.Requests)))
-	meterEvery := opts.MeterEvery
-	if meterEvery <= 0 {
-		meterEvery = 1 << 16
-	}
 	var (
-		ivHits, ivTotal int
-		peakHeap        uint64
-		start           time.Time
+		peakHeap uint64
+		start    time.Time
 	)
 	if opts.Meter {
 		runtime.GC()
@@ -110,19 +87,6 @@ func Run(tr *trace.Trace, p cache.Policy, opts Options) Result {
 			} else {
 				res.Misses++
 				res.BytesMissed += req.Size
-			}
-		}
-		if opts.IntervalRequests > 0 {
-			ivTotal++
-			if hit {
-				ivHits++
-			}
-			if ivTotal == opts.IntervalRequests {
-				res.Series = append(res.Series, IntervalPoint{
-					Requests:  i + 1,
-					MissRatio: 1 - float64(ivHits)/float64(ivTotal),
-				})
-				ivHits, ivTotal = 0, 0
 			}
 		}
 		if opts.Meter && (i+1)%meterEvery == 0 {
@@ -148,12 +112,6 @@ func Run(tr *trace.Trace, p cache.Policy, opts Options) Result {
 			res.NsPerRequest = float64(elapsed.Nanoseconds()) / float64(len(tr.Requests))
 		}
 		res.PeakHeapMiB = float64(peakHeap) / (1 << 20)
-	}
-	if ivTotal > 0 && opts.IntervalRequests > 0 {
-		res.Series = append(res.Series, IntervalPoint{
-			Requests:  len(tr.Requests),
-			MissRatio: 1 - float64(ivHits)/float64(ivTotal),
-		})
 	}
 	return res
 }

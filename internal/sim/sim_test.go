@@ -32,9 +32,6 @@ func TestRunCountsHitsAndMisses(t *testing.T) {
 	if got := res.MissRatio(); got != 0.1 {
 		t.Fatalf("miss ratio = %g, want 0.1", got)
 	}
-	if got := res.HitRatio(); got != 0.9 {
-		t.Fatalf("hit ratio = %g", got)
-	}
 	if res.ByteMissRatio() != 0.1 {
 		t.Fatalf("byte miss ratio = %g (uniform sizes)", res.ByteMissRatio())
 	}
@@ -49,38 +46,9 @@ func TestRunWarmupExcluded(t *testing.T) {
 	}
 }
 
-func TestRunIntervalSeries(t *testing.T) {
-	tr := mkTrace(100, 5, 10)
-	res := Run(tr, cache.NewLRU(1000), Options{IntervalRequests: 25})
-	if len(res.Series) != 4 {
-		t.Fatalf("series length %d, want 4", len(res.Series))
-	}
-	if res.Series[0].Requests != 25 || res.Series[3].Requests != 100 {
-		t.Fatalf("series request counters wrong: %+v", res.Series)
-	}
-	// First interval holds the cold misses; later intervals are all hits.
-	if res.Series[0].MissRatio <= res.Series[3].MissRatio {
-		t.Fatal("first interval should have the highest miss ratio")
-	}
-	if res.Series[3].MissRatio != 0 {
-		t.Fatalf("steady-state interval miss ratio = %g", res.Series[3].MissRatio)
-	}
-}
-
-func TestRunPartialLastInterval(t *testing.T) {
-	tr := mkTrace(55, 5, 10)
-	res := Run(tr, cache.NewLRU(1000), Options{IntervalRequests: 25})
-	if len(res.Series) != 3 {
-		t.Fatalf("series length %d, want 3 (two full + remainder)", len(res.Series))
-	}
-	if res.Series[2].Requests != 55 {
-		t.Fatalf("last point requests = %d", res.Series[2].Requests)
-	}
-}
-
 func TestRunMetering(t *testing.T) {
 	tr := mkTrace(50_000, 100, 10)
-	res := Run(tr, cache.NewLRU(10_000), Options{Meter: true, MeterEvery: 1000})
+	res := Run(tr, cache.NewLRU(10_000), Options{Meter: true})
 	if res.TPS <= 0 {
 		t.Fatalf("TPS = %g", res.TPS)
 	}

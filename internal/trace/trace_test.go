@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,5 +224,69 @@ func TestReadLRBErrors(t *testing.T) {
 		if _, err := ReadLRB(strings.NewReader(src), "x"); err == nil {
 			t.Errorf("ReadLRB(%q) succeeded, want error", src)
 		}
+	}
+}
+
+// TestLoad reads one trace written in each of the three formats, and
+// rejects asking for two formats at once.
+func TestLoad(t *testing.T) {
+	dir := t.TempDir()
+	in := sample()
+	var csvBuf, binBuf, lrbBuf bytes.Buffer
+	if err := in.WriteCSV(&csvBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.WriteBinary(&binBuf); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range in.Requests {
+		fmt.Fprintf(&lrbBuf, "%d %d %d 7\n", r.Time, r.Key, r.Size)
+	}
+	write := func(name string, b []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	csvPath := write("t.csv", csvBuf.Bytes())
+	binPath := write("t.bin", binBuf.Bytes())
+	lrbPath := write("t.lrb", lrbBuf.Bytes())
+	for _, tc := range []struct {
+		name     string
+		path     string
+		csv, lrb bool
+		wantErr  bool
+	}{
+		{"binary", binPath, false, false, false},
+		{"csv", csvPath, true, false, false},
+		{"lrb", lrbPath, false, true, false},
+		{"csv and lrb", csvPath, true, true, true},
+		{"binary reader on csv", csvPath, false, false, true},
+		{"missing file", filepath.Join(dir, "none"), false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := Load(tc.path, tc.csv, tc.lrb)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("Load succeeded, want an error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Name != tc.path {
+				t.Errorf("Name = %q, want the path %q", tr.Name, tc.path)
+			}
+			if len(tr.Requests) != len(in.Requests) {
+				t.Fatalf("%d requests, want %d", len(tr.Requests), len(in.Requests))
+			}
+			for i := range in.Requests {
+				if tr.Requests[i] != in.Requests[i] {
+					t.Fatalf("record %d: %v, want %v", i, tr.Requests[i], in.Requests[i])
+				}
+			}
+		})
 	}
 }

@@ -285,11 +285,9 @@ func MeanResidency(tr *trace.Trace, capBytes int64) int {
 // LRU. The future-knowledge criterion is used instead of the replay
 // labels because index-aligned labels lose their meaning once placements
 // change the hit/miss pattern — the interaction §2.2 of the paper calls
-// out. horizon <= 0 selects MeanResidency(tr, capBytes) automatically.
-func OracleReplay(tr *trace.Trace, capBytes int64, useZRO, usePZRO bool, fracTop float64, horizon int) float64 {
-	if horizon <= 0 {
-		horizon = MeanResidency(tr, capBytes)
-	}
+// out. The horizon is MeanResidency(tr, capBytes).
+func OracleReplay(tr *trace.Trace, capBytes int64, useZRO, usePZRO bool, fracTop float64) float64 {
+	horizon := MeanResidency(tr, capBytes)
 	ins := &oracleIns{
 		next:     NextOccurrences(tr),
 		horizon:  float64(horizon),
@@ -325,9 +323,6 @@ type Event struct {
 	// insertion).
 	Features []float64
 }
-
-// NumFeatures is the width of Event.Features.
-const NumFeatures = 6
 
 // CollectEvents replays tr under LRU and emits every sampleEvery-th
 // resolved-eligible event with its features; callers join them with

@@ -136,10 +136,10 @@ func TestOracleReplayReducesMissRatio(t *testing.T) {
 	capBytes := int64(150_000)
 	_, sum := Analyze(tr, capBytes)
 	lruMR := sum.MissRatio
-	zroMR := OracleReplay(tr, capBytes, true, false, 1, 0)
-	pzroMR := OracleReplay(tr, capBytes, false, true, 1, 0)
-	bothMR := OracleReplay(tr, capBytes, true, true, 1, 0)
-	noneMR := OracleReplay(tr, capBytes, true, true, 0, 0)
+	zroMR := OracleReplay(tr, capBytes, true, false, 1)
+	pzroMR := OracleReplay(tr, capBytes, false, true, 1)
+	bothMR := OracleReplay(tr, capBytes, true, true, 1)
+	noneMR := OracleReplay(tr, capBytes, true, true, 0)
 	if zroMR >= lruMR {
 		t.Fatalf("ZRO oracle %.4f >= LRU %.4f", zroMR, lruMR)
 	}
@@ -173,7 +173,7 @@ func TestOracleReplayMonotoneInFraction(t *testing.T) {
 	capBytes := int64(120_000)
 	prev := 1.0
 	for _, f := range []float64{0, 0.5, 1} {
-		mr := OracleReplay(tr, capBytes, true, true, f, 0)
+		mr := OracleReplay(tr, capBytes, true, true, f)
 		if mr > prev+0.01 {
 			t.Fatalf("miss ratio not (weakly) decreasing in fraction: %.4f after %.4f", mr, prev)
 		}
@@ -191,7 +191,7 @@ func TestCollectEvents(t *testing.T) {
 		t.Fatal("event roles wrong")
 	}
 	for _, e := range events {
-		if len(e.Features) != NumFeatures {
+		if len(e.Features) != 6 {
 			t.Fatalf("feature width %d", len(e.Features))
 		}
 	}

@@ -94,8 +94,10 @@ func Generate(cfg WorkloadConfig) (*Trace, error) { return gen.Generate(cfg) }
 // optional resource metrics.
 func Replay(tr *Trace, p Policy, opts ReplayOptions) ReplayResult { return sim.Run(tr, p, opts) }
 
-// BeladyMissRatio computes the offline-optimal miss ratio for a trace —
-// the unreachable lower bound the paper plots in Figures 8 and 10.
+// BeladyMissRatio replays the whole trace through Belady's MIN adapted to
+// sized objects (evict the furthest next use) and returns its miss ratio:
+// the "Belady" column of Figures 8 and 10. With variable sizes it is a
+// heuristic, not a lower bound; an online policy can beat it.
 func BeladyMissRatio(tr *Trace, capBytes int64) float64 {
-	return belady.MissRatio(tr, capBytes)
+	return sim.Run(tr, belady.New(tr, capBytes), sim.Options{}).MissRatio()
 }
