@@ -241,7 +241,7 @@ func BenchmarkParallelEngineFig8(b *testing.B) {
 // --- ML kernel benchmarks: the gradient-boosting fit, tree inference and
 // the trained-LRB access path that dominate the ML-heavy figures (fig4,
 // fig10, fig12). The data dimensions mirror LRB's steady-state retrain:
-// MaxTrain=8192 rows of NumFeatures log-scaled features, squared loss,
+// a training-set cap of 8192 rows of NumFeatures log-scaled features, squared loss,
 // 30 trees of depth 4.
 
 // kernelBenchData builds the synthetic LRB-shaped training set shared by

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	scip-route -nodes http://10.0.0.1:8344,http://10.0.0.2:8344 [-addr :8380]
-//	    [-vnodes 64] [-replicas 2] [-replicate] [-hot-k 16] [-hot-min 64]
+//	    [-replicas 2] [-replicate] [-hot-k 16] [-hot-min 64]
 //	    [-node-timeout 2s] [-fail-threshold 3] [-health-interval 2s]
 //	    [-max-body 1MiB] [-drain 10s] [-interval 10s]
 package main
@@ -35,7 +35,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8380", "listen address")
 	nodes := flag.String("nodes", "", "comma-separated scip-serve base URLs (the ring identities; required)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per node on the hash ring")
 	replicas := flag.Int("replicas", 2, "replica-set size for hot keys (clamped to the node count)")
 	replicate := flag.Bool("replicate", false, "enable hot-key replication (spread hot reads, fan out hot writes)")
 	hotK := flag.Int("hot-k", 16, "maximum tracked hot-key count")
@@ -63,7 +62,6 @@ func main() {
 	}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Nodes:          nodeList,
-		VNodes:         *vnodes,
 		Replicas:       *replicas,
 		Replicate:      *replicate,
 		HotK:           *hotK,
@@ -90,7 +88,7 @@ func main() {
 	select {
 	case a := <-ready:
 		fmt.Printf("scip-route: listening on %s, %d nodes, %d vnodes/node, replicate=%v\n",
-			a, len(nodeList), *vnodes, *replicate)
+			a, len(nodeList), cluster.VNodes, *replicate)
 	case err := <-errc:
 		fail(err)
 	}

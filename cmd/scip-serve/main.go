@@ -12,7 +12,7 @@
 //	    [-mode mutex|actor] [-depth N]
 //	    [-origin URL] [-origin-timeout 2s] [-origin-retries 2] [-origin-backoff 50ms]
 //	    [-origin-latency 0] [-serve-stale] [-max-body 1MiB] [-drain 10s] [-interval 10s]
-//	    [-peers URL,URL,... -self URL] [-peer-vnodes 64] [-peer-fanout 1]
+//	    [-peers URL,URL,... -self URL] [-peer-fanout 1]
 //	    [-peer-timeout 500ms] [-peer-retries 0] [-peer-backoff 25ms]
 //
 // Without -origin the daemon fronts a deterministic synthetic origin
@@ -64,7 +64,6 @@ func main() {
 	interval := flag.Duration("interval", 10*time.Second, "live stats line period on stdout (0 disables)")
 	peers := flag.String("peers", "", "comma-separated fleet node base URLs, including this node's -self (enables peer-fill)")
 	self := flag.String("self", "", "this node's base URL within -peers")
-	peerVNodes := flag.Int("peer-vnodes", 64, "virtual nodes per node on the peer ring (must match the router's -vnodes)")
 	peerFanout := flag.Int("peer-fanout", 1, "ring successors asked per peer-fill attempt")
 	peerTimeout := flag.Duration("peer-timeout", 500*time.Millisecond, "per-attempt peer fetch timeout")
 	peerRetries := flag.Int("peer-retries", 0, "peer fetch retries after the first failure")
@@ -107,7 +106,7 @@ func main() {
 		cfg.Origin = &server.SyntheticOrigin{Latency: *originLatency}
 	}
 	if *peers != "" {
-		pc, err := cluster.NewPeerClient(cluster.SplitNodes(*peers), strings.TrimRight(*self, "/"), *peerVNodes, *peerFanout, nil)
+		pc, err := cluster.NewPeerClient(cluster.SplitNodes(*peers), strings.TrimRight(*self, "/"), cluster.VNodes, *peerFanout, nil)
 		if err != nil {
 			fail(fmt.Errorf("bad -peers/-self: %w", err))
 		}

@@ -19,7 +19,6 @@ func (lipGhost) OnAccess(Request, bool)         {}
 type DuelMonitor struct {
 	mru, lip   *QueueCache
 	hitA, hitB int
-	samples    int
 	mask       uint64
 }
 
@@ -45,7 +44,6 @@ func (d *DuelMonitor) Observe(req Request) {
 	if (req.Key*0x9E3779B97F4A7C15)>>56&d.mask != 0 {
 		return
 	}
-	d.samples++
 	if d.mru.Access(req) {
 		d.hitA++
 	}
@@ -63,6 +61,6 @@ func (d *DuelMonitor) Verdict() float64 {
 	if total > 0 {
 		v = float64(d.hitA-d.hitB) / float64(total)
 	}
-	d.hitA, d.hitB, d.samples = 0, 0, 0
+	d.hitA, d.hitB = 0, 0
 	return v
 }

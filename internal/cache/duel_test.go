@@ -7,22 +7,37 @@ func TestDuelMonitorSamplesSubset(t *testing.T) {
 	for i := uint64(0); i < 8000; i++ {
 		d.Observe(Request{Time: int64(i), Key: i, Size: 64})
 	}
-	if d.samples == 0 {
+	// Every sampled key is distinct and fits the 128 KiB ghost, so the
+	// MRU ghost holds exactly the sampled keys.
+	n := d.mru.Len()
+	if n == 0 {
 		t.Fatal("no keys sampled")
 	}
 	// 1/8 sampling: expect ~1000 of 8000, generous bounds.
-	if d.samples < 500 || d.samples > 1800 {
-		t.Fatalf("samples = %d of 8000, want ~1000", d.samples)
+	if n < 500 || n > 1800 {
+		t.Fatalf("samples = %d of 8000, want ~1000", n)
 	}
 }
 
 func TestDuelMonitorSampleIsDeterministicPerKey(t *testing.T) {
+	// A key the sample takes on its first request it takes again: its
+	// second request hits the MRU ghost. A key it skips stays skipped.
 	d := NewDuelMonitor(1<<20, 1.0/8, 7)
-	d.Observe(Request{Key: 3, Size: 64})
-	first := d.samples
-	d.Observe(Request{Key: 3, Size: 64})
-	if d.samples != first*2 && d.samples != first {
-		t.Fatal("key sampling not deterministic")
+	taken := 0
+	for k := uint64(0); k < 64; k++ {
+		n, hits := d.mru.Len(), d.hitA
+		d.Observe(Request{Key: k, Size: 64})
+		sampled := d.mru.Len() > n
+		d.Observe(Request{Key: k, Size: 64})
+		if again := d.hitA > hits; again != sampled {
+			t.Fatalf("key %d: sampled on first request = %v, on second = %v", k, sampled, again)
+		}
+		if sampled {
+			taken++
+		}
+	}
+	if taken == 0 || taken == 64 {
+		t.Fatalf("%d of 64 keys sampled, want some but not all", taken)
 	}
 }
 
@@ -47,7 +62,7 @@ func TestDuelMonitorVerdictResetsWindow(t *testing.T) {
 		d.Observe(Request{Key: i % 4, Size: 64})
 	}
 	d.Verdict()
-	if d.hitA != 0 || d.hitB != 0 || d.samples != 0 {
+	if d.hitA != 0 || d.hitB != 0 {
 		t.Fatal("verdict did not reset the window")
 	}
 	if v := d.Verdict(); v != 0 {

@@ -4,7 +4,7 @@ package cache
 // nodes owned by exactly one Queue at a time, linked through int32 handles
 // rather than pointers: the struct contains no pointers at all, so the
 // chunks holding millions of entries are invisible to the garbage collector.
-// The exported bookkeeping fields (Hits, Freq, ...) are shared scratch
+// The exported bookkeeping fields (Hits, Class, ...) are shared scratch
 // space for policies so that a single slot serves LRU-family algorithms
 // without per-policy wrapper nodes.
 //
@@ -17,14 +17,12 @@ type Entry struct {
 
 	// _ pads the entry to one full cache line without moving the fields
 	// below. No policy reads request times or a per-entry score, so no
-	// entry stores one; whether a 40-byte entry pays is a separate,
+	// entry stores one; whether a 36-byte entry pays is a separate,
 	// measured question.
-	_ [24]byte
+	_ [28]byte
 
 	// Hits counts hits during the current residency.
 	Hits int32
-	// Freq is a generic frequency counter for frequency-aware policies.
-	Freq int32
 	// Class is a generic small-integer classification slot (size class,
 	// segment number, ...).
 	Class int32

@@ -135,7 +135,6 @@ func (c *QueueCache) Access(req Request) bool {
 	if hit {
 		e := c.arena.At(h)
 		e.Hits++
-		e.Freq++
 		if c.resObs != nil {
 			c.resObs.OnResidentHit(req, e.InsertedMRU, e.Residency, int(e.Hits))
 		}
@@ -183,7 +182,6 @@ func (c *QueueCache) insert(req Request) {
 	e := c.arena.At(h)
 	e.Key = req.Key
 	e.Size = req.Size
-	e.Freq = 1
 	pos := MRU
 	if c.ins != nil {
 		pos = c.ins.ChooseInsert(req)

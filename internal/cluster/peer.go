@@ -43,7 +43,8 @@ type PeerClient struct {
 
 // NewPeerClient builds a peer client for the node identified by self
 // (which must appear in nodes; the list and vnodes must match the
-// router's so both sides agree on ring positions). fanout is how many
+// router's so both sides agree on ring positions: the daemons pass
+// VNodes). fanout is how many
 // distinct successors to ask per fetch (default 1). client defaults to
 // httpx.NewClient's pooled one, like RouterConfig's; per-attempt timeouts
 // are the server's concern.

@@ -7,8 +7,15 @@ import (
 	"strings"
 )
 
+// VNodes is the virtual-node count per node on the daemons' rings:
+// scip-route's and every peer-filling scip-serve's. A key's owner depends
+// on it, so all of them must use the same count; one constant for both
+// daemons is what keeps them agreeing. 64 keeps the load skew inside the
+// bound TestRingSkew pins.
+const VNodes = 64
+
 // Ring is a consistent-hash ring over node identities: each node owns
-// VNodes points on a 64-bit hash circle, and a key belongs to the node
+// vnodes points on a 64-bit hash circle, and a key belongs to the node
 // owning the first point at or clockwise after the key's hash. It is the
 // node-level analogue of the shard layer's key→shard mapping, with
 // virtual nodes added because node counts are small (a handful of
@@ -52,9 +59,8 @@ func SplitNodes(s string) []string {
 // NewRing builds a ring over the given node identities (typically base
 // URLs; the strings are hashed verbatim, so every participant — router
 // and peer-filling nodes alike — must use the identical list to agree on
-// ownership). vnodes points are placed per node (min 1; 64 is a good
-// default, see the skew bound pinned by TestRingSkew). Duplicate or
-// empty identities are rejected.
+// ownership). vnodes points are placed per node (min 1; the daemons pass
+// VNodes). Duplicate or empty identities are rejected.
 func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")

@@ -23,9 +23,6 @@ type RouterConfig struct {
 	// every participant (router instances, nodes running with -peers)
 	// must use the identical list, in any order, to agree on ownership.
 	Nodes []string
-	// VNodes is the virtual-node count per node on the ring (default
-	// 64).
-	VNodes int
 	// Replicas is the replica-set size for hot keys (default 2, clamped
 	// to the node count). With Replicate off it still bounds the
 	// failover walk's preferred prefix but changes no routing.
@@ -60,9 +57,6 @@ type RouterConfig struct {
 
 // withDefaults returns cfg with unset fields defaulted.
 func (cfg RouterConfig) withDefaults() RouterConfig {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
@@ -143,7 +137,7 @@ const sketchWidth = 4096
 // ready Router. ListenAndServe starts the background health loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes, VNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +485,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "scip-route: %d nodes, %d vnodes/node, replicas=%d replicate=%v\n",
-		len(rt.cfg.Nodes), rt.cfg.VNodes, rt.cfg.Replicas, rt.cfg.Replicate)
+		len(rt.cfg.Nodes), VNodes, rt.cfg.Replicas, rt.cfg.Replicate)
 	fmt.Fprintf(w, "uptime:     %s\n", time.Since(rt.start).Round(time.Second)) // uptime line for /statusz, never a routing input
 	var reqs int64
 	for i := range rt.requestsByMethod {

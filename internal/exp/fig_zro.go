@@ -21,7 +21,7 @@ func init() {
 // the paper's. Generating the three profile traces dominates, so each
 // profile's (generate + scan) is one job.
 func runTable1(cfg Config) error {
-	rows, err := runJobs(cfg, profileJobs(cfg, func(p gen.Profile) (trace.Stats, error) {
+	rows, err := runJobs(cfg, profileJobs(func(p gen.Profile) (trace.Stats, error) {
 		tr, err := getTrace(p, cfg.Scale, cfg.Seeds[0])
 		if err != nil {
 			return trace.Stats{}, err
@@ -47,7 +47,7 @@ func runTable1(cfg Config) error {
 }
 
 // profileJobs wraps one job per workload profile.
-func profileJobs[T any](cfg Config, fn func(p gen.Profile) (T, error)) []func() (T, error) {
+func profileJobs[T any](fn func(p gen.Profile) (T, error)) []func() (T, error) {
 	jobs := make([]func() (T, error), len(gen.Profiles))
 	for i, p := range gen.Profiles {
 		jobs[i] = func() (T, error) { return fn(p) }
@@ -191,7 +191,7 @@ func runFig4(cfg Config) error {
 	// One job per profile: labelling, event collection and the three
 	// model-fitting tasks all run inside the job, which renders its own
 	// table rows into a buffer so the ordered assembly stays trivial.
-	rows, err := runJobs(cfg, profileJobs(cfg, func(p gen.Profile) (string, error) {
+	rows, err := runJobs(cfg, profileJobs(func(p gen.Profile) (string, error) {
 		var out bytes.Buffer
 		tr, err := getTrace(p, cfg.Scale, cfg.Seeds[0])
 		if err != nil {

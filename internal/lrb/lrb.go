@@ -55,15 +55,6 @@ type pendList struct {
 // Option configures an LRB cache.
 type Option func(*LRB)
 
-// WithWindow sets the memory window in requests (default 1<<17).
-func WithWindow(w int64) Option {
-	return func(l *LRB) {
-		if w > 0 {
-			l.window = w
-		}
-	}
-}
-
 // WithInsertion plugs an insertion/promotion policy (LRB-SCIP /
 // LRB-ASC-IP in Figure 12): a cache.LRU decision demotes the object so
 // the sampler evicts it first; cache.MRU keeps normal LRB behaviour. Per
@@ -83,22 +74,10 @@ func WithSeed(seed int64) Option {
 
 // LRB is the learned cache.
 type LRB struct {
-	// SampleSize is the eviction sample (default 64).
-	SampleSize int
-	// SampleEvery subsamples accesses into training candidates
-	// (default 8).
-	SampleEvery int
-	// TrainEvery triggers training after this many fresh labels
-	// (default 2048).
-	TrainEvery int
-	// MaxTrain caps the training set (default 8192).
-	MaxTrain int
-
 	name      string
 	cap       int64
 	bytes     int64
 	evictions int64
-	window    int64
 	seed      int64
 	seq       int64
 	meta      map[uint64]*objMeta
@@ -106,36 +85,52 @@ type LRB struct {
 	metaFree  []*objMeta // recycled window-expired metadata
 	rng       *rand.Rand
 
-	pend      map[uint64]pendList
-	pendSlab  []pendEntry // flat arena behind pend
-	pendFree  []int32     // free slab slots
-	expBuf    []int32     // window-expired samples, sorted before labelling
-	pendCount int
-	trainX    ml.Matrix
-	trainY    []float64
-	fresh     int
-	model     *ml.GBM // nil until first successful training
-	gbm       *ml.GBM // the persistent model instance model points at
-	featBuf   [NumFeatures]float64
+	pend     map[uint64]pendList
+	pendSlab []pendEntry // flat arena behind pend
+	pendFree []int32     // free slab slots
+	expBuf   []int32     // window-expired samples, sorted before labelling
+	trainX   ml.Matrix
+	trainY   []float64
+	fresh    int
+	model    *ml.GBM // nil until first successful training
+	gbm      *ml.GBM // the persistent model instance model points at
+	featBuf  [NumFeatures]float64
 
 	ins cache.InsertionPolicy
 	buf []*objMeta
+
+	// window, maxTrain and trainEvery are lrbWindow, lrbMaxTrain and
+	// lrbTrainEvery; tests shrink them.
+	window     int64
+	maxTrain   int
+	trainEvery int
 }
+
+const (
+	// lrbWindow is the memory window in requests.
+	lrbWindow = 1 << 17
+	// lrbSampleSize is the eviction sample.
+	lrbSampleSize = 64
+	// lrbSampleEvery subsamples accesses into training candidates.
+	lrbSampleEvery = 8
+	// lrbTrainEvery triggers training after this many fresh labels.
+	lrbTrainEvery = 2048
+	// lrbMaxTrain caps the training set.
+	lrbMaxTrain = 8192
+)
 
 var _ cache.Policy = (*LRB)(nil)
 
 // New returns an LRB cache of capBytes capacity.
 func New(capBytes int64, opts ...Option) *LRB {
 	l := &LRB{
-		SampleSize:  64,
-		SampleEvery: 8,
-		TrainEvery:  2048,
-		MaxTrain:    8192,
-		name:        "LRB",
-		cap:         capBytes,
-		window:      1 << 17,
-		meta:        make(map[uint64]*objMeta, 1<<12),
-		pend:        make(map[uint64]pendList, 1<<12),
+		name:       "LRB",
+		cap:        capBytes,
+		meta:       make(map[uint64]*objMeta, 1<<12),
+		pend:       make(map[uint64]pendList, 1<<12),
+		window:     lrbWindow,
+		maxTrain:   lrbMaxTrain,
+		trainEvery: lrbTrainEvery,
 	}
 	for _, o := range opts {
 		o(l)
@@ -222,7 +217,6 @@ func (l *LRB) Access(req cache.Request) bool {
 			l.label(e.feat[:], float64(l.seq-e.at))
 			next := e.next
 			l.pendFree = append(l.pendFree, id)
-			l.pendCount--
 			id = next
 		}
 		delete(l.pend, req.Key)
@@ -234,7 +228,7 @@ func (l *LRB) Access(req cache.Request) bool {
 		l.touch(m)
 	}
 	// Subsample accesses into unlabeled training candidates.
-	if l.seq%int64(l.SampleEvery) == 0 {
+	if l.seq%lrbSampleEvery == 0 {
 		id := l.allocPend()
 		e := &l.pendSlab[id] // take the pointer after alloc: the slab may have grown
 		e.at = l.seq
@@ -247,7 +241,6 @@ func (l *LRB) Access(req cache.Request) bool {
 		} else {
 			l.pend[req.Key] = pendList{head: id, tail: id}
 		}
-		l.pendCount++
 	}
 	if hit {
 		m.residHits++
@@ -293,8 +286,8 @@ func (l *LRB) Access(req cache.Request) bool {
 // label adds a completed training sample and triggers training. feat is
 // copied into the flat training matrix.
 func (l *LRB) label(feat []float64, dist float64) {
-	if l.trainX.Rows() >= l.MaxTrain {
-		n := l.MaxTrain / 2
+	if l.trainX.Rows() >= l.maxTrain {
+		n := l.maxTrain / 2
 		rows := l.trainX.Rows()
 		l.trainX.TrimFront(n)
 		copy(l.trainY, l.trainY[rows-n:])
@@ -303,7 +296,7 @@ func (l *LRB) label(feat []float64, dist float64) {
 	l.trainX.AppendRow(feat)
 	l.trainY = append(l.trainY, math.Log2(dist+1))
 	l.fresh++
-	if l.fresh >= l.TrainEvery && l.trainX.Rows() >= 512 {
+	if l.fresh >= l.trainEvery && l.trainX.Rows() >= 512 {
 		l.fresh = 0
 		if l.gbm == nil {
 			l.gbm = &ml.GBM{Squared: true, Trees: 30, Depth: 4, LR: 0.2, MinLeaf: 16}
@@ -336,7 +329,7 @@ func (l *LRB) evictOne() {
 		panic("lrb: evict from empty cache")
 	}
 	l.buf = l.buf[:0]
-	n := l.SampleSize
+	n := lrbSampleSize
 	if n > len(l.cached) {
 		n = len(l.cached)
 	}
@@ -422,7 +415,6 @@ func (l *LRB) pruneWindow() {
 		// "beyond boundary" outcome).
 		l.label(e.feat[:], float64(l.window)*2)
 		l.pendFree = append(l.pendFree, id)
-		l.pendCount--
 	}
 }
 

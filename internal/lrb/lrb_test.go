@@ -51,7 +51,7 @@ func TestLRBBasicBehaviour(t *testing.T) {
 
 func TestLRBCapacityAndTraining(t *testing.T) {
 	tr := testTrace(t, 7, 80_000)
-	l := New(200_000, WithSeed(2), WithWindow(1<<15))
+	l := New(200_000, WithSeed(2), withWindow(1<<15))
 	hits := 0
 	for i, r := range tr.Requests {
 		if l.Access(r) {
@@ -74,7 +74,7 @@ func TestLRBCompetitiveWithLRU(t *testing.T) {
 	capBytes := int64(250_000)
 	opts := sim.Options{WarmupFrac: 0.3}
 	lru := sim.Run(tr, cache.NewLRU(capBytes), opts)
-	lrb := sim.Run(tr, New(capBytes, WithSeed(3), WithWindow(1<<15)), opts)
+	lrb := sim.Run(tr, New(capBytes, WithSeed(3), withWindow(1<<15)), opts)
 	// The learned policy should beat plain LRU on a drift+ZRO workload
 	// once trained; allow a small tolerance for the warm-up phase.
 	if lrb.MissRatio() > lru.MissRatio()+0.01 {
@@ -83,7 +83,7 @@ func TestLRBCompetitiveWithLRU(t *testing.T) {
 }
 
 func TestLRBWindowPrunesMetadata(t *testing.T) {
-	l := New(10_000, WithSeed(4), WithWindow(1000))
+	l := New(10_000, WithSeed(4), withWindow(1000))
 	// Touch many one-shot objects; their metadata must not accumulate
 	// past the window sweep.
 	for i := 0; i < 10_000; i++ {
@@ -112,6 +112,12 @@ func TestLRBInsertionIntegration(t *testing.T) {
 	}
 }
 
+// withWindow substitutes a shorter memory window for lrbWindow, so the
+// tests reach the window prune in a short replay.
+func withWindow(w int64) Option {
+	return func(l *LRB) { l.window = w }
+}
+
 type demoteAll struct{}
 
 func (demoteAll) Name() string                               { return "demote" }
@@ -125,7 +131,7 @@ func TestLRBAccessAllocsSteadyState(t *testing.T) {
 	// matrix at their high-water marks, first model fit — the sampled
 	// access path (feature extraction, sample labelling, periodic GBM
 	// retrains, window pruning, sampled eviction) must stay off the heap.
-	// The warm-up is long enough that trainX has hit MaxTrain and been
+	// The warm-up is long enough that trainX has hit maxTrain and been
 	// halved at least once, so no backing array grows afterwards.
 	//
 	// The 20 000 accesses are one AllocsPerRun run: AllocsPerRun
@@ -133,7 +139,7 @@ func TestLRBAccessAllocsSteadyState(t *testing.T) {
 	// unless every access allocated, and the periodic paths would never
 	// count.
 	tr := testTrace(t, 12, 120_000)
-	l := New(100_000, WithSeed(13), WithWindow(1<<12))
+	l := New(100_000, WithSeed(13), withWindow(1<<12))
 	for _, r := range tr.Requests {
 		l.Access(r)
 	}
@@ -155,14 +161,14 @@ func TestLRBAccessAllocsSteadyState(t *testing.T) {
 func TestLRBDeterministic(t *testing.T) {
 	// The small window forces many pruneWindow sweeps: window-expired
 	// samples must be labelled in sampling order, not in the map's
-	// randomised iteration order. MaxTrain 1024 makes the halving trim
+	// randomised iteration order. maxTrain 1024 makes the halving trim
 	// fire during the run, so label order decides which samples survive
 	// into every later fit; the run is fingerprinted by the training set
 	// it ends with as well as by its hit stream.
 	tr := testTrace(t, 9, 60_000)
 	run := func() (hits, train uint64, trained bool) {
-		l := New(100_000, WithSeed(6), WithWindow(1<<12))
-		l.MaxTrain, l.TrainEvery = 1024, 512
+		l := New(100_000, WithSeed(6), withWindow(1<<12))
+		l.maxTrain, l.trainEvery = 1024, 512
 		for i, r := range tr.Requests {
 			if l.Access(r) {
 				hits = hits*31 + uint64(i)

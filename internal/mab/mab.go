@@ -164,12 +164,10 @@ func (a *AdaptiveRate) Update(hitRate float64) float64 {
 // probe returns λ nudged by ±ProbeFrac, alternating direction each call
 // and bouncing off the [minLambda, maxLambda] bounds, so a stalled
 // climber always re-establishes a non-zero δ for the next interval's
-// finite difference.
+// finite difference. λ never leaves [minLambda, maxLambda], so the step
+// is never zero.
 func (a *AdaptiveRate) probe() float64 {
 	step := a.Lambda * ProbeFrac
-	if step == 0 {
-		step = ProbeFrac * minLambda
-	}
 	up := a.probeUp
 	a.probeUp = !a.probeUp
 	if up {

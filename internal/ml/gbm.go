@@ -17,7 +17,7 @@ const gbmBins = 32
 // All fit state — boosted scores, residuals, the shared tree-growing
 // scratch and the weak learners themselves — lives on the GBM and is
 // reused across fits, so retraining on same-shaped data (the LRB loop:
-// one refit every TrainEvery labels) allocates nothing in steady state.
+// one refit every 2048 fresh labels) allocates nothing in steady state.
 type GBM struct {
 	// Trees is the ensemble size (default 50).
 	Trees int
@@ -67,7 +67,7 @@ func (m *GBM) Fit(d *Dataset) error {
 
 // FitRegression trains on raw targets. With the logistic loss targets must
 // be 0/1; with Squared they may be arbitrary. The refit is itself on the
-// LRB hot path (label -> FitRegression every TrainEvery samples), so
+// LRB hot path (label -> FitRegression every 2048 fresh labels), so
 // steady-state refits must reuse the pooled buffers (TestGBMRefitNoAllocs).
 func (m *GBM) FitRegression(X *Matrix, y []float64) error {
 	n := X.Rows()

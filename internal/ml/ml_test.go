@@ -314,7 +314,7 @@ func TestAccuracyEmpty(t *testing.T) {
 
 func TestGBMRefitNoAllocs(t *testing.T) {
 	// Steady-state retraining — the LRB loop refits the same GBM on a
-	// same-shaped window every TrainEvery labels — must reuse the pooled
+	// same-shaped window every 2048 fresh labels — must reuse the pooled
 	// trees, fit scratch and score buffers instead of touching the heap.
 	// The first fit sizes everything; every later fit must be free.
 	rng := rand.New(rand.NewSource(17))

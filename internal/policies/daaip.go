@@ -15,29 +15,28 @@ import (
 // to the LRU position with an escape probability so mispredictions can
 // recover — the adaptive component of the original proposal.
 type DAAIP struct {
-	// Classes is the number of size classes (default 32).
-	Classes int
-	// DeadMax saturates the per-class counters (default 15).
-	DeadMax int
-	// Threshold is the dead-count at which a class is predicted dead
-	// (default 12).
-	Threshold int
-	// Escape is the probability a predicted-dead insertion still goes to
-	// MRU (default 1/16).
-	Escape float64
-	// Seed fixes the PRNG.
-	Seed int64
-
-	counters []int
+	counters [daaipClasses]int
 	rng      *rand.Rand
+	// escape is daaipEscape; a test sets it to 0.
+	escape float64
 }
 
-// NewDAAIP returns a DAAIP with the default configuration.
+const (
+	// daaipClasses is the number of size classes.
+	daaipClasses = 32
+	// daaipDeadMax saturates the per-class counters.
+	daaipDeadMax = 15
+	// daaipThreshold is the dead count at which a class is predicted
+	// dead.
+	daaipThreshold = 12
+	// daaipEscape is the probability a predicted-dead insertion still
+	// goes to MRU.
+	daaipEscape = 1.0 / 16
+)
+
+// NewDAAIP returns a DAAIP whose PRNG seed derives from seed.
 func NewDAAIP(seed int64) *DAAIP {
-	d := &DAAIP{Classes: 32, DeadMax: 15, Threshold: 12, Escape: 1.0 / 16, Seed: seed}
-	d.counters = make([]int, d.Classes)
-	d.rng = rand.New(rand.NewSource(seed + 307))
-	return d
+	return &DAAIP{rng: rand.New(rand.NewSource(seed + 307)), escape: daaipEscape}
 }
 
 // Name implements cache.InsertionPolicy.
@@ -45,8 +44,8 @@ func (d *DAAIP) Name() string { return "DAAIP" }
 
 func (d *DAAIP) class(size int64) int {
 	c := bits.Len64(uint64(size))
-	if c >= d.Classes {
-		c = d.Classes - 1
+	if c >= daaipClasses {
+		c = daaipClasses - 1
 	}
 	return c
 }
@@ -65,7 +64,7 @@ func (d *DAAIP) OnAccess(req cache.Request, hit bool) {
 func (d *DAAIP) OnEvict(ev cache.EvictInfo) {
 	if !ev.EverHit {
 		c := d.class(ev.Size)
-		if d.counters[c] < d.DeadMax {
+		if d.counters[c] < daaipDeadMax {
 			d.counters[c]++
 		}
 	}
@@ -73,7 +72,7 @@ func (d *DAAIP) OnEvict(ev cache.EvictInfo) {
 
 // ChooseInsert implements cache.InsertionPolicy.
 func (d *DAAIP) ChooseInsert(req cache.Request) cache.Position {
-	if d.counters[d.class(req.Size)] >= d.Threshold && d.rng.Float64() >= d.Escape {
+	if d.counters[d.class(req.Size)] >= daaipThreshold && d.rng.Float64() >= d.escape {
 		return cache.LRU
 	}
 	return cache.MRU

@@ -30,43 +30,44 @@ type chromosome struct {
 // count, and after every generation the fitter half survives and breeds
 // the other half by crossover and mutation.
 type DGIPPR struct {
-	// Epoch is the per-chromosome evaluation window in requests
-	// (default 4096).
-	Epoch int
-	// Population is the chromosome count (default 8).
-	Population int
-
 	name string
 	cap  int64
 	q    *SegQueue
 	rng  *rand.Rand
 
 	pop     []chromosome
-	fitness []int
+	fitness [dgipprPopulation]int
 	current int
 	reqs    int
 	hits    int
+	// epoch is dgipprEpoch; a test shortens it.
+	epoch int
 }
+
+const (
+	// dgipprEpoch is the per-chromosome evaluation window in requests.
+	dgipprEpoch = 4096
+	// dgipprPopulation is the chromosome count.
+	dgipprPopulation = 8
+)
 
 var _ cache.Policy = (*DGIPPR)(nil)
 
 // NewDGIPPR returns a DGIPPR cache of capBytes capacity.
 func NewDGIPPR(capBytes int64, seed int64) *DGIPPR {
 	g := &DGIPPR{
-		Epoch:      4096,
-		Population: 8,
-		name:       "DGIPPR",
-		cap:        capBytes,
-		q:          NewSegQueue(),
-		rng:        rand.New(rand.NewSource(seed + 503)),
+		name:  "DGIPPR",
+		cap:   capBytes,
+		q:     NewSegQueue(),
+		rng:   rand.New(rand.NewSource(seed + 503)),
+		epoch: dgipprEpoch,
 	}
-	for i := 0; i < g.Population; i++ {
+	for i := 0; i < dgipprPopulation; i++ {
 		g.pop = append(g.pop, chromosome{
 			insertSeg: g.rng.Intn(NumSegments),
 			promote:   promoMode(g.rng.Intn(4)),
 		})
 	}
-	g.fitness = make([]int, g.Population)
 	return g
 }
 
@@ -82,7 +83,7 @@ func (g *DGIPPR) Used() int64 { return g.q.Bytes() }
 // Access implements cache.Policy.
 func (g *DGIPPR) Access(req cache.Request) bool {
 	g.reqs++
-	if g.reqs%g.Epoch == 0 {
+	if g.reqs%g.epoch == 0 {
 		g.advance()
 	}
 	c := g.pop[g.current]
@@ -118,7 +119,7 @@ func (g *DGIPPR) advance() {
 	g.fitness[g.current] = g.hits
 	g.hits = 0
 	g.current++
-	if g.current < g.Population {
+	if g.current < dgipprPopulation {
 		return
 	}
 	g.current = 0
@@ -127,7 +128,7 @@ func (g *DGIPPR) advance() {
 
 func (g *DGIPPR) breed() {
 	// Rank by fitness (selection): simple O(n²) ranking, n = 8.
-	order := make([]int, g.Population)
+	order := make([]int, dgipprPopulation)
 	for i := range order {
 		order[i] = i
 	}
@@ -138,12 +139,12 @@ func (g *DGIPPR) breed() {
 			}
 		}
 	}
-	half := g.Population / 2
-	next := make([]chromosome, 0, g.Population)
+	half := dgipprPopulation / 2
+	next := make([]chromosome, 0, dgipprPopulation)
 	for i := 0; i < half; i++ {
 		next = append(next, g.pop[order[i]])
 	}
-	for len(next) < g.Population {
+	for len(next) < dgipprPopulation {
 		a := next[g.rng.Intn(half)]
 		b := next[g.rng.Intn(half)]
 		child := chromosome{insertSeg: a.insertSeg, promote: b.promote}

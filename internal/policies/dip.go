@@ -8,23 +8,23 @@ import "github.com/scip-cache/scip/internal/cache"
 // (cache.DuelMonitor); PSEL accumulates their per-window verdicts and the
 // winning expert drives insertions.
 type DIP struct {
-	// Window is the dueling window in requests (default 4096).
-	Window int
-	// PSELMax bounds the saturating counter (default 32).
-	PSELMax int
-
 	monitor *cache.DuelMonitor
 	bip     *BIP
 	psel    int // positive favours MIP, negative favours BIP
 	reqs    int
 }
 
+// DIP's dueling window in requests and the bound of its saturating
+// PSEL counter.
+const (
+	dipWindow  = 4096
+	dipPSELMax = 32
+)
+
 // NewDIP returns a DIP for a cache of capBytes capacity; seed fixes its
 // BIP expert's PRNG.
 func NewDIP(capBytes int64, seed int64) *DIP {
 	return &DIP{
-		Window:  4096,
-		PSELMax: 32,
 		monitor: cache.NewDuelMonitor(capBytes, 1.0/8, 7),
 		bip:     NewBIP(seed),
 	}
@@ -37,12 +37,12 @@ func (d *DIP) Name() string { return "DIP" }
 func (d *DIP) OnAccess(req cache.Request, hit bool) {
 	d.monitor.Observe(req)
 	d.reqs++
-	if d.reqs%d.Window == 0 {
+	if d.reqs%dipWindow == 0 {
 		v := d.monitor.Verdict()
 		switch {
-		case v > 0 && d.psel < d.PSELMax:
+		case v > 0 && d.psel < dipPSELMax:
 			d.psel++
-		case v < 0 && d.psel > -d.PSELMax:
+		case v < 0 && d.psel > -dipPSELMax:
 			d.psel--
 		}
 	}

@@ -16,15 +16,6 @@ import (
 // features; here the tree trains online over the object features
 // available to a CDN (size class, recency, frequency).
 type DTA struct {
-	// Retrain is the retraining period in resolved residencies
-	// (default 4096).
-	Retrain int
-	// Buffer caps the training buffer (default 8192).
-	Buffer int
-	// Threshold is the predicted-dead score above which insertion goes
-	// to LRU (default 0.5).
-	Threshold float64
-
 	tree        *ml.RegressionTree
 	trained     bool
 	bufX        ml.Matrix
@@ -39,17 +30,27 @@ type DTA struct {
 	pending map[uint64][dtaFeatures]float64
 
 	req int
+	// retrain is dtaRetrain; a test shortens it.
+	retrain int
 }
+
+const (
+	// dtaRetrain is the retraining period in resolved residencies.
+	dtaRetrain = 4096
+	// dtaBuffer caps the training buffer.
+	dtaBuffer = 8192
+	// dtaThreshold is the predicted-dead score above which insertion
+	// goes to LRU.
+	dtaThreshold = 0.5
+)
 
 // NewDTA returns a DTA policy.
 func NewDTA() *DTA {
 	return &DTA{
-		Retrain:   4096,
-		Buffer:    8192,
-		Threshold: 0.5,
-		lastSeen:  make(map[uint64]int64, 1<<12),
-		freq:      make(map[uint64]int, 1<<12),
-		pending:   make(map[uint64][dtaFeatures]float64, 1<<12),
+		lastSeen: make(map[uint64]int64, 1<<12),
+		freq:     make(map[uint64]int, 1<<12),
+		pending:  make(map[uint64][dtaFeatures]float64, 1<<12),
+		retrain:  dtaRetrain,
 	}
 }
 
@@ -105,10 +106,10 @@ func (d *DTA) OnEvict(ev cache.EvictInfo) {
 }
 
 func (d *DTA) record(f [dtaFeatures]float64, dead float64) {
-	if d.bufX.Rows() >= d.Buffer {
+	if d.bufX.Rows() >= dtaBuffer {
 		// Drop the oldest half to keep the buffer fresh without
 		// reallocating per sample.
-		n := d.Buffer / 2
+		n := dtaBuffer / 2
 		rows := d.bufX.Rows()
 		d.bufX.TrimFront(n)
 		copy(d.bufY, d.bufY[rows-n:])
@@ -117,7 +118,7 @@ func (d *DTA) record(f [dtaFeatures]float64, dead float64) {
 	d.bufX.AppendRow(f[:])
 	d.bufY = append(d.bufY, dead)
 	d.resolved++
-	if d.resolved%d.Retrain == 0 && d.bufX.Rows() >= 256 {
+	if d.resolved%d.retrain == 0 && d.bufX.Rows() >= 256 {
 		if d.tree == nil {
 			d.tree = &ml.RegressionTree{MaxDepth: 4, MinLeaf: 32}
 		}
@@ -131,7 +132,7 @@ func (d *DTA) record(f [dtaFeatures]float64, dead float64) {
 func (d *DTA) ChooseInsert(req cache.Request) cache.Position {
 	f := d.curFeatures
 	d.pending[req.Key] = f
-	if d.trained && d.tree.Predict(f[:]) > d.Threshold {
+	if d.trained && d.tree.Predict(f[:]) > dtaThreshold {
 		return cache.LRU
 	}
 	return cache.MRU

@@ -6,25 +6,6 @@ import (
 	"github.com/scip-cache/scip/internal/cache"
 )
 
-// MIP is the MRU insertion policy: every object, missing or hit, goes to
-// the MRU position. Paired with LRU victim selection this is plain LRU.
-type MIP struct{}
-
-// Name implements cache.InsertionPolicy.
-func (MIP) Name() string { return "MIP" }
-
-// ChooseInsert implements cache.InsertionPolicy.
-func (MIP) ChooseInsert(cache.Request) cache.Position { return cache.MRU }
-
-// ChoosePromote implements cache.InsertionPolicy.
-func (MIP) ChoosePromote(cache.Request) cache.Position { return cache.MRU }
-
-// OnEvict implements cache.InsertionPolicy.
-func (MIP) OnEvict(cache.EvictInfo) {}
-
-// OnAccess implements cache.InsertionPolicy.
-func (MIP) OnAccess(cache.Request, bool) {}
-
 // LIP is the LRU insertion policy: missing objects enter at the LRU
 // position; hits promote to MRU.
 type LIP struct{}
@@ -44,37 +25,26 @@ func (LIP) OnEvict(cache.EvictInfo) {}
 // OnAccess implements cache.InsertionPolicy.
 func (LIP) OnAccess(cache.Request, bool) {}
 
-// BIP is the bimodal insertion policy (Qureshi et al.): LIP with a small
-// probability Epsilon of inserting at MRU instead, so the cache can adapt
-// to working-set changes.
-type BIP struct {
-	// Epsilon is the MRU-insertion probability (default 1/32).
-	Epsilon float64
-	// Seed fixes the PRNG.
-	Seed int64
+// bipEpsilon is BIP's MRU-insertion probability, the classic 1/32
+// bimodal throttle.
+const bipEpsilon = 1.0 / 32
 
+// BIP is the bimodal insertion policy (Qureshi et al.): LIP with a small
+// probability bipEpsilon of inserting at MRU instead, so the cache can
+// adapt to working-set changes.
+type BIP struct {
 	rng *rand.Rand
 }
 
-// NewBIP returns a BIP with the classic 1/32 bimodal throttle.
-func NewBIP(seed int64) *BIP { return &BIP{Epsilon: 1.0 / 32, Seed: seed} }
+// NewBIP returns a BIP whose PRNG seed derives from seed.
+func NewBIP(seed int64) *BIP { return &BIP{rng: rand.New(rand.NewSource(seed + 101))} }
 
 // Name implements cache.InsertionPolicy.
 func (b *BIP) Name() string { return "BIP" }
 
-func (b *BIP) lazyInit() {
-	if b.rng == nil {
-		if b.Epsilon <= 0 {
-			b.Epsilon = 1.0 / 32
-		}
-		b.rng = rand.New(rand.NewSource(b.Seed + 101))
-	}
-}
-
 // ChooseInsert implements cache.InsertionPolicy.
 func (b *BIP) ChooseInsert(cache.Request) cache.Position {
-	b.lazyInit()
-	if b.rng.Float64() < b.Epsilon {
+	if b.rng.Float64() < bipEpsilon {
 		return cache.MRU
 	}
 	return cache.LRU

@@ -16,30 +16,33 @@ import (
 // policy moves the hit object one unit towards the MRU position",
 // leaving P-ZROs resident for a long time in large CDN queues).
 type PIPP struct {
-	// InsertSeg is the insertion segment in [0, NumSegments) from the
-	// MRU end (default 4: mid-queue).
-	InsertSeg int
-	// PromoteProb is the probability a hit moves one step toward MRU
-	// (default 3/4, the original's p_prom).
-	PromoteProb float64
-
 	name string
 	cap  int64
 	q    *SegQueue
 	rng  *rand.Rand
+	// promoteProb is pippPromoteProb; tests set it to 0 or 1.
+	promoteProb float64
 }
+
+const (
+	// pippInsertSeg is the insertion segment in [0, NumSegments) from
+	// the MRU end: mid-queue.
+	pippInsertSeg = 4
+	// pippPromoteProb is the probability a hit moves one step toward
+	// MRU, the original's p_prom.
+	pippPromoteProb = 0.75
+)
 
 var _ cache.Policy = (*PIPP)(nil)
 
 // NewPIPP returns a PIPP cache of capBytes capacity.
 func NewPIPP(capBytes int64, seed int64) *PIPP {
 	return &PIPP{
-		InsertSeg:   4,
-		PromoteProb: 0.75,
 		name:        "PIPP",
 		cap:         capBytes,
 		q:           NewSegQueue(),
 		rng:         rand.New(rand.NewSource(seed + 401)),
+		promoteProb: pippPromoteProb,
 	}
 }
 
@@ -57,7 +60,7 @@ func (p *PIPP) Access(req cache.Request) bool {
 	if h := p.q.Get(req.Key); h != cache.None {
 		e := p.q.At(h)
 		e.Hits++
-		if p.rng.Float64() < p.PromoteProb {
+		if p.rng.Float64() < p.promoteProb {
 			p.q.StepUp(h)
 		}
 		return true
@@ -68,6 +71,6 @@ func (p *PIPP) Access(req cache.Request) bool {
 	for p.q.Bytes()+req.Size > p.cap {
 		p.q.EvictBack()
 	}
-	p.q.InsertAt(req.Key, req.Size, p.InsertSeg)
+	p.q.InsertAt(req.Key, req.Size, pippInsertSeg)
 	return false
 }

@@ -35,7 +35,7 @@ func testTrace(t *testing.T, seed int64) []cache.Request {
 func TestAllPoliciesCapacityInvariant(t *testing.T) {
 	capBytes := int64(400_000)
 	builders := map[string]func() cache.Policy{
-		"MIP":    func() cache.Policy { return NewCache("MIP", capBytes, MIP{}) },
+		"LRU":    func() cache.Policy { return cache.NewLRU(capBytes) },
 		"LIP":    func() cache.Policy { return NewCache("LIP", capBytes, LIP{}) },
 		"BIP":    func() cache.Policy { return NewCache("BIP", capBytes, NewBIP(1)) },
 		"DIP":    func() cache.Policy { return NewCache("DIP", capBytes, NewDIP(capBytes, 1)) },
@@ -72,9 +72,6 @@ func TestAllPoliciesCapacityInvariant(t *testing.T) {
 
 func TestFixedPolicyPositions(t *testing.T) {
 	r := req(0, 1, 1)
-	if (MIP{}).ChooseInsert(r) != cache.MRU || (MIP{}).ChoosePromote(r) != cache.MRU {
-		t.Fatal("MIP positions wrong")
-	}
 	if (LIP{}).ChooseInsert(r) != cache.LRU || (LIP{}).ChoosePromote(r) != cache.MRU {
 		t.Fatal("LIP positions wrong")
 	}
@@ -136,7 +133,7 @@ func TestSHiPLearnsDeadSignature(t *testing.T) {
 
 func TestDAAIPClassCounters(t *testing.T) {
 	d := NewDAAIP(3)
-	d.Escape = 0 // deterministic for the test
+	d.escape = 0 // deterministic for the test
 	size := int64(1 << 10)
 	for i := 0; i < 20; i++ {
 		d.OnEvict(cache.EvictInfo{Key: uint64(i), Size: size, EverHit: false})
@@ -182,7 +179,7 @@ func TestASCIPThresholdAdapts(t *testing.T) {
 
 func TestDTATrainsAndPredicts(t *testing.T) {
 	d := NewDTA()
-	d.Retrain = 512
+	d.retrain = 512
 	// Feed a synthetic stream: large objects always die, small ones are
 	// always reused.
 	idx := 0
@@ -302,7 +299,7 @@ func TestSegQueueInsertAtClamps(t *testing.T) {
 
 func TestPIPPInsertPositionMidQueue(t *testing.T) {
 	p := NewPIPP(10_000, 1)
-	p.PromoteProb = 0 // isolate insertion behaviour
+	p.promoteProb = 0 // isolate insertion behaviour
 	for i := 0; i < 80; i++ {
 		p.Access(req(int64(i), uint64(i), 100))
 	}
@@ -316,7 +313,7 @@ func TestPIPPInsertPositionMidQueue(t *testing.T) {
 
 func TestPIPPPromotionStep(t *testing.T) {
 	p := NewPIPP(10_000, 1)
-	p.PromoteProb = 1
+	p.promoteProb = 1
 	for i := 0; i < 50; i++ {
 		p.Access(req(int64(i), uint64(i), 100))
 	}
@@ -330,7 +327,7 @@ func TestPIPPPromotionStep(t *testing.T) {
 
 func TestDGIPPREvolves(t *testing.T) {
 	g := NewDGIPPR(200_000, 2)
-	g.Epoch = 500
+	g.epoch = 500
 	reqs := testTrace(t, 5)
 	for _, r := range reqs {
 		g.Access(r)
@@ -351,7 +348,7 @@ func TestDGIPPRBreedKeepsPopulationSize(t *testing.T) {
 		g.fitness[i] = i
 	}
 	g.breed()
-	if len(g.pop) != g.Population {
+	if len(g.pop) != dgipprPopulation {
 		t.Fatalf("population size %d after breed", len(g.pop))
 	}
 	for _, c := range g.pop {
@@ -361,9 +358,9 @@ func TestDGIPPRBreedKeepsPopulationSize(t *testing.T) {
 	}
 }
 
-// LIP must beat MIP on a pure ZRO flood over a small hot set, and MIP
-// must beat LIP on a recency-friendly stream — the two regimes the
-// adaptive policies arbitrate between.
+// LIP must beat MIP (MRU insertion, i.e. plain LRU) on a pure ZRO flood
+// over a small hot set, and MIP must beat LIP on a recency-friendly
+// stream — the two regimes the adaptive policies arbitrate between.
 func TestLIPvsMIPRegimes(t *testing.T) {
 	capBytes := int64(50_000)
 	// Regime 1: hot set fits, plus a flood of one-hit wonders large
@@ -378,8 +375,7 @@ func TestLIPvsMIPRegimes(t *testing.T) {
 			next++
 		}
 	}
-	hits := func(ins cache.InsertionPolicy, reqs []cache.Request) int {
-		c := NewCache("x", capBytes, ins)
+	hits := func(c cache.Policy, reqs []cache.Request) int {
 		h := 0
 		for _, r := range reqs {
 			if c.Access(r) {
@@ -388,7 +384,7 @@ func TestLIPvsMIPRegimes(t *testing.T) {
 		}
 		return h
 	}
-	if lip, mip := hits(LIP{}, flood), hits(MIP{}, flood); lip <= mip {
+	if lip, mip := hits(NewCache("LIP", capBytes, LIP{}), flood), hits(cache.NewLRU(capBytes), flood); lip <= mip {
 		t.Fatalf("LIP (%d) should beat MIP (%d) on ZRO flood", lip, mip)
 	}
 	// Regime 2: pure recency stream (cyclic reuse within cache size).
@@ -396,7 +392,7 @@ func TestLIPvsMIPRegimes(t *testing.T) {
 	for i := 0; i < 40_000; i++ {
 		recency = append(recency, req(int64(i), uint64(i%45), 1000))
 	}
-	if lip, mip := hits(LIP{}, recency), hits(MIP{}, recency); mip < lip {
+	if lip, mip := hits(NewCache("LIP", capBytes, LIP{}), recency), hits(cache.NewLRU(capBytes), recency); mip < lip {
 		t.Fatalf("MIP (%d) should not lose to LIP (%d) on recency stream", mip, lip)
 	}
 }

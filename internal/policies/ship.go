@@ -15,23 +15,22 @@ import (
 // Insertions whose signature counter is zero are predicted
 // distant-reuse and placed at the LRU position.
 type SHiP struct {
-	// TableBits sizes the signature history counter table (default 14).
-	TableBits int
-	// CounterMax saturates the counters (default 7, a 3-bit counter).
-	CounterMax int
-
-	table []int8
-	mask  uint32
+	table [1 << shipTableBits]int8
 }
+
+const (
+	// shipTableBits sizes the signature history counter table (SHCT).
+	shipTableBits = 14
+	// shipCounterMax saturates the counters: a 3-bit counter.
+	shipCounterMax = 7
+)
 
 // NewSHiP returns a SHiP predictor with a 2^14-entry SHCT.
 func NewSHiP() *SHiP {
-	s := &SHiP{TableBits: 14, CounterMax: 7}
-	s.table = make([]int8, 1<<s.TableBits)
+	s := &SHiP{}
 	for i := range s.table {
 		s.table[i] = 1 // weakly reusable prior
 	}
-	s.mask = uint32(len(s.table) - 1)
 	return s
 }
 
@@ -42,7 +41,7 @@ func (s *SHiP) Name() string { return "SHiP" }
 func (s *SHiP) signature(key uint64, size int64) uint32 {
 	sizeClass := uint32(bits.Len64(uint64(size)))
 	h := uint32(key*0x9E3779B97F4A7C15>>40) ^ sizeClass<<8 ^ sizeClass
-	return h & s.mask
+	return h & (1<<shipTableBits - 1)
 }
 
 // OnAccess implements cache.InsertionPolicy: hits increment the
@@ -50,7 +49,7 @@ func (s *SHiP) signature(key uint64, size int64) uint32 {
 func (s *SHiP) OnAccess(req cache.Request, hit bool) {
 	if hit {
 		idx := s.signature(req.Key, req.Size)
-		if int(s.table[idx]) < s.CounterMax {
+		if s.table[idx] < shipCounterMax {
 			s.table[idx]++
 		}
 	}

@@ -11,7 +11,6 @@ import (
 // glGroup is a segment of objects inserted consecutively, the learning
 // unit of GL-Cache.
 type glGroup struct {
-	id        int64
 	createdAt int64
 	objects   []*glObject
 	bytes     int64
@@ -19,7 +18,6 @@ type glGroup struct {
 	hits      float64 // hits accrued by members, decayed at training
 	snapHits  float64 // hits at the last training snapshot
 	utility   float64
-	heapIdx   int
 	sealed    bool
 }
 
@@ -34,8 +32,8 @@ type groupHeap []*glGroup
 
 func (h groupHeap) Len() int           { return len(h) }
 func (h groupHeap) Less(i, j int) bool { return h[i].utility < h[j].utility }
-func (h groupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *groupHeap) Push(x any)        { g := x.(*glGroup); g.heapIdx = len(*h); *h = append(*h, g) }
+func (h groupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *groupHeap) Push(x any)        { *h = append(*h, x.(*glGroup)) }
 func (h *groupHeap) Pop() any          { old := *h; n := len(old); g := old[n-1]; *h = old[:n-1]; return g }
 
 // GLCache is group-level learning (Yang et al., FAST'23): objects are
@@ -46,13 +44,6 @@ func (h *groupHeap) Pop() any          { old := *h; n := len(old); g := old[n-1]
 // the training and the inference cost that per-object learned policies
 // (LRB) pay.
 type GLCache struct {
-	// GroupObjects is the segment size in objects. When 0 (the default)
-	// it adapts so the cache holds roughly 64 groups, keeping the
-	// learning granularity proportional to the cache size.
-	GroupObjects int
-	// TrainEvery is the training period in requests (default 1<<15).
-	TrainEvery int
-
 	name   string
 	cap    int64
 	seq    int64
@@ -62,25 +53,30 @@ type GLCache struct {
 	groups []*glGroup
 	h      groupHeap
 	model  *ml.LinReg // nil until first successful training
-	nextID int64
 
 	lin     *ml.LinReg // the persistent model instance model points at
 	ds      ml.Dataset // reused training buffer
 	featBuf [glFeatures]float64
+	// trainEvery is glTrainEvery; a test shortens it.
+	trainEvery int64
 }
 
-// glFeatures is the group-level feature count.
-const glFeatures = 4
+const (
+	// glFeatures is the group-level feature count.
+	glFeatures = 4
+	// glTrainEvery is the training period in requests.
+	glTrainEvery = 1 << 15
+)
 
 var _ cache.Policy = (*GLCache)(nil)
 
 // NewGLCache returns a GL-Cache.
 func NewGLCache(capBytes int64) *GLCache {
 	g := &GLCache{
-		TrainEvery: 1 << 15,
 		name:       "GL-Cache",
 		cap:        capBytes,
 		index:      make(map[uint64]*glObject),
+		trainEvery: glTrainEvery,
 	}
 	g.newOpenGroup()
 	return g
@@ -95,12 +91,10 @@ func (g *GLCache) Capacity() int64 { return g.cap }
 // Used implements cache.Policy.
 func (g *GLCache) Used() int64 { return g.bytes }
 
-// groupTarget returns the adaptive segment size: about 1/64th of the
-// resident object count, at least 8.
+// groupTarget returns the segment size in objects: about 1/64th of the
+// resident object count, at least 8, so the cache holds roughly 64 groups
+// and the learning granularity stays proportional to the cache size.
 func (g *GLCache) groupTarget() int {
-	if g.GroupObjects > 0 {
-		return g.GroupObjects
-	}
 	t := len(g.index) / 64
 	if t < 8 {
 		t = 8
@@ -109,8 +103,7 @@ func (g *GLCache) groupTarget() int {
 }
 
 func (g *GLCache) newOpenGroup() {
-	g.open = &glGroup{id: g.nextID, createdAt: g.seq, heapIdx: -1}
-	g.nextID++
+	g.open = &glGroup{createdAt: g.seq}
 	g.groups = append(g.groups, g.open)
 }
 
@@ -132,7 +125,7 @@ func (g *GLCache) fillFeatures(gr *glGroup, dst []float64) {
 // Access implements cache.Policy.
 func (g *GLCache) Access(req cache.Request) bool {
 	g.seq++
-	if g.seq%int64(g.TrainEvery) == 0 {
+	if g.seq%g.trainEvery == 0 {
 		g.train()
 	}
 	if o, ok := g.index[req.Key]; ok {

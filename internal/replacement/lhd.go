@@ -26,46 +26,37 @@ func (e *lhdEntry) ItemSize() int64 { return e.size }
 // random sample. Histograms decay periodically so the estimator tracks
 // the workload.
 type LHD struct {
-	// SampleSize is the eviction sample (default 32).
-	SampleSize int
-	// AgeBuckets is the number of log-scale age buckets (default 24).
-	AgeBuckets int
-	// DecayEvery is the histogram decay period in requests
-	// (default 1<<16).
-	DecayEvery int
-
 	name  string
 	cap   int64
 	seq   int64
 	store *Store[*lhdEntry]
 	buf   []*lhdEntry
 
-	hitHist   [][]float64 // [class][ageBucket]
-	evictHist [][]float64
+	hitHist   [lhdClasses][lhdAgeBuckets]float64
+	evictHist [lhdClasses][lhdAgeBuckets]float64
 }
 
 var _ cache.Policy = (*LHD)(nil)
 
-const lhdSizeClasses = 20
+const (
+	lhdSizeClasses = 20
+	// lhdClasses is size class × reused-before bit.
+	lhdClasses = lhdSizeClasses * 2
+	// lhdSampleSize is the eviction sample.
+	lhdSampleSize = 32
+	// lhdAgeBuckets is the number of log-scale age buckets.
+	lhdAgeBuckets = 24
+	// lhdDecayEvery is the histogram decay period in requests.
+	lhdDecayEvery = 1 << 16
+)
 
 // NewLHD returns an LHD cache.
 func NewLHD(capBytes int64, seed int64) *LHD {
-	classes := lhdSizeClasses * 2
-	l := &LHD{
-		SampleSize: 32,
-		AgeBuckets: 24,
-		DecayEvery: 1 << 16,
-		name:       "LHD",
-		cap:        capBytes,
-		store:      NewStore[*lhdEntry](seed + 701),
+	return &LHD{
+		name:  "LHD",
+		cap:   capBytes,
+		store: NewStore[*lhdEntry](seed + 701),
 	}
-	l.hitHist = make([][]float64, classes)
-	l.evictHist = make([][]float64, classes)
-	for i := range l.hitHist {
-		l.hitHist[i] = make([]float64, l.AgeBuckets)
-		l.evictHist[i] = make([]float64, l.AgeBuckets)
-	}
-	return l
 }
 
 // Name implements cache.Policy.
@@ -90,8 +81,8 @@ func (l *LHD) class(e *lhdEntry) int {
 
 func (l *LHD) ageBucket(age int64) int {
 	b := bits.Len64(uint64(age))
-	if b >= l.AgeBuckets {
-		b = l.AgeBuckets - 1
+	if b >= lhdAgeBuckets {
+		b = lhdAgeBuckets - 1
 	}
 	return b
 }
@@ -103,7 +94,7 @@ func (l *LHD) density(e *lhdEntry) float64 {
 	cls := l.class(e)
 	from := l.ageBucket(l.seq - e.lastAccess)
 	var hits, evicts float64
-	for b := from; b < l.AgeBuckets; b++ {
+	for b := from; b < lhdAgeBuckets; b++ {
 		hits += l.hitHist[cls][b]
 		evicts += l.evictHist[cls][b]
 	}
@@ -116,7 +107,7 @@ func (l *LHD) density(e *lhdEntry) float64 {
 // Access implements cache.Policy.
 func (l *LHD) Access(req cache.Request) bool {
 	l.seq++
-	if l.DecayEvery > 0 && l.seq%int64(l.DecayEvery) == 0 {
+	if l.seq%lhdDecayEvery == 0 {
 		l.decay()
 	}
 	if e, ok := l.store.Get(req.Key); ok {
@@ -136,7 +127,7 @@ func (l *LHD) Access(req cache.Request) bool {
 }
 
 func (l *LHD) evictOne() {
-	l.buf = l.store.Sample(l.SampleSize, l.buf[:0])
+	l.buf = l.store.Sample(lhdSampleSize, l.buf[:0])
 	if len(l.buf) == 0 {
 		panic("replacement: evict from empty LHD store")
 	}

@@ -28,11 +28,6 @@ func (e *lrukEntry) ItemSize() int64 { return e.size }
 // are preferred victims. Eviction ranks a random sample, the standard
 // adaptation for large object caches.
 type LRUK struct {
-	// K is the history depth (default 2).
-	K int
-	// SampleSize is the eviction sample (default 16).
-	SampleSize int
-
 	name  string
 	cap   int64
 	seq   int64
@@ -43,18 +38,26 @@ type LRUK struct {
 	// (LRU-K-SCIP in Figure 12): position choices map to history
 	// manipulation, see Access.
 	ins cache.InsertionPolicy
+	// sampleSize is lrukSampleSize; a test samples exhaustively.
+	sampleSize int
 }
 
 var _ cache.Policy = (*LRUK)(nil)
 
+const (
+	// lrukK is the history depth K.
+	lrukK = 2
+	// lrukSampleSize is the eviction sample.
+	lrukSampleSize = 16
+)
+
 // NewLRUK returns an LRU-K cache (K = 2).
 func NewLRUK(capBytes int64, seed int64) *LRUK {
 	return &LRUK{
-		K:          2,
-		SampleSize: 16,
 		name:       "LRU-K",
 		cap:        capBytes,
 		store:      NewStore[*lrukEntry](seed + 601),
+		sampleSize: lrukSampleSize,
 	}
 }
 
@@ -83,7 +86,7 @@ func (l *LRUK) Used() int64 { return l.store.Bytes() }
 // entries with short history or a demotion mark rank as -1 (infinitely
 // old).
 func (l *LRUK) kDistance(e *lrukEntry) int64 {
-	if e.demoted || len(e.times) < l.K {
+	if e.demoted || len(e.times) < lrukK {
 		return -1
 	}
 	return e.times[0]
@@ -98,7 +101,7 @@ func (l *LRUK) Access(req cache.Request) bool {
 	}
 	if hit {
 		e.times = append(e.times, l.seq)
-		if len(e.times) > l.K {
+		if len(e.times) > lrukK {
 			e.times = e.times[1:]
 		}
 		e.hits++
@@ -133,7 +136,7 @@ func (l *LRUK) Access(req cache.Request) bool {
 }
 
 func (l *LRUK) evictOne() {
-	l.buf = l.store.Sample(l.SampleSize, l.buf[:0])
+	l.buf = l.store.Sample(l.sampleSize, l.buf[:0])
 	if len(l.buf) == 0 {
 		panic("replacement: evict from empty LRU-K store")
 	}

@@ -126,7 +126,7 @@ func TestStorePanicsOnDuplicate(t *testing.T) {
 
 func TestLRUKPrefersShortHistoryVictims(t *testing.T) {
 	l := NewLRUK(1000, 2)
-	l.SampleSize = 100 // exhaustive sampling for determinism
+	l.sampleSize = 100 // exhaustive sampling for determinism
 	// Object 1 accessed twice (full history); objects 2..10 once.
 	l.Access(req(0, 1, 100))
 	l.Access(req(1, 1, 100))
@@ -255,9 +255,10 @@ func TestCACHEUSUsesAdaptiveRate(t *testing.T) {
 }
 
 func TestGLCacheGroupsSealAndDrain(t *testing.T) {
+	// Under 512 residents a group holds 8 objects (max(n/64, 8)), so 17
+	// inserts seal two groups and leave the 17th object in the open one.
 	g := NewGLCache(10_000)
-	g.GroupObjects = 4
-	for k := uint64(1); k <= 9; k++ {
+	for k := uint64(1); k <= 17; k++ {
 		g.Access(req(int64(k), k, 100))
 	}
 	sealed := 0
@@ -280,7 +281,7 @@ func TestGLCacheGroupsSealAndDrain(t *testing.T) {
 
 func TestGLCacheTrainsModel(t *testing.T) {
 	g := NewGLCache(500_000)
-	g.TrainEvery = 2000
+	g.trainEvery = 2000
 	tr := testTrace(t, 12)
 	for _, r := range tr.Requests[:20_000] {
 		g.Access(r)

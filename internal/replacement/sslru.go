@@ -14,10 +14,6 @@ import (
 // predicted reuse enter the probation tail; reused objects move to the
 // protected segment, whose overflow demotes back to probation.
 type SSLRU struct {
-	// ProtectedFrac is the protected segment's share of capacity
-	// (default 0.75).
-	ProtectedFrac float64
-
 	name      string
 	cap       int64
 	arena     cache.Arena
@@ -29,6 +25,9 @@ type SSLRU struct {
 
 var _ cache.Policy = (*SSLRU)(nil)
 
+// sslruProtectedFrac is the protected segment's share of capacity.
+const sslruProtectedFrac = 0.75
+
 // Segment ids for Entry.Class.
 const (
 	segProbation = 0
@@ -38,9 +37,8 @@ const (
 // NewSSLRU returns an SS-LRU cache.
 func NewSSLRU(capBytes int64) *SSLRU {
 	s := &SSLRU{
-		ProtectedFrac: 0.75,
-		name:          "SS-LRU",
-		cap:           capBytes,
+		name: "SS-LRU",
+		cap:  capBytes,
 	}
 	s.probation = s.arena.NewQueue()
 	s.protected = s.arena.NewQueue()
@@ -108,7 +106,7 @@ func (s *SSLRU) Access(req cache.Request) bool {
 
 // balanceProtected demotes protected overflow back to probation's head.
 func (s *SSLRU) balanceProtected() {
-	limit := int64(s.ProtectedFrac * float64(s.cap))
+	limit := int64(sslruProtectedFrac * float64(s.cap))
 	for s.protected.Bytes() > limit {
 		tail := s.protected.Back()
 		s.protected.Remove(tail)

@@ -60,7 +60,6 @@ func frac(a, b int) float64 {
 
 type objState struct {
 	lastPlacement int
-	lastWasHit    bool
 	pendingZRO    []int32
 	pendingPZRO   []int32
 }
@@ -116,7 +115,6 @@ func Analyze(tr *trace.Trace, capBytes int64) (*Labels, Summary) {
 			st.pendingZRO = st.pendingZRO[:0]
 			st.pendingPZRO = st.pendingPZRO[:0]
 			st.lastPlacement = i
-			st.lastWasHit = true
 		} else {
 			misses++
 			if req.Size <= capBytes && req.Size > 0 {
@@ -127,7 +125,6 @@ func Analyze(tr *trace.Trace, capBytes int64) (*Labels, Summary) {
 					states[req.Key] = st
 				}
 				st.lastPlacement = i
-				st.lastWasHit = false
 			}
 		}
 		c.Access(req)
