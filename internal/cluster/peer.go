@@ -44,10 +44,9 @@ type PeerClient struct {
 // NewPeerClient builds a peer client for the node identified by self
 // (which must appear in nodes; the list and vnodes must match the
 // router's so both sides agree on ring positions: the daemons pass
-// VNodes). fanout is how many
-// distinct successors to ask per fetch (default 1). client defaults to
-// httpx.NewClient's pooled one, like RouterConfig's; per-attempt timeouts
-// are the server's concern.
+// VNodes). fanout is how many distinct successors to ask per fetch
+// (default 1). client defaults to httpx.NewClient's pooled one, like
+// RouterConfig's; per-attempt timeouts are the server's concern.
 func NewPeerClient(nodes []string, self string, vnodes, fanout int, client *http.Client) (*PeerClient, error) {
 	ring, err := NewRing(nodes, vnodes)
 	if err != nil {
