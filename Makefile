@@ -69,10 +69,11 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) test -run Example . ./internal/stats/ ./internal/cluster/
 
-# docs-check fails on broken intra-repo markdown links and on internal/
-# packages missing a package comment (both in docs_test.go).
+# docs-check fails on broken intra-repo markdown links, on internal/
+# packages missing a package comment, and on a daemon flag table that
+# drifts from the flags its main.go defines (all in docs_test.go).
 docs-check:
-	$(GO) test -run 'TestDocsLinks|TestPackageDocs' .
+	$(GO) test -run 'TestDocsLinks|TestPackageDocs|TestFlagTables' .
 
 # Short fuzz passes over all eight Fuzz* targets: scip-serve's query
 # scanner (diffed against url.ParseQuery), the cache's open-addressing

@@ -12,9 +12,12 @@
 // Usage:
 //
 //	scip-route -nodes http://10.0.0.1:8344,http://10.0.0.2:8344 [-addr :8380]
-//	    [-replicas 2] [-replicate] [-hot-k 16] [-hot-min 64]
-//	    [-node-timeout 2s] [-fail-threshold 3] [-health-interval 2s]
+//	    [-replicate] [-node-timeout 2s] [-health-interval 2s]
 //	    [-max-body 1MiB] [-drain 10s] [-interval 10s]
+//
+// A hot key is one of the 16 keys with the highest sketch estimates, once
+// its estimate reaches 64; its replica set is its owner and the owner's
+// ring successor. A node is marked down after 3 consecutive failures.
 package main
 
 import (
@@ -35,12 +38,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8380", "listen address")
 	nodes := flag.String("nodes", "", "comma-separated scip-serve base URLs (the ring identities; required)")
-	replicas := flag.Int("replicas", 2, "replica-set size for hot keys (clamped to the node count)")
-	replicate := flag.Bool("replicate", false, "enable hot-key replication (spread hot reads, fan out hot writes)")
-	hotK := flag.Int("hot-k", 16, "maximum tracked hot-key count")
-	hotMin := flag.Int("hot-min", 64, "sketch estimate a key needs to enter the hot set")
+	replicate := flag.Bool("replicate", false, "enable hot-key replication (spread hot reads over 2 replicas, fan out hot writes)")
 	nodeTimeout := flag.Duration("node-timeout", 2*time.Second, "per-attempt proxy timeout")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that mark a node down")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "background /healthz probe period")
 	maxBody := flag.String("max-body", "1MiB", "accepted PUT body size cap")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout (0 waits indefinitely)")
@@ -62,12 +61,8 @@ func main() {
 	}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Nodes:          nodeList,
-		Replicas:       *replicas,
 		Replicate:      *replicate,
-		HotK:           *hotK,
-		HotMin:         *hotMin,
 		NodeTimeout:    *nodeTimeout,
-		FailThreshold:  *failThreshold,
 		HealthInterval: *healthInterval,
 		MaxBodyBytes:   maxBodyBytes,
 	})

@@ -9,21 +9,21 @@
 // Usage:
 //
 //	scip-serve [-addr :8344] [-policy SCIP] [-cache 256MiB] [-shards 8] [-seed 1]
-//	    [-mode mutex|actor] [-depth N]
+//	    [-mode mutex|actor]
 //	    [-origin URL] [-origin-timeout 2s] [-origin-retries 2] [-origin-backoff 50ms]
 //	    [-origin-latency 0] [-serve-stale] [-max-body 1MiB] [-drain 10s] [-interval 10s]
-//	    [-peers URL,URL,... -self URL] [-peer-fanout 1]
+//	    [-peers URL,URL,... -self URL]
 //	    [-peer-timeout 500ms] [-peer-retries 0] [-peer-backoff 25ms]
 //
 // Without -origin the daemon fronts a deterministic synthetic origin
 // (bodies are a pure function of the key), which is what trace replay
 // and the end-to-end tests use; with -origin URL misses are fetched from
 // GET URL/<key>. With -peers (the full fleet node list, including this
-// node's own -self URL) a declared-size miss first asks the key's ring
-// successors for their stored body via GET /peer/{key} and only falls
-// back to the origin when no peer holds it — see CLUSTER.md. See
-// OPERATIONS.md for the endpoint contract, the full metrics catalogue
-// and worked examples.
+// node's own -self URL) a declared-size miss first asks the key's next
+// ring successor for its stored body via GET /peer/{key} and only falls
+// back to the origin when that peer does not hold it — see CLUSTER.md.
+// See OPERATIONS.md for the endpoint contract, the full metrics
+// catalogue and worked examples.
 package main
 
 import (
@@ -45,6 +45,9 @@ import (
 	"github.com/scip-cache/scip/internal/trace"
 )
 
+// peerFanout is the number of ring successors asked per peer-fill attempt.
+const peerFanout = 1
+
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	policy := flag.String("policy", "SCIP", "sharded policy: "+strings.Join(registry.Names(), ", ")+" (all but Belady, which needs a trace)")
@@ -52,7 +55,6 @@ func main() {
 	shards := flag.Int("shards", 8, "shard count (rounded up to a power of two)")
 	seed := flag.Int64("seed", 1, "policy seed (shard i gets seed+i)")
 	modeFlag := flag.String("mode", "mutex", "shard concurrency mode: mutex or actor (DESIGN.md §10)")
-	depth := flag.Int("depth", 0, "actor mailbox depth with -mode actor (0 = shard package default)")
 	originURL := flag.String("origin", "", "upstream origin base URL (empty: deterministic synthetic origin)")
 	originTimeout := flag.Duration("origin-timeout", 2*time.Second, "per-attempt origin fetch timeout")
 	originRetries := flag.Int("origin-retries", 2, "origin fetch retries after the first failure")
@@ -64,7 +66,6 @@ func main() {
 	interval := flag.Duration("interval", 10*time.Second, "live stats line period on stdout (0 disables)")
 	peers := flag.String("peers", "", "comma-separated fleet node base URLs, including this node's -self (enables peer-fill)")
 	self := flag.String("self", "", "this node's base URL within -peers")
-	peerFanout := flag.Int("peer-fanout", 1, "ring successors asked per peer-fill attempt")
 	peerTimeout := flag.Duration("peer-timeout", 500*time.Millisecond, "per-attempt peer fetch timeout")
 	peerRetries := flag.Int("peer-retries", 0, "peer fetch retries after the first failure")
 	peerBackoff := flag.Duration("peer-backoff", 25*time.Millisecond, "delay before the first peer retry (doubles per attempt)")
@@ -93,7 +94,6 @@ func main() {
 		Shards:        *shards,
 		Seed:          *seed,
 		Mode:          mode,
-		ActorDepth:    *depth,
 		OriginTimeout: *originTimeout,
 		OriginRetries: *originRetries,
 		OriginBackoff: *originBackoff,
@@ -106,7 +106,7 @@ func main() {
 		cfg.Origin = &server.SyntheticOrigin{Latency: *originLatency}
 	}
 	if *peers != "" {
-		pc, err := cluster.NewPeerClient(cluster.SplitNodes(*peers), strings.TrimRight(*self, "/"), cluster.VNodes, *peerFanout, nil)
+		pc, err := cluster.NewPeerClient(cluster.SplitNodes(*peers), strings.TrimRight(*self, "/"), cluster.VNodes, peerFanout, nil)
 		if err != nil {
 			fail(fmt.Errorf("bad -peers/-self: %w", err))
 		}

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -82,6 +84,99 @@ func TestPackageDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFlagTables fails when a daemon's flag table drifts from the flags
+// its main.go defines (every flag.X("name", ...) call): OPERATIONS.md's
+// scip-serve table and CLUSTER.md's scip-route table list exactly those
+// flags, and CLUSTER.md's peer-fill table lists only scip-serve flags.
+func TestFlagTables(t *testing.T) {
+	for _, c := range []struct {
+		doc, heading, main string
+		all                bool // the table lists every flag, not a subset
+	}{
+		{"OPERATIONS.md", "## Starting the daemon", "cmd/scip-serve/main.go", true},
+		{"CLUSTER.md", "### Router flags", "cmd/scip-route/main.go", true},
+		{"CLUSTER.md", "### Node peer-fill flags (scip-serve)", "cmd/scip-serve/main.go", false},
+	} {
+		defined, err := definedFlags(c.main)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, err := tableFlags(c.doc, c.heading)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(listed) == 0 {
+			t.Errorf("%s: no flag table under %q", c.doc, c.heading)
+		}
+		for _, name := range sortedKeys(listed) {
+			if !defined[name] {
+				t.Errorf("%s %q lists -%s, which %s does not define", c.doc, c.heading, name, c.main)
+			}
+		}
+		if !c.all {
+			continue
+		}
+		for _, name := range sortedKeys(defined) {
+			if !listed[name] {
+				t.Errorf("%s defines -%s, missing from %s %q", c.main, name, c.doc, c.heading)
+			}
+		}
+	}
+}
+
+// definedFlags returns the names of the flags path defines: the string
+// literal first argument of each call to a function of package flag.
+func definedFlags(path string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if ok && isIdent(sel.X, "flag") && isLit && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err == nil {
+				names[name] = true
+			}
+		}
+		return true
+	})
+	return names, nil
+}
+
+// tableFlags returns the flag names in the first column of the first
+// "| flag |" table under heading in path, before the next heading.
+func tableFlags(path, heading string) (map[string]bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(string(data), "\n")
+	names := make(map[string]bool)
+	i := slices.Index(lines, heading)
+	if i < 0 {
+		return names, nil
+	}
+	for i++; i < len(lines) && !strings.HasPrefix(lines[i], "| flag |"); i++ {
+		if strings.HasPrefix(lines[i], "#") {
+			return names, nil
+		}
+	}
+	for i += 2; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ { // past the header and its |---| rule
+		cell := strings.Trim(strings.Split(lines[i], "|")[1], " `")
+		if name, ok := strings.CutPrefix(cell, "-"); ok {
+			names[name] = true
+		}
+	}
+	return names, nil
 }
 
 // TestNoLiteralSeeds fails when a non-test file under internal/ builds

@@ -43,21 +43,10 @@ var _ cache.Policy = (*Cache)(nil)
 // New builds a Belady cache for tr. The returned policy must be driven
 // with tr's requests in order.
 func New(tr *trace.Trace, capBytes int64) *Cache {
-	next := make([]int, len(tr.Requests))
-	last := make(map[uint64]int, 1<<12)
-	for i := len(tr.Requests) - 1; i >= 0; i-- {
-		k := tr.Requests[i].Key
-		if j, ok := last[k]; ok {
-			next[i] = j
-		} else {
-			next[i] = -1
-		}
-		last[k] = i
-	}
 	return &Cache{
 		name:  "Belady",
 		cap:   capBytes,
-		next:  next,
+		next:  tr.NextOccurrences(),
 		index: make(map[uint64]*bentry, 1<<12),
 	}
 }

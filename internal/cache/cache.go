@@ -142,8 +142,7 @@ type ResidencyObserver interface {
 // must delete a missed key's ghost in OnAccess, before the cache inserts
 // the key.
 type StoreSharer interface {
-	// ShareStore binds the policy's ghost lists to a and x, dropping any
-	// records it held. A nil a unbinds: the policy frees every ghost it
-	// kept in the store and goes back to private lists.
+	// ShareStore binds the policy's ghost lists to a and x for the rest
+	// of its life, dropping any records it held in private lists.
 	ShareStore(a *Arena, x *Index)
 }

@@ -83,9 +83,19 @@ func TestSetInsertionHotSwap(t *testing.T) {
 	if e := entryOf(c, 2); e.InsertedMRU {
 		t.Fatal("post-swap insertion ignored the new policy")
 	}
-	c.SetInsertion(nil)
+	// The installed policy is never swapped out, not even for nil.
+	for _, next := range []InsertionPolicy{nil, &fixedIns{insert: MRU, promote: MRU}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetInsertion(%v) over an installed policy did not panic", next)
+				}
+			}()
+			c.SetInsertion(next)
+		}()
+	}
 	c.Access(Request{Time: 4, Key: 3, Size: 100})
-	if e := entryOf(c, 3); !e.InsertedMRU {
-		t.Fatal("nil swap did not restore plain LRU")
+	if e := entryOf(c, 3); e.InsertedMRU {
+		t.Fatal("a rejected swap replaced the installed policy")
 	}
 }

@@ -64,13 +64,6 @@ func (h *History) drop(old Handle) {
 	h.arena.Free(old)
 }
 
-// Clear drops every record, returning its entry to the arena.
-func (h *History) Clear() {
-	for h.q.Len() > 0 {
-		h.drop(h.q.Back())
-	}
-}
-
 // Bytes returns the bytes of metadata-tracked objects currently recorded.
 func (h *History) Bytes() int64 { return h.q.Bytes() }
 

@@ -108,14 +108,15 @@ func (c *QueueCache) resident(h Handle, key uint64) bool {
 	return c.arena.dir.at(h).owner == c.q.id
 }
 
-// SetInsertion hot-swaps the insertion/promotion policy, as the paper's
-// TDC deployment did ("we have merely replaced LRU's insertion policy
-// with SCIP"). Resident entries keep their marks; nil restores plain LRU.
-// The outgoing policy's ghosts in the cache's store are freed, and an
-// incoming StoreSharer is offered the store.
+// SetInsertion installs an insertion/promotion policy into a plain-LRU
+// cache, as the paper's TDC deployment did ("we have merely replaced
+// LRU's insertion policy with SCIP"). Resident entries keep their marks,
+// and a StoreSharer is offered the store. It panics if a policy is
+// already installed: an installed policy is never swapped out, so a
+// StoreSharer's ghosts stay in the store for the cache's life.
 func (c *QueueCache) SetInsertion(ins InsertionPolicy) {
-	if c.sharer != nil {
-		c.sharer.ShareStore(nil, nil)
+	if c.ins != nil {
+		panic("cache: SetInsertion on a cache that already has an insertion policy")
 	}
 	c.ins = ins
 	c.resObs, _ = ins.(ResidencyObserver)

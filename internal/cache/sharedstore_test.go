@@ -52,12 +52,6 @@ func (p *sharingPolicy) OnEvict(ev EvictInfo) {
 }
 
 func (p *sharingPolicy) ShareStore(a *Arena, x *Index) {
-	p.hm.Clear()
-	p.hl.Clear()
-	if a == nil {
-		p.hm, p.hl = NewHistory(p.histCap), NewHistory(p.histCap)
-		return
-	}
 	p.hm, p.hl = NewSharedHistory(p.histCap, a, x), NewSharedHistory(p.histCap, a, x)
 }
 
@@ -150,11 +144,13 @@ func TestSharedStoreGhostsAreNotCached(t *testing.T) {
 	checkSharedStore(t, 1, c, p, 8)
 }
 
-// TestSetInsertionFreesSharedGhosts replays SCIP → nil → SCIP (a
-// deployment run twice): each swap frees the outgoing policy's ghosts,
-// so the index maps only residents and current ghosts and no arena slot
-// is left live without an index entry.
-func TestSetInsertionFreesSharedGhosts(t *testing.T) {
+// TestSetInsertionSharesStoreOnce replays the TDC deployment: a
+// StoreSharer installed into a warm plain-LRU cache builds its ghosts in
+// the cache's store beside the residents LRU left, and a second install
+// panics without touching the store, so the index maps exactly the
+// residents and that policy's ghosts and the store holds two ghost
+// queues for the cache's life.
+func TestSetInsertionSharesStoreOnce(t *testing.T) {
 	const capBytes = 4000
 	c := NewLRU(capBytes)
 	churn := func(p *sharingPolicy, from int) {
@@ -163,24 +159,29 @@ func TestSetInsertionFreesSharedGhosts(t *testing.T) {
 		}
 		checkSharedStore(t, from, c, p, 257)
 	}
-	first := newSharingPolicy(capBytes / 2)
-	c.SetInsertion(first)
-	churn(first, 0)
-	if first.hm.Len()+first.hl.Len() == 0 {
+	churn(newSharingPolicy(capBytes/2), 0)
+	p := newSharingPolicy(capBytes / 2)
+	c.SetInsertion(p)
+	if !p.hm.shared || !p.hl.shared {
+		t.Fatal("installed StoreSharer not bound to the cache's store")
+	}
+	churn(p, 3000)
+	if p.hm.Len()+p.hl.Len() == 0 {
 		t.Fatal("setup: no ghosts recorded")
 	}
-	c.SetInsertion(nil)
-	if first.hm.Len()+first.hl.Len() != 0 || first.hm.shared || first.hl.shared {
-		t.Fatal("outgoing policy kept ghosts or its binding to the store")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second SetInsertion did not panic")
+			}
+		}()
+		c.SetInsertion(newSharingPolicy(capBytes / 2))
+	}()
+	if c.arena.nq != 3 {
+		t.Errorf("store allocated %d queue ids, want 3: the residents' and two ghost lists'", c.arena.nq)
 	}
-	checkSharedStore(t, 3000, c, newSharingPolicy(capBytes/2), 257)
-	second := newSharingPolicy(capBytes / 2)
-	c.SetInsertion(second)
-	churn(second, 6000)
-	third := newSharingPolicy(capBytes / 2)
-	c.SetInsertion(third) // straight swap, no nil in between
-	checkSharedStore(t, 9000, c, third, 257)
-	churn(third, 9000)
+	checkSharedStore(t, 6000, c, p, 257)
+	churn(p, 6000)
 }
 
 // TestAddEvictedRejectsAForeignHandle: adoption takes only the detached

@@ -40,7 +40,6 @@ func ExampleNewRouter() {
 			"http://10.0.0.2:8344",
 			"http://10.0.0.3:8344",
 		},
-		Replicas:  2,
 		Replicate: true, // spread hot-key reads over 2 replicas
 	})
 	if err != nil {

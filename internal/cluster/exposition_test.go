@@ -103,8 +103,6 @@ func TestMetricsExposition(t *testing.T) {
 	rt, err := NewRouter(RouterConfig{
 		Nodes:          []string{"http://node-a", "http://node-b"},
 		Replicate:      true,
-		HotK:           2,
-		HotMin:         2,
 		HealthInterval: -1,
 		MaxBodyBytes:   16,
 		Client:         &http.Client{Transport: nodes},
@@ -112,6 +110,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.hot = NewHotKeys(2, 2, sketchWidth) // keys go hot within the short script
 	var script []string
 	for round := 0; round < 3; round++ {
 		for _, key := range []string{"1", "2", "3", "4", "5"} {

@@ -8,8 +8,11 @@ import (
 	"time"
 )
 
+// failThreshold is the consecutive-failure count that marks a node down.
+const failThreshold = 3
+
 // Registry tracks the reachability of the fleet's nodes. A node is
-// marked down after Threshold consecutive failures — reported either by
+// marked down after failThreshold consecutive failures — reported either by
 // the router's own proxy attempts (Report) or by the background health
 // loop (Watch, which probes GET /healthz) — and revives on the first
 // success from either source. The router skips down nodes when walking
@@ -21,7 +24,7 @@ import (
 type Registry struct {
 	nodes     []string // base URLs
 	client    *http.Client
-	threshold int32
+	threshold int32 // failThreshold; tests lower it after NewRegistry
 
 	state []nodeState
 }
@@ -33,20 +36,16 @@ type nodeState struct {
 	probes atomic.Int64
 }
 
-// NewRegistry builds a registry over the node base URLs. threshold is
-// the consecutive-failure count that marks a node down (min 1); client
-// is used for health probes (nil: a 1-second-timeout default).
-func NewRegistry(nodes []string, threshold int, client *http.Client) *Registry {
-	if threshold < 1 {
-		threshold = 1
-	}
+// NewRegistry builds a registry over the node base URLs; client is used
+// for health probes (nil: a 1-second-timeout default).
+func NewRegistry(nodes []string, client *http.Client) *Registry {
 	if client == nil {
 		client = &http.Client{Timeout: time.Second}
 	}
 	return &Registry{
 		nodes:     append([]string(nil), nodes...),
 		client:    client,
-		threshold: int32(threshold),
+		threshold: failThreshold,
 		state:     make([]nodeState, len(nodes)),
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,7 +151,7 @@ func (r *Ring) ReplicasInto(key uint64, n int, dst []int) []int {
 	start := r.firstPoint(KeyHash(key))
 	for i := 0; i < len(r.points) && len(dst) < n; i++ {
 		node := int(r.points[(start+i)%len(r.points)].node)
-		if !containsInt(dst, node) {
+		if !slices.Contains(dst, node) {
 			dst = append(dst, node)
 		}
 	}
@@ -160,17 +161,6 @@ func (r *Ring) ReplicasInto(key uint64, n int, dst []int) []int {
 // Replicas is the allocating convenience form of ReplicasInto.
 func (r *Ring) Replicas(key uint64, n int) []int {
 	return r.ReplicasInto(key, n, make([]int, 0, n))
-}
-
-// containsInt reports whether xs contains x (replica sets are tiny, so a
-// linear scan beats any set structure).
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // pointHash positions virtual node v of the named node on the circle:

@@ -23,26 +23,14 @@ type RouterConfig struct {
 	// every participant (router instances, nodes running with -peers)
 	// must use the identical list, in any order, to agree on ownership.
 	Nodes []string
-	// Replicas is the replica-set size for hot keys (default 2, clamped
-	// to the node count). With Replicate off it still bounds the
-	// failover walk's preferred prefix but changes no routing.
-	Replicas int
 	// Replicate enables hot-key replication: reads of a hot key are
 	// load-balanced across its replica set and writes/invalidations fan
 	// out to all of it. Off by default — replication changes which node
 	// serves a key, so exactness comparisons run with it off.
 	Replicate bool
-	// HotK is the maximum hot-set size (default 16).
-	HotK int
-	// HotMin is the sketch estimate a key needs before it can enter the
-	// hot set (default 64 observations).
-	HotMin int
 
 	// NodeTimeout bounds each proxied attempt (default 2s).
 	NodeTimeout time.Duration
-	// FailThreshold is the consecutive-failure count that marks a node
-	// down (default 3).
-	FailThreshold int
 	// HealthInterval is the background /healthz probe period (default
 	// 2s; negative disables the loop — proxy outcomes still feed the
 	// registry).
@@ -57,23 +45,8 @@ type RouterConfig struct {
 
 // withDefaults returns cfg with unset fields defaulted.
 func (cfg RouterConfig) withDefaults() RouterConfig {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Replicas > len(cfg.Nodes) {
-		cfg.Replicas = len(cfg.Nodes)
-	}
-	if cfg.HotK <= 0 {
-		cfg.HotK = 16
-	}
-	if cfg.HotMin <= 0 {
-		cfg.HotMin = 64
-	}
 	if cfg.NodeTimeout == 0 {
 		cfg.NodeTimeout = 2 * time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
@@ -96,11 +69,12 @@ func (cfg RouterConfig) withDefaults() RouterConfig {
 // restart, so routers can be restarted, scaled out behind a TCP
 // balancer, or replaced mid-flight without any handoff.
 type Router struct {
-	cfg   RouterConfig
-	ring  *Ring
-	reg   *Registry
-	hot   *HotKeys
-	start time.Time
+	cfg      RouterConfig
+	ring     *Ring
+	reg      *Registry
+	hot      *HotKeys
+	replicas int // hotReplicas clamped to the node count
+	start    time.Time
 
 	// seq spreads replicated reads across a hot key's replica set
 	// (round-robin over the set, offset by one atomic counter).
@@ -129,9 +103,22 @@ const (
 	mDelete
 )
 
-// sketchWidth is the per-row counter width of the router's frequency
-// sketch.
-const sketchWidth = 4096
+// The router's hot-key settings. One value of each is in use; a test
+// that needs another sets the Router's fields after NewRouter.
+const (
+	// hotReplicas is the replica-set size for hot keys, clamped to the
+	// node count. With Replicate off it still bounds the failover walk's
+	// preferred prefix but changes no routing.
+	hotReplicas = 2
+	// hotK is the maximum hot-set size.
+	hotK = 16
+	// hotMin is the sketch estimate a key needs before it can enter the
+	// hot set.
+	hotMin = 64
+	// sketchWidth is the per-row counter width of the router's frequency
+	// sketch.
+	sketchWidth = 4096
+)
 
 // NewRouter validates cfg, builds the ring and registry and returns a
 // ready Router. ListenAndServe starts the background health loop.
@@ -144,8 +131,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{
 		cfg:          cfg,
 		ring:         ring,
-		reg:          NewRegistry(cfg.Nodes, cfg.FailThreshold, cfg.Client),
-		hot:          NewHotKeys(cfg.HotK, uint32(cfg.HotMin), sketchWidth),
+		reg:          NewRegistry(cfg.Nodes, cfg.Client),
+		hot:          NewHotKeys(hotK, hotMin, sketchWidth),
+		replicas:     min(hotReplicas, len(cfg.Nodes)),
 		start:        time.Now(), // uptime metadata for /metrics and /statusz, never a routing decision input
 		nodeRequests: make([]atomic.Int64, len(cfg.Nodes)),
 		nodeErrors:   make([]atomic.Int64, len(cfg.Nodes)),
@@ -220,7 +208,7 @@ func routeKey(r *http.Request) (uint64, error) {
 
 // candidates fills sc.order with the node indices to try for key, best
 // first: the key's full distinct-node ring walk, with the first
-// Replicas entries rotated by the round-robin sequence when the key is
+// replicas entries rotated by the round-robin sequence when the key is
 // hot and replication is on (spreading hot reads across the replica
 // set). rotate is false for writes — they always prefer the owner.
 func (rt *Router) candidates(sc *scope, key uint64, rotate bool) []int {
@@ -228,7 +216,7 @@ func (rt *Router) candidates(sc *scope, key uint64, rotate bool) []int {
 	x.cands = rt.ring.ReplicasInto(key, len(rt.cfg.Nodes), x.cands)
 	x.order = x.order[:0]
 	n := len(x.cands)
-	rep := rt.cfg.Replicas
+	rep := rt.replicas
 	if rep > n {
 		rep = n
 	}
@@ -402,7 +390,7 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		// Fan the write to the whole replica set so replicated reads
 		// observe it wherever they land; the owner's response is the
 		// client's response, replica outcomes are counted only.
-		rep := rt.cfg.Replicas
+		rep := rt.replicas
 		if rep > len(order) {
 			rep = len(order)
 		}
@@ -430,7 +418,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// key may have been hot (and fanned out) at any point in the
 		// past, so the whole replica set is invalidated regardless of
 		// its current temperature.
-		rep := rt.cfg.Replicas
+		rep := rt.replicas
 		if rep > len(order) {
 			rep = len(order)
 		}
@@ -485,7 +473,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "scip-route: %d nodes, %d vnodes/node, replicas=%d replicate=%v\n",
-		len(rt.cfg.Nodes), VNodes, rt.cfg.Replicas, rt.cfg.Replicate)
+		len(rt.cfg.Nodes), VNodes, rt.replicas, rt.cfg.Replicate)
 	fmt.Fprintf(w, "uptime:     %s\n", time.Since(rt.start).Round(time.Second)) // uptime line for /statusz, never a routing input
 	var reqs int64
 	for i := range rt.requestsByMethod {
@@ -494,7 +482,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "requests:   %d (failovers %d, unroutable %d, inflight %d)\n",
 		reqs, rt.failovers.Load(), rt.noNodeErrors.Load(), rt.shell.Inflight())
 	fmt.Fprintf(w, "hot keys:   %d/%d tracked (min estimate %d); %d replicated reads, %d fan-out writes\n",
-		rt.hot.Len(), rt.cfg.HotK, rt.cfg.HotMin, rt.replicatedReads.Load(), rt.fanoutWrites.Load())
+		rt.hot.Len(), rt.hot.k, rt.hot.min, rt.replicatedReads.Load(), rt.fanoutWrites.Load())
 	for i, n := range rt.cfg.Nodes {
 		state := "up"
 		if !rt.reg.Up(i) {

@@ -114,7 +114,8 @@ func TestRouterRoutesToOwner(t *testing.T) {
 // down, probe-free), and the failover counter moves.
 func TestRouterFailover(t *testing.T) {
 	fakes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
-	rt := newTestRouter(t, RouterConfig{FailThreshold: 1, NodeTimeout: 2 * time.Second}, fakes)
+	rt := newTestRouter(t, RouterConfig{NodeTimeout: 2 * time.Second}, fakes)
+	rt.reg.threshold = 1
 	h := rt.Handler()
 
 	// Find a key owned by node 0 and kill that node.
@@ -155,7 +156,8 @@ func TestRouterFailover(t *testing.T) {
 // fan out to all of it.
 func TestRouterHotReplication(t *testing.T) {
 	fakes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
-	rt := newTestRouter(t, RouterConfig{Replicate: true, Replicas: 2, HotK: 4, HotMin: 4}, fakes)
+	rt := newTestRouter(t, RouterConfig{Replicate: true}, fakes)
+	rt.hot = NewHotKeys(4, 4, sketchWidth)
 	h := rt.Handler()
 
 	const key = 42
@@ -236,7 +238,8 @@ func TestRouterMetricsAndStatusz(t *testing.T) {
 // the router answers 502 and counts the request unroutable.
 func TestRouterAllNodesDown(t *testing.T) {
 	fakes := []*fakeNode{newFakeNode(t, "a")}
-	rt := newTestRouter(t, RouterConfig{FailThreshold: 1, NodeTimeout: time.Second}, fakes)
+	rt := newTestRouter(t, RouterConfig{NodeTimeout: time.Second}, fakes)
+	rt.reg.threshold = 1
 	fakes[0].srv.Close()
 	h := rt.Handler()
 
@@ -256,7 +259,7 @@ func TestRouterAllNodesDown(t *testing.T) {
 }
 
 func TestRegistryThresholdAndRevival(t *testing.T) {
-	reg := NewRegistry([]string{"http://a", "http://b"}, 3, nil)
+	reg := NewRegistry([]string{"http://a", "http://b"}, nil)
 	if !reg.Up(0) || reg.UpCount() != 2 {
 		t.Fatal("nodes not up at start")
 	}
@@ -295,7 +298,8 @@ func TestRegistryCheckOnce(t *testing.T) {
 	}))
 	defer sick.Close()
 
-	reg := NewRegistry([]string{healthy.URL, sick.URL}, 2, nil)
+	reg := NewRegistry([]string{healthy.URL, sick.URL}, nil)
+	reg.threshold = 2
 	reg.CheckOnce(context.Background())
 	reg.CheckOnce(context.Background())
 	if !reg.Up(0) {

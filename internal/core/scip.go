@@ -455,16 +455,8 @@ func (s *SCIP) OnResidentHit(req cache.Request, insertedMRU bool, res cache.Resi
 
 // ShareStore implements cache.StoreSharer: H_m and H_l are rebuilt in
 // the host cache's arena and index, with the same budgets, so SCIP
-// decides as with private lists. A nil arena frees the ghosts kept in the
-// host and returns to private lists.
+// decides as with private lists.
 func (s *SCIP) ShareStore(a *cache.Arena, x *cache.Index) {
-	s.hm.Clear()
-	s.hl.Clear()
-	if a == nil {
-		s.hm = cache.NewHistory(s.histCap)
-		s.hl = cache.NewHistory(s.histCap)
-		return
-	}
 	s.hm = cache.NewSharedHistory(s.histCap, a, x)
 	s.hl = cache.NewSharedHistory(s.histCap, a, x)
 }

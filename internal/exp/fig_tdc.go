@@ -25,7 +25,7 @@ func TDCTrace(scale float64, seed int64, days int64) (*trace.Trace, error) {
 	cfg := gen.Config{
 		Name: "TDC", Seed: seed,
 		Requests:    reqs,
-		CatalogSize: maxInt(reqs/80, 1_000),
+		CatalogSize: max(reqs/80, 1_000),
 		ZipfAlpha:   0.9,
 		OneHitFrac:  0.08,
 		EchoProb:    0.3, EchoDelay: 300, EchoTailFrac: 0.6,
@@ -37,24 +37,16 @@ func TDCTrace(scale float64, seed int64, days int64) (*trace.Trace, error) {
 	return gen.Generate(cfg)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TDCConfig sizes the hierarchy for the generated workload so the
 // pre-deployment operating point matches the paper's regime.
 func TDCConfig(tr *trace.Trace, deployAt int64, seed int64) tdc.Config {
-	wss := tr.ComputeStats().WorkingSetSize
-	cfg := tdc.DefaultConfig()
-	cfg.OCCapacity = int64(0.02 * float64(wss))
-	cfg.DCCapacity = int64(0.10 * float64(wss))
-	cfg.DeployAt = deployAt
-	cfg.BucketSeconds = 6 * 3600
-	cfg.Seed = seed
-	return cfg
+	wss := float64(tr.ComputeStats().WorkingSetSize)
+	return tdc.Config{
+		OCCapacity: int64(0.02 * wss),
+		DCCapacity: int64(0.10 * wss),
+		DeployAt:   deployAt,
+		Seed:       seed,
+	}
 }
 
 // runFig6 reproduces Figure 6: the 14-day TDC timeline with SCIP deployed
@@ -68,38 +60,33 @@ func runFig6(cfg Config) error {
 	// The TDC timeline is one stateful replay — inherently serial — so it
 	// is a single cell on the experiment pool: it cannot fan out, but it
 	// shares the pool's job accounting with the grid figures.
-	type tdcCell struct {
-		sysCfg tdc.Config
-		res    *tdc.Result
-	}
-	cells, err := runJobs(cfg, []func() (tdcCell, error){func() (tdcCell, error) {
+	cells, err := runJobs(cfg, []func() (*tdc.Result, error){func() (*tdc.Result, error) {
 		tr, err := TDCTrace(cfg.Scale, cfg.Seeds[0], days)
 		if err != nil {
-			return tdcCell{}, err
+			return nil, err
 		}
-		sysCfg := TDCConfig(tr, days/2*86_400, cfg.Seeds[0])
-		return tdcCell{sysCfg: sysCfg, res: tdc.Run(tr, sysCfg)}, nil
+		return tdc.Run(tr, TDCConfig(tr, days/2*86_400, cfg.Seeds[0])), nil
 	}})
 	if err != nil {
 		return err
 	}
-	sysCfg, res := cells[0].sysCfg, cells[0].res
+	res := cells[0]
 	// Normalise the traffic axis to the paper's pre-deployment operating
 	// point (15.25 Gbps): the simulated byte volume is scale-dependent,
-	// while the relative drop is the reproduced quantity.
+	// while the relative change is the reproduced quantity.
 	const paperPreGbps = 15.25
-	preGbps := 0.0
+	preBytes := 0.0
 	if res.Deployed > 0 {
 		for _, b := range res.Buckets[:res.Deployed] {
-			preGbps += b.BTOGbps(sysCfg.BucketSeconds)
+			preBytes += float64(b.BTOBytes)
 		}
-		preGbps /= float64(res.Deployed)
+		preBytes /= float64(res.Deployed)
 	}
-	norm := func(g float64) float64 {
-		if preGbps == 0 {
+	norm := func(bytes int64) float64 {
+		if preBytes == 0 {
 			return 0
 		}
-		return g / preGbps * paperPreGbps
+		return float64(bytes) / preBytes * paperPreGbps
 	}
 	header(cfg.Out, "# Figure 6 — TDC deployment timeline (scale %.4g, %d days, deploy at day %d)", cfg.Scale, days, days/2)
 	header(cfg.Out, "# BTO(Gbps) normalised so the pre-deployment mean equals the paper's 15.25 Gbps")
@@ -110,7 +97,7 @@ func runFig6(cfg Config) error {
 			marker = "  <-- SCIP deployed"
 		}
 		fmt.Fprintf(cfg.Out, "%-10d %10d %12.3f %12.4f %10.1f%s\n",
-			b.StartTime/3600, b.Requests, norm(b.BTOGbps(sysCfg.BucketSeconds)), b.BTORatio(), b.MeanLatencyMs(), marker)
+			b.StartTime/3600, b.Requests, norm(b.BTOBytes), b.BTORatio(), b.MeanLatencyMs(), marker)
 	}
 	fmt.Fprintln(cfg.Out, res.Summary())
 	// Steady-state deltas: exclude the cold-start ramp (the first quarter
@@ -130,8 +117,8 @@ func runFig6(cfg Config) error {
 		preR, preL, preB := agg(res.Buckets[res.Deployed/4 : res.Deployed])
 		postR, postL, postB := agg(res.Buckets[res.Deployed:])
 		fmt.Fprintf(cfg.Out,
-			"steady-state deltas: BTO-ratio %.2f%% -> %.2f%% (paper 8.87%% -> 6.59%%) | BTO-traffic %.1f%% lower (paper 25.7%%) | latency %.1f -> %.1f ms, %.1f%% lower (paper 26.1%%)\n",
-			100*preR, 100*postR, 100*(1-postB/preB), preL, postL, 100*(1-postL/preL))
+			"steady-state deltas: BTO-ratio %.2f%% -> %.2f%% (paper 8.87%% -> 6.59%%) | BTO-traffic %+.1f%% (paper -25.7%%) | latency %.1f -> %.1f ms, %+.1f%% (paper -26.1%%)\n",
+			100*preR, 100*postR, 100*(postB/preB-1), preL, postL, 100*(postL/preL-1))
 	}
 	return nil
 }

@@ -85,11 +85,11 @@ func (p Profile) Config(scale float64, seed int64) Config {
 		return Config{
 			Name: string(CDNT), Seed: seed,
 			Requests:    reqs,
-			CatalogSize: maxInt(scaled(2.5e6), 64),
+			CatalogSize: max(scaled(2.5e6), 64),
 			ZipfAlpha:   0.9,
 			OneHitFrac:  0.26,
 			EchoProb:    0.15, EchoDelay: 200, EchoTailFrac: 0.5,
-			EpochRequests: maxInt(reqs/10, 1), DriftFrac: 0.14,
+			EpochRequests: max(reqs/10, 1), DriftFrac: 0.14,
 			SizeMean: 44.56 * 1024, SizeSigma: 1.6, OneHitSizeBoost: 2.5,
 			MinSize: 2, MaxSize: mib(19.97),
 			Duration: 2 * 86400,
@@ -99,11 +99,11 @@ func (p Profile) Config(scale float64, seed int64) Config {
 		return Config{
 			Name: string(CDNW), Seed: seed,
 			Requests:    reqs,
-			CatalogSize: maxInt(scaled(1.5e6), 64),
+			CatalogSize: max(scaled(1.5e6), 64),
 			ZipfAlpha:   0.8,
 			OneHitFrac:  0.004,
 			EchoProb:    0.5, EchoDelay: 150, EchoTailFrac: 0.7,
-			EpochRequests: maxInt(reqs/10, 1), DriftFrac: 0.06,
+			EpochRequests: max(reqs/10, 1), DriftFrac: 0.06,
 			SizeMean: 140 * 1024, SizeSigma: 1.4, OneHitSizeBoost: 3,
 			MinSize: 10, MaxSize: mib(674.38),
 			Duration: 2 * 86400,
@@ -113,11 +113,11 @@ func (p Profile) Config(scale float64, seed int64) Config {
 		return Config{
 			Name: string(CDNA), Seed: seed,
 			Requests:    reqs,
-			CatalogSize: maxInt(scaled(2.0e6), 64),
+			CatalogSize: max(scaled(2.0e6), 64),
 			ZipfAlpha:   0.7,
 			OneHitFrac:  0.52,
 			EchoProb:    0.10, EchoDelay: 250, EchoTailFrac: 0.5,
-			EpochRequests: maxInt(reqs/10, 1), DriftFrac: 0.13,
+			EpochRequests: max(reqs/10, 1), DriftFrac: 0.13,
 			SizeMean: 31.21 * 1024, SizeSigma: 1.5, OneHitSizeBoost: 2,
 			MinSize: 2, MaxSize: mib(7.99),
 			Duration: 2 * 86400,
@@ -127,11 +127,11 @@ func (p Profile) Config(scale float64, seed int64) Config {
 	return Config{
 		Name: string(p), Seed: seed,
 		Requests:    scaled(1e6),
-		CatalogSize: maxInt(scaled(5e4), 64),
+		CatalogSize: max(scaled(5e4), 64),
 		ZipfAlpha:   0.9,
 		OneHitFrac:  0.2,
 		EchoProb:    0.2, EchoDelay: 100, EchoTailFrac: 0.5,
-		EpochRequests: maxInt(scaled(1e5), 1), DriftFrac: 0.1,
+		EpochRequests: max(scaled(1e5), 1), DriftFrac: 0.1,
 		SizeMean: 32 * 1024, SizeSigma: 1.5,
 		MinSize: 16, MaxSize: 8 << 20,
 		Duration: 86400,
@@ -145,13 +145,6 @@ func (p Profile) Config(scale float64, seed int64) Config {
 // simply paperCacheBytes × scale.
 func (p Profile) CacheBytes(paperCacheBytes int64, scale float64) int64 {
 	return int64(float64(paperCacheBytes) * scale)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // mib converts mebibytes to bytes.

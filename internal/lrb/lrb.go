@@ -24,14 +24,13 @@ type objMeta struct {
 	edcs     [numEDCs]float64
 	cached   bool
 	// demoted marks SCIP-LRU placements: treated as immediate eviction
-	// candidates (predicted-infinite distance).
+	// candidates (predicted-infinite distance). The rest were placed at
+	// MRU, which OnEvict reports to the insertion policy.
 	demoted bool
 	// res tracks how the current residency began and residHits counts
 	// its hits, for the insertion-policy integration.
 	res       cache.Residency
 	residHits int
-	// insertedMRU mirrors the SCIP bookkeeping for OnEvict.
-	insertedMRU bool
 	// storeIdx is the object's slot in the cached-set sampler.
 	storeIdx int
 }
@@ -247,13 +246,7 @@ func (l *LRB) Access(req cache.Request) bool {
 		if obs, ok := l.ins.(cache.ResidencyObserver); ok && l.ins != nil {
 			obs.OnResidentHit(req, !m.demoted, m.res, m.residHits)
 		}
-		if l.ins != nil && l.ins.ChoosePromote(req) == cache.LRU {
-			m.demoted = true
-			m.insertedMRU = false
-		} else {
-			m.demoted = false
-			m.insertedMRU = true
-		}
+		m.demoted = l.ins != nil && l.ins.ChoosePromote(req) == cache.LRU
 		if m.res == cache.ResInserted {
 			m.res = cache.ResFirstHit
 		} else {
@@ -271,12 +264,7 @@ func (l *LRB) Access(req cache.Request) bool {
 	m.cached = true
 	m.residHits = 0
 	m.res = cache.ResInserted
-	m.demoted = false
-	m.insertedMRU = true
-	if l.ins != nil && l.ins.ChooseInsert(req) == cache.LRU {
-		m.demoted = true
-		m.insertedMRU = false
-	}
+	m.demoted = l.ins != nil && l.ins.ChooseInsert(req) == cache.LRU
 	m.storeIdx = len(l.cached)
 	l.cached = append(l.cached, m)
 	l.bytes += req.Size
@@ -349,7 +337,7 @@ func (l *LRB) evictOne() {
 		l.ins.OnEvict(cache.EvictInfo{
 			Key:         victim.key,
 			Size:        victim.size,
-			InsertedMRU: victim.insertedMRU,
+			InsertedMRU: !victim.demoted,
 			EverHit:     victim.residHits > 0,
 			Residency:   victim.res,
 		})

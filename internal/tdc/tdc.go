@@ -12,36 +12,27 @@ import (
 type Config struct {
 	// OCCapacity and DCCapacity are the layer capacities in bytes.
 	OCCapacity, DCCapacity int64
-	// OCLatencyMs, DCLatencyMs and OriginLatencyMs are the base response
-	// latencies of each layer.
-	OCLatencyMs, DCLatencyMs, OriginLatencyMs float64
-	// OriginMsPerMiB adds size-dependent transfer time for BTO fetches.
-	OriginMsPerMiB float64
 	// DeployAt is the simulation time (seconds) at which SCIP replaces
 	// the LRU insertion policy in both layers; negative disables
 	// deployment (pure-LRU baseline run).
 	DeployAt int64
-	// BucketSeconds is the reporting granularity.
-	BucketSeconds int64
 	// Seed drives SCIP's bimodal choices.
 	Seed int64
 }
 
-// DefaultConfig returns a configuration whose pre-deployment operating
-// point sits in the regime the paper reports (single-digit BTO ratio,
-// a few hundred ms mean latency).
-func DefaultConfig() Config {
-	return Config{
-		OCCapacity:      256 << 20,
-		DCCapacity:      1 << 30,
-		OCLatencyMs:     12,
-		DCLatencyMs:     90,
-		OriginLatencyMs: 1200,
-		OriginMsPerMiB:  220,
-		DeployAt:        -1,
-		BucketSeconds:   3600,
-	}
-}
+// The hierarchy's latency model: the base response latency of each layer,
+// plus size-dependent transfer time for BTO fetches. The values put the
+// pre-deployment operating point in the regime the paper reports (a few
+// hundred ms mean latency).
+const (
+	ocLatencyMs     = 12
+	dcLatencyMs     = 90
+	originLatencyMs = 1200
+	originMsPerMiB  = 220
+)
+
+// bucketSeconds is Run's reporting granularity.
+const bucketSeconds = 6 * 3600
 
 // Bucket is one reporting interval of the Figure-6 series.
 type Bucket struct {
@@ -55,14 +46,6 @@ type Bucket struct {
 	BTORequests int
 	// LatencySumMs accumulates per-request latency.
 	LatencySumMs float64
-}
-
-// BTOGbps returns the bucket's origin traffic in Gbit/s.
-func (b Bucket) BTOGbps(bucketSeconds int64) float64 {
-	if bucketSeconds == 0 {
-		return 0
-	}
-	return float64(b.BTOBytes) * 8 / float64(bucketSeconds) / 1e9
 }
 
 // BTORatio returns the fraction of requests that reached the origin (the
@@ -84,7 +67,6 @@ func (b Bucket) MeanLatencyMs() float64 {
 
 // Result is a full simulation outcome.
 type Result struct {
-	Cfg     Config
 	Buckets []Bucket
 	// Deployed marks the bucket index at which SCIP took over (-1 when
 	// never deployed).
@@ -147,23 +129,23 @@ func (s *System) Deploy() {
 // it reached the origin.
 func (s *System) Serve(req cache.Request) (latencyMs float64, bto bool) {
 	if s.oc.Access(req) {
-		return s.cfg.OCLatencyMs, false
+		return ocLatencyMs, false
 	}
 	if s.dc.Access(req) {
-		return s.cfg.DCLatencyMs, false
+		return dcLatencyMs, false
 	}
-	transfer := s.cfg.OriginMsPerMiB * float64(req.Size) / (1 << 20)
-	return s.cfg.OriginLatencyMs + transfer, true
+	transfer := originMsPerMiB * float64(req.Size) / (1 << 20)
+	return originLatencyMs + transfer, true
 }
 
-// Run replays tr through the hierarchy, deploying SCIP at cfg.DeployAt.
-func Run(tr *trace.Trace, cfg Config) *Result {
+// Run replays tr through the hierarchy, deploying SCIP at cfg.DeployAt,
+// and reports it in buckets of bucketSeconds.
+func Run(tr *trace.Trace, cfg Config) *Result { return run(tr, cfg, bucketSeconds) }
+
+// run is Run with buckets of bucket seconds, for tests.
+func run(tr *trace.Trace, cfg Config, bucket int64) *Result {
 	sys := NewSystem(cfg)
-	res := &Result{Cfg: cfg, Deployed: -1}
-	if cfg.BucketSeconds <= 0 {
-		cfg.BucketSeconds = 3600
-		res.Cfg = cfg
-	}
+	res := &Result{Deployed: -1}
 	deployed := false
 	var cur *Bucket
 	var curStart int64 = -1
@@ -176,7 +158,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 			// pre-deployment).
 			res.Deployed = len(res.Buckets)
 		}
-		bucketStart := req.Time / cfg.BucketSeconds * cfg.BucketSeconds
+		bucketStart := req.Time / bucket * bucket
 		if cur == nil || bucketStart != curStart {
 			res.Buckets = append(res.Buckets, Bucket{StartTime: bucketStart})
 			cur = &res.Buckets[len(res.Buckets)-1]
@@ -199,19 +181,7 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 // Summary renders the before/after comparison like the paper's §5.2.
 func (r *Result) Summary() string {
 	b, a := r.Before(), r.After()
-	nb := r.Deployed
-	if nb < 0 {
-		nb = len(r.Buckets)
-	}
-	na := len(r.Buckets) - nb
-	gbps := func(agg Bucket, buckets int) float64 {
-		if buckets == 0 {
-			return 0
-		}
-		return float64(agg.BTOBytes) * 8 / float64(int64(buckets)*r.Cfg.BucketSeconds) / 1e9
-	}
 	return fmt.Sprintf(
-		"before: BTO-ratio=%.2f%% BTO=%.3f Gbps latency=%.1f ms | after: BTO-ratio=%.2f%% BTO=%.3f Gbps latency=%.1f ms",
-		100*b.BTORatio(), gbps(b, nb), b.MeanLatencyMs(),
-		100*a.BTORatio(), gbps(a, na), a.MeanLatencyMs())
+		"before: BTO-ratio=%.2f%% latency=%.1f ms | after: BTO-ratio=%.2f%% latency=%.1f ms",
+		100*b.BTORatio(), b.MeanLatencyMs(), 100*a.BTORatio(), a.MeanLatencyMs())
 }

@@ -30,11 +30,14 @@ func tdcTrace(t *testing.T, days int64) *trace.Trace {
 	return tr
 }
 
+// testConfig is a pure-LRU hierarchy of a 256 MiB OC over a 1 GiB DC.
+func testConfig() Config {
+	return Config{OCCapacity: 256 << 20, DCCapacity: 1 << 30, DeployAt: -1}
+}
+
 func TestRunBucketsCoverTimeline(t *testing.T) {
 	tr := tdcTrace(t, 2)
-	cfg := DefaultConfig()
-	cfg.BucketSeconds = 3600
-	res := Run(tr, cfg)
+	res := run(tr, testConfig(), 3600)
 	if len(res.Buckets) < 40 || len(res.Buckets) > 49 {
 		t.Fatalf("buckets = %d, want ~48 for 2 days hourly", len(res.Buckets))
 	}
@@ -54,24 +57,20 @@ func TestRunBucketsCoverTimeline(t *testing.T) {
 }
 
 func TestHierarchyLatencyOrdering(t *testing.T) {
-	cfg := DefaultConfig()
-	sys := NewSystem(cfg)
+	sys := NewSystem(testConfig())
 	r := tdcTrace(t, 1).Requests[0]
 	lat1, bto1 := sys.Serve(r) // cold: origin
-	if !bto1 || lat1 <= cfg.OriginLatencyMs {
+	if !bto1 || lat1 <= originLatencyMs {
 		t.Fatalf("cold request should pay origin latency, got %.1f bto=%v", lat1, bto1)
 	}
 	lat2, bto2 := sys.Serve(r) // now in OC
-	if bto2 || lat2 != cfg.OCLatencyMs {
-		t.Fatalf("warm request should hit OC at %.1f ms, got %.1f", cfg.OCLatencyMs, lat2)
+	if bto2 || lat2 != ocLatencyMs {
+		t.Fatalf("warm request should hit OC at %d ms, got %.1f", ocLatencyMs, lat2)
 	}
 }
 
 func TestDCCatchesOCEvictions(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OCCapacity = 10_000
-	cfg.DCCapacity = 10_000_000
-	sys := NewSystem(cfg)
+	sys := NewSystem(Config{OCCapacity: 10_000, DCCapacity: 10_000_000, DeployAt: -1})
 	// Fill OC past capacity so object 1 falls out of OC but stays in DC.
 	sys.Serve(cache.Request{Time: 0, Key: 1, Size: 5_000})
 	for k := uint64(2); k < 10; k++ {
@@ -81,19 +80,14 @@ func TestDCCatchesOCEvictions(t *testing.T) {
 	if bto {
 		t.Fatal("object evicted from OC should hit DC, not origin")
 	}
-	if lat != cfg.DCLatencyMs {
-		t.Fatalf("DC hit latency = %.1f, want %.1f", lat, cfg.DCLatencyMs)
+	if lat != dcLatencyMs {
+		t.Fatalf("DC hit latency = %.1f, want %d", lat, dcLatencyMs)
 	}
 }
 
 func TestDeploymentImprovesOperatingPoint(t *testing.T) {
 	tr := tdcTrace(t, 4)
-	cfg := DefaultConfig()
-	cfg.OCCapacity = 64 << 20
-	cfg.DCCapacity = 256 << 20
-	cfg.DeployAt = 2 * 86_400
-	cfg.Seed = 5
-	res := Run(tr, cfg)
+	res := run(tr, Config{OCCapacity: 64 << 20, DCCapacity: 256 << 20, DeployAt: 2 * 86_400, Seed: 5}, 3600)
 	if res.Deployed <= 0 || res.Deployed >= len(res.Buckets) {
 		t.Fatalf("Deployed index = %d of %d buckets", res.Deployed, len(res.Buckets))
 	}
@@ -113,15 +107,14 @@ func TestDeploymentImprovesOperatingPoint(t *testing.T) {
 
 func TestRunPercentilesReflectHierarchy(t *testing.T) {
 	tr := tdcTrace(t, 2)
-	cfg := DefaultConfig()
 	// Replay the way Run does without a deployment, keeping every
 	// latency of the last hourly bucket.
-	sys := NewSystem(cfg)
-	last := tr.Requests[len(tr.Requests)-1].Time / cfg.BucketSeconds
+	sys := NewSystem(testConfig())
+	last := tr.Requests[len(tr.Requests)-1].Time / 3600
 	var lats []float64
 	for _, req := range tr.Requests {
 		lat, _ := sys.Serve(req)
-		if req.Time/cfg.BucketSeconds == last {
+		if req.Time/3600 == last {
 			lats = append(lats, lat)
 		}
 	}
@@ -129,10 +122,10 @@ func TestRunPercentilesReflectHierarchy(t *testing.T) {
 	p50, p99 := lats[len(lats)/2], lats[len(lats)*99/100]
 	// Warm steady state: median should be an OC hit, the tail an origin
 	// fetch.
-	if p50 != cfg.OCLatencyMs {
-		t.Fatalf("p50 = %g, want OC latency %g", p50, cfg.OCLatencyMs)
+	if p50 != ocLatencyMs {
+		t.Fatalf("p50 = %g, want OC latency %d", p50, ocLatencyMs)
 	}
-	if p99 < cfg.DCLatencyMs {
+	if p99 < dcLatencyMs {
 		t.Fatalf("p99 = %g, want >= DC latency", p99)
 	}
 }

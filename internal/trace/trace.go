@@ -55,6 +55,24 @@ func (t *Trace) ComputeStats() Stats {
 	return s
 }
 
+// NextOccurrences returns, per request index, the index of the next
+// request for the same object, or -1 when there is none: the future
+// knowledge the offline policies (Belady, the ZRO oracle) replay with.
+func (t *Trace) NextOccurrences() []int {
+	next := make([]int, len(t.Requests))
+	last := make(map[uint64]int, 1<<12)
+	for i := len(t.Requests) - 1; i >= 0; i-- {
+		k := t.Requests[i].Key
+		if j, ok := last[k]; ok {
+			next[i] = j
+		} else {
+			next[i] = -1
+		}
+		last[k] = i
+	}
+	return next
+}
+
 // String renders the stats as one Table-1-style row.
 func (s Stats) String() string {
 	return fmt.Sprintf("%-8s requests=%d unique=%d maxSize=%d minSize=%d meanSizeKB=%.2f wssMB=%.1f",

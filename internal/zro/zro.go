@@ -229,23 +229,6 @@ func (o *oracleIns) OnAccess(cache.Request, bool) {
 	o.windowMRUBytes = 0
 }
 
-// NextOccurrences returns, per request index, the index of the next
-// request for the same object, or -1 when there is none.
-func NextOccurrences(tr *trace.Trace) []int {
-	next := make([]int, len(tr.Requests))
-	last := make(map[uint64]int, 1<<12)
-	for i := len(tr.Requests) - 1; i >= 0; i-- {
-		k := tr.Requests[i].Key
-		if j, ok := last[k]; ok {
-			next[i] = j
-		} else {
-			next[i] = -1
-		}
-		last[k] = i
-	}
-	return next
-}
-
 // MeanResidency replays tr under plain LRU and returns the mean number of
 // requests an inserted object stays cached before eviction — the natural
 // horizon for the theoretical ZRO criterion.
@@ -286,7 +269,7 @@ func MeanResidency(tr *trace.Trace, capBytes int64) int {
 func OracleReplay(tr *trace.Trace, capBytes int64, useZRO, usePZRO bool, fracTop float64) float64 {
 	horizon := MeanResidency(tr, capBytes)
 	ins := &oracleIns{
-		next:     NextOccurrences(tr),
+		next:     tr.NextOccurrences(),
 		horizon:  float64(horizon),
 		minH:     float64(horizon),
 		capBytes: capBytes,
